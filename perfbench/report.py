@@ -46,30 +46,31 @@ def render(runs, seed, seconds):
         lines.append(f"- {name}: {result['attempted']} ops, {result['failed']} failed "
                      f"({m['check.known_defect_failures']:.0f} known defect), worst "
                      f"relative deviation {m['check.worst_rel_dev']:.2e}")
+    lines += ["", "## Share of untraced op time by label prefix", ""]
+    for name, (info, _, _) in runs.items():
+        lines.append(f"- {name}: " + ", ".join(
+            f"{k} {v:.2f}" for k, v in info["op_time_share"].items()))
     lines += ["", "## ROADMAP baseline figures, measured again", ""]
-    if "engine-bulk" in runs:
-        m = runs["engine-bulk"][1]
-        lines += [f"- `qfi_unitary`: {m['qfi.qfi_unitary.us_per_call']:.0f} µs/call "
-                  f"(`p_matrix` {m['qfi.p_matrix.us_per_call']:.0f} µs of it)",
-                  f"- probe construction: `to_probe_state` "
-                  f"{m['probes.to_probe_state.us_per_call']:.0f} µs/call; raw moments "
-                  f"through `williamson` {m['symplectic.williamson.us_per_call']:.0f} µs "
-                  f"plus `validate_state` {m['core.validate_state.us_per_call']:.0f} µs"]
-    if "probe-search" in runs:
-        info, m, _ = runs["probe-search"]
-        lines.append(f"- optimizer: {m['optimizer.nfev']:.0f} objective evaluations "
-                     f"in {m['optimizer.nm_runs']:.0f} Nelder-Mead runs, "
-                     f"{m['optimizer.us_per_eval']:.1f} µs/eval")
-        for label, row in info["by_label"].items():
-            lines.append(f"  - {label}: {row['nfev']:.0f} evaluations, "
-                         f"{row['seconds']:.2f} s")
-    if "fock-oracle" in runs:
-        info, m, _ = runs["fock-oracle"]
-        lines.append(f"- Fock panel: {m['fock.panel_s']:.2f} s (sum of per-case "
-                     f"medians), slowest case {m['fock.max_case_s']:.2f} s")
-        for label, row in info["by_label"].items():
-            lines.append(f"  - {label}: cutoff {row['cutoff']:.0f}, "
-                         f"{row['ladder_steps']:.0f} ladder steps, {row['seconds']:.4f} s")
+    m = runs["engine-bulk"][1]
+    lines += [f"- `qfi_unitary`: {m['qfi.qfi_unitary.us_per_call']:.0f} µs/call "
+              f"(`p_matrix` {m['qfi.p_matrix.us_per_call']:.0f} µs of it)",
+              f"- probe construction: `to_probe_state` "
+              f"{m['probes.to_probe_state.us_per_call']:.0f} µs/call; raw moments "
+              f"through `williamson` {m['symplectic.williamson.us_per_call']:.0f} µs "
+              f"plus `validate_state` {m['core.validate_state.us_per_call']:.0f} µs"]
+    info, m, _ = runs["probe-search"]
+    lines.append(f"- optimizer: {m['optimizer.nfev']:.0f} objective evaluations "
+                 f"in {m['optimizer.nm_runs']:.0f} Nelder-Mead runs, "
+                 f"{m['optimizer.us_per_eval']:.1f} µs/eval")
+    for label, row in info["by_label"].items():
+        lines.append(f"  - {label}: {row['nfev']:.0f} evaluations, "
+                     f"{row['seconds']:.2f} s")
+    info, m, _ = runs["fock-oracle"]
+    lines.append(f"- Fock panel: {m['fock.panel_s']:.2f} s (sum of per-case "
+                 f"medians), slowest case {m['fock.max_case_s']:.2f} s")
+    for label, row in info["by_label"].items():
+        lines.append(f"  - {label}: cutoff {row['cutoff']:.0f}, "
+                     f"{row['ladder_steps']:.0f} ladder steps, {row['seconds']:.4f} s")
     return "\n".join(lines) + "\n"
 
 
@@ -77,11 +78,9 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS),
-                        choices=WORKLOADS)
     parser.add_argument("--out", default=os.path.join(HERE, "out", "report.md"))
     args = parser.parse_args(argv)
-    runs = {w: traced_run(w, args.seed, args.seconds) for w in args.workloads}
+    runs = {w: traced_run(w, args.seed, args.seconds) for w in WORKLOADS}
     text = render(runs, args.seed, args.seconds)
     os.makedirs(os.path.dirname(args.out), exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -37,7 +37,7 @@ def test_tiny_run_reports_every_metric(name, tmp_path):
     phase = worker.timed_phase(wl, 0.05)
     summary = worker.summarize(phase.outcomes)
     assert summary["correct"]
-    metrics, _ = worker.end_to_end(phase, wl.round_size, summary)
+    metrics, _ = worker.end_to_end(phase, wl, summary)
     want = {m["name"] for m in SPEC["end_to_end"]} - {"setup_s"}
     assert set(metrics) == want
     assert all(value > 0 for value, _ in metrics.values())

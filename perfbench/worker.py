@@ -208,27 +208,47 @@ def summarize(outcomes):
     }
 
 
-def _quartiles(values):
-    """(lower, upper) quartile; a single value stands for both."""
+def _deciles(values):
+    """(lowest, highest) decile; a single value stands for both."""
     if len(values) == 1:
         return values[0], values[0]
-    q = statistics.quantiles(values, n=4, method="inclusive")
-    return q[0], q[2]
+    q = statistics.quantiles(values, n=10, method="inclusive")
+    return q[0], q[-1]
 
 
-def end_to_end(phase, size, summary):
+def case_latencies(phase):
+    """Each op's latency replaced by the lowest decile of its label's
+    latencies: the repeats least slowed down, as with blocks below."""
+    by_label = defaultdict(list)
+    for (item, _), latency in zip(phase.outcomes, phase.latencies):
+        by_label[item.label].append(latency)
+    low = {label: _deciles(v)[0] for label, v in by_label.items()}
+    return [low[item.label] for item, _ in phase.outcomes]
+
+
+def op_time_share(phase):
+    """Share of summed op time per label prefix (the part before "/")."""
+    total, share = sum(phase.latencies), defaultdict(float)
+    for (item, _), latency in zip(phase.outcomes, phase.latencies):
+        share[item.label.split("/")[0]] += latency / total
+    return dict(sorted(share.items()))
+
+
+def end_to_end(phase, wl, summary):
     """End-to-end metrics.
 
     Rates and latency percentiles are taken per block of at least BLOCK_S
-    and reported at the quartile of blocks least slowed down: the highest
-    rate quartile and the lowest latency quartile.  Contention from other
+    and reported at the decile of blocks least slowed down: the highest
+    rate decile and the lowest latency decile.  Contention from other
     tenants of the host only ever slows a block, and it comes in bursts of
     a few seconds, so this keeps a burst from deciding a run.  A workload
     whose round outlasts the run has one block, and these are its plain
-    statistics.
+    statistics.  A workload with ``latency_by_case`` set takes each op's
+    latency as its label's lowest decile over the run.
     """
-    cuts = blocks(phase, size)
-    lat = phase.latencies
+    cuts = blocks(phase, wl.round_size)
+    by_case = getattr(wl, "latency_by_case", False)
+    lat = case_latencies(phase) if by_case else phase.latencies
     rates, p50s, tails, pcts = [], [], [], []
     for first, stop, seconds in cuts:
         rates.append((stop - first) / seconds)
@@ -238,19 +258,21 @@ def end_to_end(phase, size, summary):
         pcts.append(pct)
     metrics = {
         "wall_s": (phase.wall, "s"),
-        "ops_per_s": (_quartiles(rates)[1], "1/s"),
-        "op_p50_ms": (1e3 * _quartiles(p50s)[0], "ms"),
-        "op_p90_ms": (1e3 * _quartiles(tails)[0], "ms"),
+        "ops_per_s": (_deciles(rates)[1], "1/s"),
+        "op_p50_ms": (1e3 * _deciles(p50s)[0], "ms"),
+        "op_p90_ms": (1e3 * _deciles(tails)[0], "ms"),
         "cpu_s": (phase.cpu, "s"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
         "success_ratio": (1.0 - summary["failed"] / summary["attempted"], "ratio"),
     }
     by_label = defaultdict(list)
-    for (item, _), latency in zip(phase.outcomes, lat):
+    for (item, _), latency in zip(phase.outcomes, phase.latencies):
         by_label[item.label].append(latency)
     info = {"op_samples": len(lat), "op_p90_percentile": sorted(set(pcts)),
+            "latency_by_case": by_case,
             "op_p50_ms_by_label": {k: 1e3 * statistics.median(v)
                                    for k, v in sorted(by_label.items())},
+            "op_time_share": op_time_share(phase),
             "blocks": {"samples": [stop - first for first, stop, _ in cuts],
                        "ops_per_s": rates, "p50_ms": [1e3 * v for v in p50s],
                        "p90_ms": [1e3 * v for v in tails]}}
@@ -320,7 +342,7 @@ def per_layer(tracer, wall_traced, phase, summary, wl):
         "bytes_computed")
     # panel seconds: the sum over distinct cases of each case's median time
     case_s = defaultdict(list)
-    if type(wl).__name__ == "FockOracle":
+    if getattr(wl, "latency_by_case", False):
         for (item, _), latency in zip(phase.outcomes, phase.latencies):
             case_s[item.label].append(latency)
     case_s = [statistics.median(v) for v in case_s.values()]
@@ -386,12 +408,12 @@ def main(argv=None):
     os.makedirs(args.workdir, exist_ok=True)
     wl = workloads.make(args.workload)
     wl.setup(np.random.default_rng(args.seed), args.workdir, tiny=args.tiny)
-    # one untimed op first, so that lazy imports and first-call costs are
-    # paid during set-up
-    run_op(wl, wl.warm)
     print("ready", flush=True)
     if args.setup_only:
         return 0
+    # one untimed op before the timed phase, so that lazy imports and
+    # first-call costs fall outside both set-up and the timed phase
+    run_op(wl, wl.warm)
 
     # the CLI reports expected config errors on stderr; keep them out of the log
     devnull = open(os.devnull, "w", encoding="utf-8")
@@ -410,13 +432,14 @@ def main(argv=None):
             summary["correct"] = summary["correct"] and summarize(traced)["correct"]
             metrics = per_layer(tracer, wall_traced, phase, summary, wl)
             info["by_label"] = op_table(tracer, phase)
+            info["op_time_share"] = op_time_share(phase)
             info["spans"] = len(tracer.spans)
             if args.spans:
                 tracer.write(args.spans)
         else:
             phase = timed_phase(wl, args.seconds)
             summary = summarize(phase.outcomes)
-            metrics, extra = end_to_end(phase, wl.round_size, summary)
+            metrics, extra = end_to_end(phase, wl, summary)
             info.update(extra)
     finally:
         sys.stderr = stderr

@@ -56,73 +56,21 @@ def rel_dev(reference: float, value: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Probe draws shared by engine-bulk and cli-requests.  They follow the
-# closed-form families of the oracle panel: pure and thermal cores,
-# squeezed, rotated and displaced.
+# Probe draws come from the closed-form families of the criterion-3 oracle
+# panel (``validate._oracle_families``): one and two modes, pure and
+# thermal cores, squeezed, rotated and displaced.  They run in set-up only.
 
-def _angle(rng) -> float:
-    return float(rng.uniform(-np.pi, np.pi))
-
-
-def _lam(rng) -> float:
-    return 1.0 if rng.random() < 0.3 else float(rng.uniform(1.0 + 1e-6, 4.0))
-
-
-def _one(rng) -> probes.OneModeProbeParams:
-    return probes.OneModeProbeParams(
-        lambda1=_lam(rng), r=float(rng.uniform(-1.5, 1.5)), theta=_angle(rng),
-        d_mag=float(rng.uniform(0.0, 2.0)), phi_d=_angle(rng))
-
-
-def _two(rng, theta=None, psi=None) -> probes.TwoModeProbeParams:
-    return probes.TwoModeProbeParams(
-        lambda1=_lam(rng), lambda2=_lam(rng),
-        r1=float(rng.uniform(-1.5, 1.5)), r2=float(rng.uniform(-1.5, 1.5)),
-        theta=_angle(rng) if theta is None else theta,
-        psi=_angle(rng) if psi is None else psi,
-        phi1=_angle(rng), phi2=_angle(rng),
-        d1_mag=float(rng.uniform(0.0, 2.0)), d2_mag=float(rng.uniform(0.0, 2.0)),
-        phi_d1=_angle(rng), phi_d2=_angle(rng))
+# name -> draw(rng) returning (closed-form QFI, params, channel); the draws
+# take the generator as their argument
+DRAWS = dict(validate._oracle_families(None))
+FAMILIES = tuple(DRAWS)
+ONE_MODE_FAMILIES, TWO_MODE_FAMILIES = FAMILIES[:3], FAMILIES[3:]
 
 
 def draw_family(name: str, rng):
     """(params, channel, closed-form QFI) for one closed-form family."""
-    chi = _angle(rng)
-    if name == "eq19":
-        p = _one(rng)
-        wp, ws = float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))
-        return (p, channels.combined_channel(wp, ws, chi),
-                formulas.qfi_one_mode_combined(p, wp, ws, chi))
-    if name == "eq20":
-        p = _one(rng)
-        return p, channels.phase_channel(), formulas.qfi_phase(p)
-    if name == "eq21":
-        p = _one(rng)
-        return p, channels.squeeze_channel(chi), formulas.qfi_squeeze1(p, chi)
-    tms, mix = channels.twomode_squeeze_channel(chi), channels.mix_channel(chi)
-    if name == "eq28":
-        p = _two(rng, theta=0.0, psi=0.0)
-        return p, tms, formulas.qfi_twomode_squeeze_separable(p, chi)
-    if name == "eq30":
-        p = _two(rng, theta=np.pi / 4)
-        return p, tms, formulas.qfi_twomode_squeeze_bs(p, chi)
-    if name == "eq36":
-        p = _two(rng, theta=0.0, psi=0.0)
-        return p, mix, formulas.qfi_mix_separable(p, chi)
-    if name == "eq38":
-        p = _two(rng, theta=np.pi / 4)
-        return p, mix, formulas.qfi_mix_bs(p, chi)
-    if name == "appC-st":
-        p = _two(rng)
-        return p, tms, formulas.qfi_twomode_squeeze_full(p, chi)
-    if name == "appC-mix":
-        p = _two(rng)
-        return p, mix, formulas.qfi_mix_full(p, chi)
-    raise ValueError(f"unknown family {name!r}")
-
-
-FAMILIES = ("eq19", "eq20", "eq21", "eq28", "eq30", "eq36", "eq38",
-            "appC-st", "appC-mix")
+    reference, params, channel = DRAWS[name](rng)
+    return params, channel, float(reference)
 
 
 def _moments(params):
@@ -136,29 +84,31 @@ def _moments(params):
 class EngineBulk:
     """Build a probe, then call ``qfi_unitary``; checked at ORACLE_TOL.
 
-    A quarter of the probes arrive as raw moments and go through
+    The engine has two entry points for a probe, and no source gives their
+    traffic, so each takes half of every family's draws: parametric probes
+    through ``to_probe_state``, and raw moments through
     ``ProbeState.from_state`` (validation plus Williamson decomposition).
+    The seed draws the probes and picks which half takes which path.
+    Labels are ``<path>/<family>``.
     """
 
     round_size = 1
-    per_family = 224
-    state_share = 4  # every fourth probe takes the raw-moments path
+    per_family = 112
 
     def setup(self, rng, workdir, tiny=False):
         per_family = 4 if tiny else self.per_family
-        names = [f for f in FAMILIES for _ in range(per_family)]
+        names = [(f, path) for f in FAMILIES for path in ("params", "state")
+                 for _ in range(per_family // 2)]
         rng.shuffle(names)
         self.deck = []
-        for i, name in enumerate(names):
+        for name, path in names:
             params, channel, reference = draw_family(name, rng)
             data = {"channel": channel, "reference": reference}
-            if i % self.state_share == 0:
+            if path == "state":
                 data["moments"] = _moments(params)
-                label = name + "/state"
             else:
                 data["params"] = params
-                label = name
-            self.deck.append(Item(label, data))
+            self.deck.append(Item(f"{path}/{name}", data))
         self.warm = self.deck[0]
 
     def op(self, item):
@@ -195,23 +145,29 @@ def _tail_exponent(values) -> float:
 class CliRequests:
     """One in-process ``gaussqfi.cli.main(argv)`` call per op.
 
-    Each round holds 64 requests: 30 ``qfi`` (one-mode, two-mode and raw
-    state probes), 10 ``closed-form``, 6 ``sweep``, 4 ``scaling``, 6
-    ``ellipse``, 4 ``limits`` and 4 malformed configs that must exit 2.
+    No source gives the traffic per command, so each of the six commands
+    has the same weight, as the ROADMAP's "each CLI command on a fixed
+    config" suggests: 10 requests per round each of ``qfi`` (one-mode,
+    two-mode and raw state probes), ``closed-form``, ``sweep``,
+    ``scaling``, ``ellipse`` and ``limits``.  The other 4 are malformed
+    configs that must exit 2, one of each kind.  Labels are
+    ``<command>/<case>``.
     """
 
     round_size = 64
+    per_command = 10
 
     def setup(self, rng, workdir, tiny=False):
+        k = self.per_command
         items = []
-        items += [self._qfi(rng, FAMILIES[i % 3]) for i in range(12)]
-        items += [self._qfi(rng, FAMILIES[3 + i % 6]) for i in range(10)]
-        items += [self._qfi(rng, FAMILIES[i % 9], state=True) for i in range(8)]
-        items += [self._closed_form(rng, i) for i in range(10)]
-        items += [self._sweep(rng, i) for i in range(6)]
-        items += [self._scaling(i) for i in range(4)]
-        items += [self._ellipse(rng, i) for i in range(6)]
-        items += [self._limits(i) for i in range(4)]
+        items += [self._qfi(rng, ONE_MODE_FAMILIES[i % 3]) for i in range(4)]
+        items += [self._qfi(rng, TWO_MODE_FAMILIES[2 * i]) for i in range(3)]
+        items += [self._qfi(rng, FAMILIES[3 * i], state=True) for i in range(3)]
+        items += [self._closed_form(rng, i) for i in range(k)]
+        items += [self._sweep(rng, i) for i in range(k)]
+        items += [self._scaling(i) for i in range(k)]
+        items += [self._ellipse(rng, i) for i in range(k)]
+        items += [self._limits(i) for i in range(k)]
         items += self._malformed(rng)
         assert len(items) == self.round_size
         rng.shuffle(items)
@@ -266,7 +222,7 @@ class CliRequests:
                              values=[reference])
 
     def _sweep(self, rng, i):
-        params = _one(rng)
+        params = validate._draw_one(rng)
         grid = sorted(float(v) for v in rng.uniform(1.0, 3.0, 5))
         probe = probes.probe_params_to_dict(params)
         if i % 2 == 0:
@@ -280,7 +236,8 @@ class CliRequests:
                       "channel": {"kind": "squeeze1-mode1", "chi": 0.0},
                       "sweep": {"parameter": "channel.chi", "grid": grid}}
             values = [formulas.qfi_squeeze1(params, v) for v in grid]
-        return self._request("sweep", "sweep", config, values=values)
+        return self._request(f"sweep/{config['sweep']['parameter']}", "sweep",
+                             config, values=values)
 
     def _scaling(self, i):
         channel, family, column = SCALING_CASES[i % len(SCALING_CASES)]
@@ -293,18 +250,18 @@ class CliRequests:
 
     def _ellipse(self, rng, i):
         eps = float(rng.uniform(-1.0, 1.0))
-        if i < 4:
-            params, channel, _ = draw_family(FAMILIES[i % 3], rng)
+        if i % 5 < 3:
+            params, channel, _ = draw_family(ONE_MODE_FAMILIES[i % 5], rng)
             channel_dict = channels.channel_to_dict(channel)
             rows = 12
-        elif i == 4:
+        elif i % 5 == 3:
             params, channel, _ = draw_family("appC-mix", rng)
             channel_dict = channels.channel_to_dict(channel)
             rows = 56
         else:
             # a custom generator with a linear drive takes the generic
             # exp_generator and displacement_shift paths
-            params = _one(rng)
+            params = validate._draw_one(rng)
             w, y = float(rng.uniform(-1, 1)), float(rng.uniform(0.1, 0.5))
             g = rng.uniform(-1, 1, 2)
             channel_dict = {"kind": "custom", "custom_W": {
@@ -320,10 +277,11 @@ class CliRequests:
         config = {"schema": 1, "n": ns} if i % 2 else None
         values = [f(n) for table in formulas.limit_table().values()
                   for n in ns for f in (table.heisenberg, table.shotnoise)]
-        return self._request("limits", "limits", config, values=values)
+        return self._request("limits/" + ("config" if config else "default"),
+                             "limits", config, values=values)
 
     def _malformed(self, rng):
-        probe = probes.probe_params_to_dict(_one(rng))
+        probe = probes.probe_params_to_dict(validate._draw_one(rng))
         good = {"schema": 1, "probe": probe, "channel": {"kind": "phase"}}
         bad_r = {**good, "probe": {"kind": "one-mode", "r": "abc"}}
         return [
@@ -458,19 +416,28 @@ class ProbeSearch:
 # ---------------------------------------------------------------------------
 
 TINY_FOCK_CASES = 3
-# Each one-mode case runs this many times per round.  They take
-# milliseconds, so one sample each would leave the op percentiles to
-# chance; the two-mode cases run once, as in the panel.
-ONE_MODE_REPEATS = 20
+# Repeats per round.  The one-mode cases take milliseconds, so each runs
+# ONE_MODE_REPEATS times.  The two-mode cases other than the cutoff-40
+# one take under a second and run TWO_MODE_REPEATS times, so that more
+# than ten two-mode ops lie above the one-mode ones and op_p90_ms, which
+# needs ten samples beyond it, lands on a two-mode case.  The cutoff-40
+# case takes half a minute and runs once.
+ONE_MODE_REPEATS = 10
+TWO_MODE_REPEATS = 4
+CUTOFF_40_CASE = "one-mode-probe+two-mode-squeeze"
 
 
 class FockOracle:
     """``choose_cutoff`` then ``fock_qfi`` on one fixed Fock-panel case per
     op, compared with ``qfi_unitary`` at FOCK_TOL.
 
-    A round is the 12-case panel with each one-mode case repeated
-    ONE_MODE_REPEATS times; the seed only shuffles the order.
+    A round is the 12-case panel with the repeats above; the seed only
+    shuffles the order.  An op's latency is reported as the lowest decile
+    of its case's repeats (``latency_by_case``), so slowed repeats cannot
+    move a percentile from one case to the next.
     """
+
+    latency_by_case = True
 
     def setup(self, rng, workdir, tiny=False):
         cases = validate.fock_panel_cases()
@@ -480,11 +447,16 @@ class FockOracle:
                              "reference": qfi.qfi_unitary(p.to_probe_state(), ch).total})
                  for name, p, ch in cases]
         self.warm = panel[0]  # the cheapest case
-        self.deck = [item for item in panel for _ in range(
-            ONE_MODE_REPEATS if item.data["channel"].modes == 1 else 1)]
+        self.deck = [item for item in panel for _ in range(self._repeats(item))]
         self.round_size = len(self.deck)
         order = rng.permutation(len(self.deck))
         self.deck = [self.deck[i] for i in order]
+
+    @staticmethod
+    def _repeats(item):
+        if item.data["channel"].modes == 1:
+            return ONE_MODE_REPEATS
+        return 1 if item.label == CUTOFF_40_CASE else TWO_MODE_REPEATS
 
     def op(self, item):
         params, channel = item.data["params"], item.data["channel"]
