@@ -1,6 +1,6 @@
 """Traced pass over every workload, written up as a Markdown report.
 
-    python3 perfbench/report.py --seed 1 --seconds 10 [--out perfbench/out/report.md]
+    python3 perfbench/report.py --seed 1 --seconds 8 [--out perfbench/out/report.md]
 
 Runs ``run.py --trace 1`` once per workload and reports, for each, the
 self time of every layer as a share of the traced wall time, the tracing
@@ -77,7 +77,7 @@ def render(runs, seed, seconds):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--out", default=os.path.join(HERE, "out", "report.md"))
     args = parser.parse_args(argv)
     runs = {w: traced_run(w, args.seed, args.seconds) for w in WORKLOADS}

@@ -1,13 +1,15 @@
 """Benchmark entry point.
 
-    python3 perfbench/run.py --workload engine-bulk --seed 1 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload engine-bulk --seed 1 --seconds 8 --trace 0
 
 Runs one workload (see BENCHMARK.json and perfbench/README.md) against
 the library under ``src/`` of this checkout.  Set-up is measured from
 process start until the inputs are ready, in ``SETUP_SAMPLES`` fresh
-worker processes; the middle one goes on to the timed phase.  The last
+worker processes, and scaled by each worker's host-speed yardstick
+(``yardstick.py``); the middle one goes on to the timed phase.  The last
 line of standard output is the JSON result; the line before it records
-the machine, the settings and the sample counts.  Standard library only.
+the machine, the settings, the sample counts and the raw figures.  This
+launcher uses the standard library only.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 # the same list as workloads.WORKLOADS; this launcher imports no numpy
 WORKLOADS = ("engine-bulk", "cli-requests", "probe-search", "fock-oracle")
-SETUP_SAMPLES = 5
+SETUP_SAMPLES = 3
 RUN_LIMIT_S = 170.0
 # One BLAS thread, within the nproc cap: on a 2-vCPU host a second
 # OpenBLAS thread made the same Fock case take anywhere from 20 ms to
@@ -38,19 +40,28 @@ def _env():
     for var in THREAD_VARS:
         env[var] = BLAS_THREADS
     env["PYTHONPATH"] = os.path.join(ROOT, "src")
+    # the same hashes, and so the same set and dict layouts, in every worker
+    env["PYTHONHASHSEED"] = "0"
     return env
 
 
 def _start(argv, deadline):
-    """Start a worker; return (process, set-up seconds) once it is ready."""
+    """Start a worker; return (process, set-up seconds) once it is ready.
+
+    An untraced worker's ready line gives the seconds its yardstick spent
+    during set-up and the yardstick's mean scale: set-up seconds are
+    returned less the first and times the second.
+    """
     t0 = time.perf_counter()
     proc = subprocess.Popen([sys.executable, os.path.join(HERE, "worker.py"), *argv],
                             stdout=subprocess.PIPE, text=True, env=_env(), cwd=ROOT)
-    line = proc.stdout.readline()
+    line = proc.stdout.readline().split()
     setup = time.perf_counter() - t0
-    if line.strip() != "ready":
+    if not line or line[0] != "ready":
         _stop(proc, deadline)
         raise RuntimeError(f"worker failed during set-up (exit {proc.returncode})")
+    if len(line) == 3:
+        setup = (setup - float(line[1])) * float(line[2])
     return proc, setup
 
 

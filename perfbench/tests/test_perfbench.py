@@ -14,6 +14,7 @@ sys.path.insert(0, HERE)
 
 import gaussqfi  # noqa: E402
 import tracer  # noqa: E402
+import yardstick  # noqa: E402
 import worker  # noqa: E402
 import workloads  # noqa: E402
 
@@ -101,6 +102,42 @@ def test_same_seed_same_inputs(name, tmp_path):
     first = inputs(7, "a")
     assert first == inputs(7, "b")
     assert first[0] != inputs(8, "c")[0]
+
+
+def test_yardstick_scales_by_the_kernel_time_around_an_interval():
+    yard = yardstick.Yardstick()
+    ref = yard.ref
+    yard.ends = [0.05 * k for k in range(1, 41)]
+    yard.times = [2 * ref if end <= 1.0 else ref for end in yard.ends]
+    assert yard.scale(0.3, 0.6) == pytest.approx(0.5)
+    assert yard.scale(1.4, 1.7) == pytest.approx(1.0)
+    # past the last sample: the nearest samples stand in
+    assert yard.scale(5.0, 5.1) == pytest.approx(1.0)
+
+
+def test_fock_oracle_is_scaled_by_the_dense_kernel():
+    assert workloads.make("fock-oracle").yardstick == "dense"
+    yard = yardstick.Yardstick("dense")
+    assert (yard.kernel, yard.ref) == yardstick.KERNELS["dense"]
+    yard._sampled()
+    assert len(yard.times) == yardstick.NEAREST and yard.scale() > 0
+
+
+def test_timed_phase_with_yardstick(tmp_path):
+    wl = _setup("engine-bulk", tmp_path)
+    yard = yardstick.Yardstick()
+    yard.start()
+    try:
+        phase = worker.timed_phase(wl, 0.3, yard)
+    finally:
+        yard.stop()
+    assert yard.times and len(phase.scales) == len(phase.cycles) == len(phase.latencies)
+    assert all(f > 0 for f in phase.scales)
+    metrics, info = worker.end_to_end(phase, wl, worker.summarize(phase.outcomes))
+    # wall_s is the sum of scaled cycles; the handler's time is left out
+    scaled = sum(c * f for c, f in zip(phase.cycles, phase.scales))
+    assert metrics["wall_s"][0] == pytest.approx(scaled)
+    assert info["raw"]["wall_s"] == pytest.approx(sum(phase.cycles))
 
 
 def test_tail_percentile_keeps_ten_samples_beyond():

@@ -1,9 +1,11 @@
 """One workload in one process: set up, print ``ready``, run the timed
 phase, print one JSON result line.  Started by ``run.py``.
 
-With ``--trace 1`` untraced and traced passes alternate over the same ops
-(see ``traced_phase``), and the per-layer metrics come from the traced
-passes.
+Untraced runs keep a yardstick (``yardstick.py``) sampling the host's
+speed from the start, and report times scaled to its reference speed; the
+raw figures go to the record line.  With ``--trace 1`` untraced and traced
+passes alternate over the same ops (see ``traced_phase``), without the
+yardstick, and the per-layer metrics come from the traced passes.
 """
 from __future__ import annotations
 
@@ -21,8 +23,6 @@ from contextlib import nullcontext
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CLI_COMMANDS = ("qfi", "closed-form", "sweep", "scaling", "ellipse", "limits")
-# Rates and percentiles are taken over blocks of whole rounds this long.
-BLOCK_S = 0.5
 # Untraced/traced alternation step of the traced pass.
 CHUNK_S = 0.1
 
@@ -61,11 +61,13 @@ def _no_span(name):
     return nullcontext()
 
 
-def run_op(wl, item, span=_no_span):
-    """One op and its check; returns (latency in s, Outcome)."""
+def run_op(wl, item, span=_no_span, yard=None):
+    """One op and its check; returns (latency in s, Outcome).  Time spent
+    in the yardstick's handler during the op is left out of the latency."""
     from workloads import Outcome
 
     error = None
+    spent = yard.spent if yard else 0.0
     with span("bench.op"):
         t = time.perf_counter()
         try:
@@ -73,6 +75,8 @@ def run_op(wl, item, span=_no_span):
         except Exception as exc:  # a raising op is a failed op
             error = exc
         latency = time.perf_counter() - t
+    if yard:
+        latency -= yard.spent - spent
     with span("bench.check"):
         if error is not None:
             return latency, Outcome(False, detail=f"{type(error).__name__}: {error}")
@@ -83,18 +87,25 @@ def run_op(wl, item, span=_no_span):
 
 
 class Phase:
-    """Ops of one timed phase: latency, end time since the start, item and
-    outcome of each, plus the phase's wall and CPU seconds."""
+    """Ops of one timed phase: latency, item and outcome of each, plus the
+    phase's wall and CPU seconds.
+
+    A phase timed with the yardstick also holds each op's cycle (from the
+    previous op's end to its own, checks and loop included) and the
+    yardstick's scale over the op; without one, cycles are not kept and
+    every scale is 1.
+    """
 
     def __init__(self):
-        self.latencies, self.ends, self.outcomes = [], [], []
+        self.latencies, self.outcomes = [], []
+        self.cycles, self.scales = [], []
         self.wall = self.cpu = 0.0
 
     def extend(self, rows, elapsed):
-        for item, latency, outcome, end in rows:
+        for item, latency, outcome, _ in rows:
             self.latencies.append(latency)
             self.outcomes.append((item, outcome))
-            self.ends.append(self.wall + end)
+            self.scales.append(1.0)
         self.wall += elapsed
 
 
@@ -127,12 +138,45 @@ def _pass(wl, first, tracer=None, count=None, chunk=math.inf, wall=0.0,
             return rows, elapsed
 
 
-def timed_phase(wl, seconds):
-    """Untraced ops until the first round boundary after ``seconds``."""
-    phase = Phase()
-    cpu0 = _cpu()
-    phase.extend(*_pass(wl, 0, seconds=seconds))
+def timed_phase(wl, seconds, yard=None):
+    """Ops in deck order, one client in a closed loop, until the
+    first round boundary after ``seconds``.
+
+    With a yardstick the phase runs on the scaled clock: each op's cycle,
+    less the handler's time, counts at the yardstick's scale over it so
+    far.  After the phase, every op is given the scale around its span.
+    """
+    phase, deck, size = Phase(), wl.deck, wl.round_size
+    spans, clock, k = [], 0.0, 0
+    cpu0, spent0 = _cpu(), yard.spent if yard else 0.0
+    start = prev = time.perf_counter()
+    spent_prev = spent0
+    while not (k and k % size == 0 and clock >= seconds):
+        item = deck[k % len(deck)]
+        t = time.perf_counter()
+        latency, outcome = run_op(wl, item, yard=yard)
+        end = time.perf_counter()
+        phase.latencies.append(latency)
+        phase.outcomes.append((item, outcome))
+        spans.append((t, end))
+        if yard:
+            spent = yard.spent
+            cycle = end - prev - (spent - spent_prev)
+            spent_prev = spent
+            phase.cycles.append(cycle)
+            clock += cycle * yard.scale(prev, end)
+        else:
+            clock = end - start
+        prev = end
+        k += 1
+    phase.wall = prev - start
     phase.cpu = _cpu() - cpu0
+    if yard:
+        phase.wall -= yard.spent - spent0
+        phase.cpu -= yard.spent - spent0
+        phase.scales = [yard.scale(a, b) for a, b in spans]
+    else:
+        phase.scales = [1.0] * k
     return phase
 
 
@@ -164,25 +208,6 @@ def traced_phase(wl, seconds, tracer):
     return phase, wall_traced, traced
 
 
-def blocks(phase, size):
-    """Split a phase into blocks of whole rounds lasting at least BLOCK_S;
-    a short remainder joins the last block.  Returns [first, stop, seconds]
-    per block."""
-    cuts, t0, first = [], 0.0, 0
-    for k, end in enumerate(phase.ends):
-        if (k + 1) % size == 0 and end - t0 >= BLOCK_S:
-            cuts.append([first, k + 1, end - t0])
-            first, t0 = k + 1, end
-    if first < len(phase.ends):
-        rest = phase.ends[-1] - t0
-        if cuts:
-            cuts[-1][1] = len(phase.ends)
-            cuts[-1][2] += rest
-        else:
-            cuts.append([first, len(phase.ends), rest])
-    return cuts
-
-
 def _cpu():
     total = 0.0
     for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN):
@@ -208,22 +233,14 @@ def summarize(outcomes):
     }
 
 
-def _deciles(values):
-    """(lowest, highest) decile; a single value stands for both."""
-    if len(values) == 1:
-        return values[0], values[0]
-    q = statistics.quantiles(values, n=10, method="inclusive")
-    return q[0], q[-1]
-
-
-def case_latencies(phase):
-    """Each op's latency replaced by the lowest decile of its label's
-    latencies: the repeats least slowed down, as with blocks below."""
+def case_latencies(lat, phase):
+    """Each op's latency replaced by the median of its label's latencies,
+    so that a slowed repeat cannot move a percentile to another case."""
     by_label = defaultdict(list)
-    for (item, _), latency in zip(phase.outcomes, phase.latencies):
+    for (item, _), latency in zip(phase.outcomes, lat):
         by_label[item.label].append(latency)
-    low = {label: _deciles(v)[0] for label, v in by_label.items()}
-    return [low[item.label] for item, _ in phase.outcomes]
+    mid = {label: statistics.median(v) for label, v in by_label.items()}
+    return [mid[item.label] for item, _ in phase.outcomes]
 
 
 def op_time_share(phase):
@@ -235,47 +252,49 @@ def op_time_share(phase):
 
 
 def end_to_end(phase, wl, summary):
-    """End-to-end metrics.
+    """End-to-end metrics over the whole phase, in scaled time.
 
-    Rates and latency percentiles are taken per block of at least BLOCK_S
-    and reported at the decile of blocks least slowed down: the highest
-    rate decile and the lowest latency decile.  Contention from other
-    tenants of the host only ever slows a block, and it comes in bursts of
-    a few seconds, so this keeps a burst from deciding a run.  A workload
-    whose round outlasts the run has one block, and these are its plain
-    statistics.  A workload with ``latency_by_case`` set takes each op's
-    latency as its label's lowest decile over the run.
+    Each op's latency and cycle are scaled by the yardstick around the op
+    (``Phase.scales``); ``wall_s`` is the sum of scaled cycles and
+    ``cpu_s`` is scaled by the phase's mean scale.  A workload with
+    ``latency_by_case`` set takes each op's latency as its label's median.
+    The raw figures are returned with the other record fields.
     """
-    cuts = blocks(phase, wl.round_size)
+    lat = [v * f for v, f in zip(phase.latencies, phase.scales)]
+    if phase.cycles:
+        wall = sum(c * f for c, f in zip(phase.cycles, phase.scales))
+    else:
+        wall = phase.wall
+    mean_scale = wall / phase.wall
     by_case = getattr(wl, "latency_by_case", False)
-    lat = case_latencies(phase) if by_case else phase.latencies
-    rates, p50s, tails, pcts = [], [], [], []
-    for first, stop, seconds in cuts:
-        rates.append((stop - first) / seconds)
-        p50s.append(statistics.median(lat[first:stop]))
-        tail, pct = tail_percentile(lat[first:stop])
-        tails.append(tail)
-        pcts.append(pct)
+    if by_case:
+        lat = case_latencies(lat, phase)
+    tail, pct = tail_percentile(lat)
+    n = len(lat)
     metrics = {
-        "wall_s": (phase.wall, "s"),
-        "ops_per_s": (_deciles(rates)[1], "1/s"),
-        "op_p50_ms": (1e3 * _deciles(p50s)[0], "ms"),
-        "op_p90_ms": (1e3 * _deciles(tails)[0], "ms"),
-        "cpu_s": (phase.cpu, "s"),
+        "wall_s": (wall, "s"),
+        "ops_per_s": (n / wall, "1/s"),
+        "op_p50_ms": (1e3 * statistics.median(lat), "ms"),
+        "op_p90_ms": (1e3 * tail, "ms"),
+        "cpu_s": (phase.cpu * mean_scale, "s"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
         "success_ratio": (1.0 - summary["failed"] / summary["attempted"], "ratio"),
     }
+    raw = phase.latencies
+    if by_case:
+        raw = case_latencies(raw, phase)
     by_label = defaultdict(list)
     for (item, _), latency in zip(phase.outcomes, phase.latencies):
         by_label[item.label].append(latency)
-    info = {"op_samples": len(lat), "op_p90_percentile": sorted(set(pcts)),
-            "latency_by_case": by_case,
+    info = {"op_samples": n, "op_p90_percentile": pct,
+            "latency_by_case": by_case, "mean_scale": mean_scale,
+            "raw": {"wall_s": phase.wall, "ops_per_s": n / phase.wall,
+                    "op_p50_ms": 1e3 * statistics.median(raw),
+                    "op_p90_ms": 1e3 * tail_percentile(raw)[0],
+                    "cpu_s": phase.cpu},
             "op_p50_ms_by_label": {k: 1e3 * statistics.median(v)
                                    for k, v in sorted(by_label.items())},
-            "op_time_share": op_time_share(phase),
-            "blocks": {"samples": [stop - first for first, stop, _ in cuts],
-                       "ops_per_s": rates, "p50_ms": [1e3 * v for v in p50s],
-                       "p90_ms": [1e3 * v for v in tails]}}
+            "op_time_share": op_time_share(phase)}
     return metrics, info
 
 
@@ -397,6 +416,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     import numpy as np
+    from yardstick import Yardstick
+
+    # the yardstick samples set-up too, so that run.py can scale set-up time
+    yard = None if args.trace else Yardstick()
+    if yard:
+        yard.start()
     import gaussqfi
     import workloads
 
@@ -408,9 +433,17 @@ def main(argv=None):
     os.makedirs(args.workdir, exist_ok=True)
     wl = workloads.make(args.workload)
     wl.setup(np.random.default_rng(args.seed), args.workdir, tiny=args.tiny)
-    print("ready", flush=True)
+    # set-up time is scaled by the yardstick's mean scale during set-up,
+    # with the handler's own time taken out
+    print("ready" if not yard else f"ready {yard.spent!r} {yard.scale()!r}", flush=True)
     if args.setup_only:
+        if yard:
+            yard.stop()
         return 0
+    if yard and getattr(wl, "yardstick", "small") != "small":
+        yard.stop()
+        yard = Yardstick(wl.yardstick)
+        yard.start()
     # one untimed op before the timed phase, so that lazy imports and
     # first-call costs fall outside both set-up and the timed phase
     run_op(wl, wl.warm)
@@ -437,10 +470,15 @@ def main(argv=None):
             if args.spans:
                 tracer.write(args.spans)
         else:
-            phase = timed_phase(wl, args.seconds)
+            phase = timed_phase(wl, args.seconds, yard)
             summary = summarize(phase.outcomes)
             metrics, extra = end_to_end(phase, wl, summary)
             info.update(extra)
+            if yard:
+                yard.stop()
+                info["yardstick"] = {"samples": len(yard.times),
+                                     "kernel_ms_median": 1e3 * statistics.median(yard.times),
+                                     "handler_s": yard.spent}
     finally:
         sys.stderr = stderr
         devnull.close()

@@ -336,13 +336,14 @@ class CliRequests:
 
 # ---------------------------------------------------------------------------
 
-SEARCH_CHANNELS = (  # name, channel, family
-    ("phase", channels.phase_channel(), optimizer.ONE_MODE),
-    ("squeeze1-mode1", channels.squeeze_channel(0.0), optimizer.ONE_MODE),
-    ("beamsplit", channels.mix_channel(), optimizer.TWO_MODE),
-    ("two-mode-squeeze", channels.twomode_squeeze_channel(), optimizer.TWO_MODE),
+PHASE, SQUEEZE = channels.phase_channel(), channels.squeeze_channel(0.0)
+BEAMSPLIT, TWO_MODE_SQUEEZE = channels.mix_channel(), channels.twomode_squeeze_channel()
+SEARCH_CASES = (  # name, channel, family, budget n, constraint
+    ("phase", PHASE, optimizer.ONE_MODE, 2.0, None),
+    ("squeeze1-mode1", SQUEEZE, optimizer.ONE_MODE, 2.0, "coherent-only"),
+    ("beamsplit", BEAMSPLIT, optimizer.TWO_MODE, 1.0, "coherent-only"),
+    ("two-mode-squeeze", TWO_MODE_SQUEEZE, optimizer.TWO_MODE, 1.0, None),
 )
-SEARCH_ROUNDS = 2
 # criterion 2's optimizer configuration
 SEARCH_RESTARTS, SEARCH_SEED = 32, 20260810
 
@@ -351,32 +352,24 @@ class ProbeSearch:
     """One ``optimize_probe`` solve per op in criterion 2's configuration
     (32 restarts, its seed), checked against the criterion-2 targets.
 
-    A round holds each channel once unconstrained and once coherent-only,
-    one of the two at budget n = 1 and the other at n = 2; the next round
-    swaps the budgets, so the two rounds are criterion 2's 16 solves.  The
-    work of a round is fixed; the seed shuffles its order.  (Seeding the
-    optimizer from the run seed instead moved single solves by up to 2x in
-    time, more than any change the benchmark should see.)
+    A round is four of criterion 2's sixteen solves: each channel once,
+    unconstrained and coherent-only in turn, at budgets n = 1 and 2.  It
+    holds both kinds of search: the 11-dimensional unconstrained two-mode
+    one that stops at ``max_iter`` (about 9 s) and the 2-dimensional
+    coherent-only ones that converge (0.1-3.4 s).  A round takes about
+    10 s of scaled time, so an 8 s run is one round.  The work of a round is fixed; the seed
+    shuffles its order.  (Seeding the optimizer from the run seed instead
+    moved single solves by up to 2x in time, more than any change the
+    benchmark should see.)
     """
-
-    round_size = 8
 
     def setup(self, rng, workdir, tiny=False):
         self.table = formulas.limit_table()
-        self.deck = []
-        for r in range(SEARCH_ROUNDS):
-            round_items = []
-            for c, (name, channel, family) in enumerate(SEARCH_CHANNELS):
-                for constraint in (None, "coherent-only"):
-                    if tiny and (constraint is None or family != optimizer.ONE_MODE):
-                        continue
-                    n = 1.0 + (r + c + (constraint is None)) % 2
-                    round_items.append(self._item(name, channel, family, n, constraint))
-            rng.shuffle(round_items)
-            self.deck += round_items
-        if tiny:
-            self.round_size = len(self.deck) // SEARCH_ROUNDS
-        self.warm = self._item(*SEARCH_CHANNELS[0], 1.0, "coherent-only")
+        self.deck = [self._item(*case) for case in SEARCH_CASES
+                     if not tiny or case[2] == optimizer.ONE_MODE]
+        rng.shuffle(self.deck)
+        self.round_size = len(self.deck)
+        self.warm = self._item("phase", PHASE, optimizer.ONE_MODE, 1.0, "coherent-only")
 
     @staticmethod
     def _item(name, channel, family, n, constraint):
@@ -432,19 +425,25 @@ class FockOracle:
     op, compared with ``qfi_unitary`` at FOCK_TOL.
 
     A round is the 12-case panel with the repeats above; the seed only
-    shuffles the order.  An op's latency is reported as the lowest decile
-    of its case's repeats (``latency_by_case``), so slowed repeats cannot
-    move a percentile from one case to the next.
+    shuffles the order.  An op's latency is reported as the median of its
+    case's repeats (``latency_by_case``), so slowed repeats cannot move a
+    percentile from one case to the next.  The timed phase is scaled by
+    the yardstick's dense kernel, whose work is of the same kind as the
+    panel's (see ``yardstick.py``).
     """
 
     latency_by_case = True
+    yardstick = "dense"
 
     def setup(self, rng, workdir, tiny=False):
         cases = validate.fock_panel_cases()
         if tiny:
             cases = cases[:TINY_FOCK_CASES]
+        # the two-mode cases' time is in dense BLAS on 144x144 to
+        # 1600x1600 matrices, which the yardstick does not track
         panel = [Item(name, {"params": p, "channel": ch,
-                             "reference": qfi.qfi_unitary(p.to_probe_state(), ch).total})
+                             "reference": qfi.qfi_unitary(p.to_probe_state(), ch).total,
+                             })
                  for name, p, ch in cases]
         self.warm = panel[0]  # the cheapest case
         self.deck = [item for item in panel for _ in range(self._repeats(item))]
