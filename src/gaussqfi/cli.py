@@ -84,7 +84,8 @@ def _parse_channel(config: dict):
     raw = _require(config, "channel")
     try:
         return channel_from_dict(raw)
-    except GaussQfiError as exc:
+    except (GaussQfiError, TypeError, ValueError) as exc:
+        # TypeError and ValueError: a field that is not a number
         raise ConfigError(f"bad channel: {exc}") from exc
 
 

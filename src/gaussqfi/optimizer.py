@@ -26,7 +26,7 @@ from .channels import (
 )
 from .errors import DegenerateBudgetError, InvalidInputError
 from .probes import OneModeProbeParams, TwoModeProbeParams, squeezing_from_energy
-from .qfi import qfi_unitary
+from .qfi import DEGENERACY_TOL, qfi_unitary
 
 log = logging.getLogger(__name__)
 
@@ -166,7 +166,7 @@ def _fast_qfi(ikw: np.ndarray, gamma: np.ndarray, s0: np.ndarray,
         for j in range(n):
             lj = lams[j]
             prod = li * lj
-            if prod - 1.0 >= 1e-9:
+            if prod - 1.0 >= DEGENERACY_TOL:
                 z = p[i, j]
                 h += (li - lj) ** 2 / (prod - 1.0) * (z.real * z.real + z.imag * z.imag)
             z = p[i, n + j]

@@ -8,6 +8,7 @@ asymmetric rotation and local squeezers to a two-mode thermal core:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -23,6 +24,13 @@ from .qfi import ProbeState
 from .symplectic import WilliamsonForm
 
 
+def _check_finite(params):
+    # NaN slips through every range check below, since nan < 1.0 is false
+    for name, value in vars(params).items():
+        if not math.isfinite(value):
+            raise InvalidInputError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class OneModeProbeParams:
     """General one-mode Gaussian probe parameters."""
@@ -34,6 +42,7 @@ class OneModeProbeParams:
     phi_d: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self)
         if self.lambda1 < 1.0:
             raise InvalidInputError(f"lambda1 must be >= 1, got {self.lambda1}")
         if self.d_mag < 0.0:
@@ -67,6 +76,7 @@ class TwoModeProbeParams:
     phi_d2: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self)
         if self.lambda1 < 1.0 or self.lambda2 < 1.0:
             raise InvalidInputError("lambda1, lambda2 must be >= 1")
         if self.d1_mag < 0.0 or self.d2_mag < 0.0:

@@ -25,6 +25,9 @@ from ._util import _freeze
 # Eigenvalue products within this distance of 1 trigger the degenerate
 # (pure-pure) conventions of the QFI formula.
 DEGENERACY_TOL = 1e-9
+# Symplectic eigenvalues may fall below 1 by this much before they are
+# rejected as unphysical.
+EIGENVALUE_FLOOR_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,7 @@ class ProbeState:
         d = np.zeros(n, dtype=complex) if d is None else np.atleast_1d(np.asarray(d, dtype=complex))
         if d.shape != (n,):
             raise InvalidInputError(f"d_tilde must have length {n}")
-        if np.min(self.williamson.eigenvalues) < 1.0 - 1e-9:
+        if np.min(self.williamson.eigenvalues) < 1.0 - EIGENVALUE_FLOOR_TOL:
             raise InvalidInputError("probe symplectic eigenvalues must be >= 1")
         object.__setattr__(self, "d_tilde", _freeze(d))
 
@@ -176,7 +179,7 @@ def qfi_general(eigenvalues, eigenvalues_dot, s: SymplecticMatrix, s_dot,
     n = lams.shape[0]
     if lams_dot.shape != (n,) or s.modes != n:
         raise InvalidInputError("inconsistent eigenvalue/matrix dimensions")
-    if np.min(lams) < 1.0 - 1e-9:
+    if np.min(lams) < 1.0 - EIGENVALUE_FLOOR_TOL:
         raise InvalidInputError("symplectic eigenvalues must be >= 1")
 
     p = s.inverse().matrix @ np.asarray(s_dot, dtype=complex)

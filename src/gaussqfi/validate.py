@@ -9,7 +9,7 @@ import numpy as np
 from . import formulas
 from .channels import combined_channel, mix_channel, phase_channel, \
     squeeze_channel, twomode_squeeze_channel
-from .fock import choose_cutoff, fock_qfi
+from .fock import ladder_state, state_qfi
 from .probes import OneModeProbeParams, TwoModeProbeParams, one_mode_probe_on_two
 from .qfi import qfi_unitary
 
@@ -153,16 +153,18 @@ def fock_panel_cases():
     ]
 
 
-def fock_panel(h: float = 1e-4) -> list:
-    """Fock-oracle vs engine agreement on the fixed panel."""
+def fock_panel() -> list:
+    """Fock-oracle vs engine agreement on the fixed panel.  Each case's
+    state is built once per cutoff-ladder step and the passing one is
+    reused for the QFI."""
     results = []
     for name, params, channel in fock_panel_cases():
-        cutoff = choose_cutoff(params, channel, h)
-        oracle = fock_qfi(params, channel, cutoff=cutoff, h=h)
+        rho = ladder_state(params)
+        oracle = state_qfi(rho, channel)
         engine = qfi_unitary(params.to_probe_state(), channel).total
         rel = _rel(oracle, engine)
         results.append(CheckResult(f"fock/{name}", rel, FOCK_TOL, rel < FOCK_TOL,
-                                   f"cutoff={cutoff}"))
+                                   f"cutoff={rho.cutoff}"))
     return results
 
 

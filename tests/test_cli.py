@@ -82,6 +82,21 @@ def test_unknown_channel_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_non_numeric_channel_field_exits_2(tmp_path, capsys):
+    config = fig2_config()
+    config["channel"] = {"kind": "combined-one-mode", "omega_p": "x"}
+    code, _ = run_cli(tmp_path, capsys, "qfi", config)
+    assert code == 2
+
+
+def test_nan_probe_field_exits_2(tmp_path, capsys):
+    # json writes the float as the bare NaN token, which json also reads
+    config = fig2_config(lambda1=float("nan"))
+    code, out = run_cli(tmp_path, capsys, "qfi", config)
+    assert code == 2
+    assert out == ""
+
+
 def test_sweep_squeezed_monotone(tmp_path, capsys):
     config = {"schema": 1,
               "sweep": {"parameter": "probe.lambda1", "grid": [1, 2, 5]},

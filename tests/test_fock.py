@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import factorial
 
 import gaussqfi as gq
 from gaussqfi.errors import CutoffTooSmallError, InvalidInputError
-from gaussqfi.fock import build_fock_state, choose_cutoff, fock_qfi, ladder
+from gaussqfi.fock import SUPPORT_TOL, build_fock_state, channel_generator_fock, \
+    choose_cutoff, fock_qfi, ladder
 
 
 def test_ladder_matrix():
@@ -71,9 +73,14 @@ def test_fock_qfi_universal_probe_mix():
 def test_fock_qfi_mode_mismatch():
     with pytest.raises(InvalidInputError):
         fock_qfi(gq.OneModeProbeParams(), gq.mix_channel())
+    with pytest.raises(InvalidInputError):
+        choose_cutoff(gq.OneModeProbeParams(), gq.mix_channel())
 
 
-def test_step_robustness():
+def test_exact_derivative_matches_central_difference():
+    # the oracle differentiates the channel exactly, drho = G rho - rho G;
+    # a central difference through expm(+-h G) must agree to O(h^2)
+    h = 1e-4
     cases = [
         (gq.OneModeProbeParams(lambda1=1.4, r=0.4, theta=0.2, d_mag=0.6, phi_d=0.5),
          gq.combined_channel(1.0, 0.5, 0.3), 32),
@@ -82,9 +89,28 @@ def test_step_robustness():
          gq.mix_channel(0.5), 20),
     ]
     for p, ch, cutoff in cases:
-        h3 = fock_qfi(p, ch, cutoff=cutoff, h=1e-3)
-        h4 = fock_qfi(p, ch, cutoff=cutoff, h=1e-4)
-        assert abs(h3 - h4) < 1e-4
+        rho = build_fock_state(p, cutoff).matrix
+        gen = channel_generator_fock(ch, cutoff)
+        u = scipy.linalg.expm(h * gen)
+        central = (u @ rho @ u.conj().T - u.conj().T @ rho @ u) / (2.0 * h)
+        exact = gen @ rho - rho @ gen
+        assert np.linalg.norm(exact - central) <= 1e-6 * np.linalg.norm(exact)
+
+        probs, vecs = np.linalg.eigh(rho)
+        mixed = vecs.conj().T @ central @ vecs
+        denom = probs[:, None] + probs[None, :]
+        mask = denom > SUPPORT_TOL
+        h_central = 2.0 * np.sum(np.abs(mixed[mask]) ** 2 / denom[mask])
+        h_exact = fock_qfi(p, ch, cutoff=cutoff)
+        assert abs(h_exact - h_central) <= 1e-6 * h_exact
+
+
+def test_fock_panel_cutoffs():
+    # the leak rule on the built state alone picks these cutoffs
+    from gaussqfi.validate import fock_panel_cases
+
+    cutoffs = [choose_cutoff(p, ch) for _, p, ch in fock_panel_cases()]
+    assert cutoffs == [16, 32, 64, 32, 32, 16, 32, 32, 20, 20, 20, 40]
 
 
 def test_cutoff_monotone_improvement():

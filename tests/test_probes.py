@@ -67,6 +67,16 @@ def test_params_reject_unphysical():
         gq.TwoModeProbeParams(lambda2=0.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("cls, field", [
+    (gq.OneModeProbeParams, "lambda1"), (gq.OneModeProbeParams, "theta"),
+    (gq.OneModeProbeParams, "d_mag"), (gq.TwoModeProbeParams, "lambda2"),
+    (gq.TwoModeProbeParams, "psi"), (gq.TwoModeProbeParams, "phi_d2")])
+def test_params_reject_non_finite(cls, field, value):
+    with pytest.raises(InvalidInputError, match=field):
+        cls(**{field: value})
+
+
 def test_params_dict_round_trip():
     p1 = gq.OneModeProbeParams(lambda1=1.5, r=0.3, theta=0.1, d_mag=0.7, phi_d=-0.2)
     p2 = gq.TwoModeProbeParams(lambda1=1.2, r1=0.4, theta=0.6, d2_mag=0.3)
