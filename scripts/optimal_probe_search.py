@@ -29,7 +29,6 @@ def main():
     parser.add_argument("--n", type=float, default=2.0, help="mean energy budget")
     parser.add_argument("--restarts", type=int, default=32)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
@@ -49,8 +48,7 @@ def main():
           f"{'concentrated':>13}")
     for kind, (channel, family) in channels.items():
         splits = ((0.0, 0.0),) if family == ONE_MODE else ((0.0, 0.0), (0.0, 0.0))
-        result = optimize_probe(channel, family, EnergyBudget(n, splits), config,
-                                jobs=args.jobs)
+        result = optimize_probe(channel, family, EnergyBudget(n, splits), config)
         extra = concentrated.get(kind)
         print(f"{kind:<18} {result.best_qfi:>12.6f} "
               f"{table[kind].heisenberg(n):>18.6f} "

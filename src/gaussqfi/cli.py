@@ -7,7 +7,8 @@ significant digits; CSV uses ``,`` delimiters, ``.`` decimals and always
 carries a header.
 
 Exit codes: 0 ok, 1 validation-panel failure, 2 config parse error,
-3 physics validation error, 4 degenerate optimizer input.
+3 physics validation error or a non-finite result, 4 degenerate
+optimizer input.
 """
 from __future__ import annotations
 
@@ -21,7 +22,8 @@ import numpy as np
 from .channels import channel_from_dict, channel_shift, channel_symplectic
 from .core import complex_to_real, complex_to_real_matrix, l_matrix, \
     state_from_dict
-from .errors import DegenerateBudgetError, GaussQfiError
+from .errors import DegenerateBudgetError, GaussQfiError, \
+    NumericalInstabilityError
 from .optimizer import EnergyBudget, OptimizerConfig, optimize_probe, scaling_exponent
 from .probes import OneModeProbeParams, probe_params_from_dict, \
     probe_params_to_dict
@@ -56,7 +58,11 @@ def _json_ready(obj):
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(_json_ready(obj), indent=2) + "\n"
+    try:
+        return json.dumps(_json_ready(obj), indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        # NaN or infinity, e.g. from overflow, has no JSON form
+        raise NumericalInstabilityError(f"result is not finite: {exc}") from exc
 
 
 def _load_config(path: str) -> dict:
@@ -72,6 +78,13 @@ def _load_config(path: str) -> dict:
     if data.get("schema") != 1:
         raise ConfigError("config must declare \"schema\": 1")
     return data
+
+
+def _number(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
 
 
 def _require(config: dict, key: str):
@@ -137,8 +150,9 @@ def cmd_closed_form(config: dict, args) -> str:
     label = _require(config, "label")
     if label == "universal-mix":
         value = formulas.universal_mix_probe_qfi(
-            float(config.get("r", 0.0)), float(config.get("d1_mag", 0.0)),
-            float(config.get("d2_mag", 0.0)))
+            _number(config.get("r", 0.0), "r"),
+            _number(config.get("d1_mag", 0.0), "d1_mag"),
+            _number(config.get("d2_mag", 0.0), "d2_mag"))
         return _dump_json({"label": label, "value": value})
     if label not in _CLOSED_FORMS:
         raise ConfigError(f"unknown closed-form label {label!r}; "
@@ -181,7 +195,7 @@ def cmd_sweep(config: dict, args) -> str:
     grid = _require(spec, "grid")
     if not isinstance(grid, list) or not grid:
         raise ConfigError("sweep grid must be a non-empty list")
-    grid = [float(v) for v in grid]
+    grid = [_number(v, "sweep grid value") for v in grid]
     if not all(np.isfinite(grid)):
         raise ConfigError("sweep grid must contain finite values")
     root = path.split(".")[0]
@@ -215,7 +229,7 @@ def cmd_optimize(config: dict, args) -> str:
     budget_raw = _require(config, "budget")
     if not isinstance(budget_raw, dict) or "n_total" not in budget_raw:
         raise ConfigError("budget must be an object with 'n_total'")
-    n_total = float(budget_raw["n_total"])
+    n_total = _number(budget_raw["n_total"], "budget n_total")
     modes = 1 if family == "one-mode" else 2
     try:
         budget = EnergyBudget(n_total, tuple(((0.0, 0.0),) * modes))
@@ -227,7 +241,7 @@ def cmd_optimize(config: dict, args) -> str:
                                      args.seed, opt_config.tol)
     constraint = config.get("constraint")
     result = optimize_probe(channel, family, budget, opt_config,
-                            constraint=constraint, jobs=args.jobs or 1)
+                            constraint=constraint)
     payload = {
         "best_qfi": result.best_qfi,
         "best_params": {
@@ -249,7 +263,7 @@ def cmd_scaling(config: dict, args) -> str:
     grid = _require(config, "n_grid")
     if not isinstance(grid, list) or len(grid) < 4:
         raise ConfigError("n_grid must be a list with at least 4 points")
-    fit = scaling_exponent(channel, family, [float(v) for v in grid])
+    fit = scaling_exponent(channel, family, [_number(v, "n_grid value") for v in grid])
     return _dump_json({"exponent": fit.exponent, "prefactor": fit.prefactor,
                        "n_grid": list(fit.n_grid), "qfi_values": list(fit.qfi_values)})
 
@@ -268,7 +282,7 @@ def cmd_ellipse(config: dict, args) -> str:
     channel = _parse_channel(config)
     if probe.modes != channel.modes:
         raise ConfigError("probe and channel mode counts differ")
-    eps = float(config.get("epsilon", 0.0))
+    eps = _number(config.get("epsilon", 0.0), "epsilon")
     d_re, sigma_re = complex_to_real(probe.to_state())
     s_re = complex_to_real_matrix(channel_symplectic(channel, eps).matrix)
     b = channel_shift(channel, eps)
@@ -296,7 +310,7 @@ def cmd_limits(config: dict, args) -> str:
         raw = config.get("n", ns)
         if not isinstance(raw, list) or not raw:
             raise ConfigError("'n' must be a non-empty list")
-        ns = [float(v) for v in raw]
+        ns = [_number(v, "'n' value") for v in raw]
     rows = []
     for kind, table in formulas.limit_table().items():
         for n in ns:

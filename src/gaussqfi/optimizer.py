@@ -1,20 +1,24 @@
 """Energy-constrained probe optimization and scaling-exponent fits.
 
-The search runs a derivative-free Nelder-Mead simplex from many starts.
+The search runs a derivative-free adaptive Nelder-Mead simplex from many
+starts.  All starts advance in lockstep: each iteration decodes the
+candidate points of every active start as one (B, dim) batch and
+evaluates them with one ``qfi.qfi_kernel`` call, while every start takes
+exactly the steps scipy's adaptive Nelder-Mead would take on its own.
 Energy feasibility is exact by construction: the per-mode displacement
-and thermal fractions live in a sigmoid-squashed simplex and the
+and thermal fractions live in a logistic-squashed simplex and the
 squeezing parameter absorbs whatever energy remains, so every iterate
 satisfies the budget.  Warm starts at the analytically known optima make
 the regression against the closed-form limits deterministic.
 """
 from __future__ import annotations
 
+import itertools
 import logging
-from concurrent.futures import ProcessPoolExecutor
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channels import (
     BEAMSPLIT,
@@ -26,14 +30,14 @@ from .channels import (
 )
 from .errors import DegenerateBudgetError, InvalidInputError
 from .probes import OneModeProbeParams, TwoModeProbeParams, squeezing_from_energy
-from .qfi import DEGENERACY_TOL, qfi_unitary
+from .qfi import qfi_kernel, qfi_unitary
 
 log = logging.getLogger(__name__)
 
 ONE_MODE = "one-mode"
 TWO_MODE = "two-mode-restricted"
 
-# sigmoid(-SATURATION) ~ 9e-14: numerically "all energy into squeezing"
+# logistic(-SATURATION) ~ 9e-14: numerically "all energy into squeezing"
 SATURATION = 30.0
 
 
@@ -50,9 +54,14 @@ class EnergyBudget:
     mode_fractions: tuple = None
 
     def __post_init__(self):
+        # NaN passes every range check below, since nan < 0 is false
+        if not math.isfinite(self.n_total):
+            raise InvalidInputError(f"n_total must be finite, got {self.n_total}")
         if self.n_total < 0:
             raise InvalidInputError("n_total must be >= 0")
         splits = tuple((float(fd), float(ft)) for fd, ft in self.splits)
+        if not all(map(math.isfinite, itertools.chain(*splits))):
+            raise InvalidInputError(f"splits must be finite, got {splits}")
         for fd, ft in splits:
             if fd < 0 or ft < 0 or fd + ft > 1.0 + 1e-12:
                 raise InvalidInputError(f"infeasible split (f_d={fd}, f_th={ft})")
@@ -60,6 +69,8 @@ class EnergyBudget:
         if fractions is None:
             fractions = tuple(1.0 / len(splits) for _ in splits)
         fractions = tuple(float(g) for g in fractions)
+        if not all(map(math.isfinite, fractions)):
+            raise InvalidInputError(f"mode_fractions must be finite, got {fractions}")
         if len(fractions) != len(splits) or abs(sum(fractions) - 1.0) > 1e-9 \
                 or min(fractions) < 0:
             raise InvalidInputError("mode_fractions must be a distribution over modes")
@@ -123,64 +134,13 @@ class OptimizationResult:
 
 
 # ---------------------------------------------------------------------------
-# Raw-array objective (same math as qfi.qfi_unitary, no container overhead;
-# equality of the two paths is asserted in the test suite)
+# Batched objective: decode a (B, dim) batch of search vectors into Williamson
+# data and evaluate it with one qfi_kernel call
 
-def _fast_s0_one(r: float, theta: float) -> np.ndarray:
-    ch, sh = np.cosh(r), np.sinh(r)
-    ph = np.exp(-1j * theta)
-    return np.array([[ph * ch, -ph * sh], [-sh / ph, ch / ph]])
-
-
-def _fast_s0_two(r1, r2, theta, psi, phi1, phi2) -> np.ndarray:
-    ct, st = np.cos(theta), np.sin(theta)
-    # passive part R1(phi1) R2(phi2) B(theta) Ras(psi), written out entrywise
-    e1, e2 = np.exp(-1j * phi1), np.exp(-1j * phi2)
-    ep, em = np.exp(-1j * psi), np.exp(1j * psi)
-    u00, u01 = e1 * ct * ep, e1 * st * em
-    u10, u11 = -e2 * st * ep, e2 * ct * em
-    c1, c2 = np.cosh(r1), np.cosh(r2)
-    s1, s2 = np.sinh(r1), np.sinh(r2)
-    # S0 = blkdiag(u, conj u) @ [[C, -Sh], [-Sh, C]] with diagonal C, Sh
-    out = np.empty((4, 4), dtype=complex)
-    out[0, 0], out[0, 1] = u00 * c1, u01 * c2
-    out[1, 0], out[1, 1] = u10 * c1, u11 * c2
-    out[0, 2], out[0, 3] = -u00 * s1, -u01 * s2
-    out[1, 2], out[1, 3] = -u10 * s1, -u11 * s2
-    out[2:, :2] = out[:2, 2:].conj()
-    out[2:, 2:] = out[:2, :2].conj()
-    return out
-
-
-def _fast_qfi(ikw: np.ndarray, gamma: np.ndarray, s0: np.ndarray,
-              lams: np.ndarray, d_tilde: np.ndarray) -> float:
-    n = lams.shape[0]
-    # symplectic inverse K S0^dag K by sign flips on the off blocks
-    s0inv = s0.conj().T.copy()
-    s0inv[:n, n:] *= -1.0
-    s0inv[n:, :n] *= -1.0
-    p = s0inv @ ikw @ s0
-    h = 0.0
-    for i in range(n):
-        li = lams[i]
-        for j in range(n):
-            lj = lams[j]
-            prod = li * lj
-            if prod - 1.0 >= DEGENERACY_TOL:
-                z = p[i, j]
-                h += (li - lj) ** 2 / (prod - 1.0) * (z.real * z.real + z.imag * z.imag)
-            z = p[i, n + j]
-            h += (li + lj) ** 2 / (prod + 1.0) * (z.real * z.real + z.imag * z.imag)
-    d0 = np.concatenate([d_tilde, d_tilde.conj()])
-    u = s0inv @ (ikw @ d0 + gamma)
-    au = np.abs(u)
-    for i in range(n):
-        h += 2.0 * (au[i] ** 2 + au[n + i] ** 2) / lams[i]
-    return h
-
-
-def _sigmoid(x: float) -> float:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-x))``, written so that ``exp`` never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _logit(p: float) -> float:
@@ -188,40 +148,82 @@ def _logit(p: float) -> float:
     return float(np.log(p / (1 - p)))
 
 
-def _decode(x: np.ndarray, family: str, n_total: float, constraint: str):
-    """Map an unconstrained search vector to feasible probe parameters."""
+def _energy_fractions(x: np.ndarray, family: str, constraint: str):
+    """Energy coordinates of search vectors ``x`` (B, dim).
+
+    Returns ``(f_d, f_th, g)``, each (B, modes): the displacement and
+    thermal fractions of each mode's energy, and each mode's share of the
+    budget.  Squeezing takes the rest of a mode's share.
+    """
+    b = x.shape[0]
     if family == ONE_MODE:
-        theta, phi_d = x[0], x[1]
-        if constraint == "coherent-only":
-            f_d, f_th = 1.0, 0.0
-        elif constraint == "squeezing-only":
-            f_d, f_th = 0.0, 0.0
-        else:
-            f_d = _sigmoid(x[2])
-            f_th = (1.0 - f_d) * _sigmoid(x[3])
-        budget = EnergyBudget(n_total, ((f_d, f_th),))
-        return budget.one_mode_params(theta=theta, phi_d=phi_d), budget
-    theta, psi, phi1, phi2, phi_d1, phi_d2 = x[:6]
-    g = _sigmoid(x[6])
-    if constraint == "coherent-only":
-        s1 = s2 = (1.0, 0.0)
-    elif constraint == "squeezing-only":
-        s1 = s2 = (0.0, 0.0)
+        modes, offset = 1, 2
+        g = np.ones((b, 1))
     else:
-        fd1 = _sigmoid(x[7])
-        s1 = (fd1, (1.0 - fd1) * _sigmoid(x[8]))
-        fd2 = _sigmoid(x[9])
-        s2 = (fd2, (1.0 - fd2) * _sigmoid(x[10]))
-    budget = EnergyBudget(n_total, (s1, s2), (g, 1.0 - g))
-    params = budget.two_mode_params(theta=theta, psi=psi, phi1=phi1, phi2=phi2,
-                                    phi_d1=phi_d1, phi_d2=phi_d2)
-    return params, budget
+        modes, offset = 2, 7
+        g1 = _logistic(x[:, 6])
+        g = np.stack([g1, 1.0 - g1], axis=1)
+    if constraint == "coherent-only":
+        return np.ones((b, modes)), np.zeros((b, modes)), g
+    if constraint == "squeezing-only":
+        return np.zeros((b, modes)), np.zeros((b, modes)), g
+    u = _logistic(x[:, offset:offset + 2 * modes])
+    f_d = u[:, 0::2]
+    return f_d, (1.0 - f_d) * u[:, 1::2], g
 
 
-def _dimension(family: str, constraint: str) -> int:
+def _s0(u: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``S_0 = blkdiag(u, conj u) S(r)`` from passive unitaries ``u``
+    (B, N, N) and squeezing parameters ``r`` (B, N)."""
+    b, n = r.shape
+    alpha = u * np.cosh(r)[:, None, :]
+    beta = -u * np.sinh(r)[:, None, :]
+    s0 = np.empty((b, 2 * n, 2 * n), dtype=complex)
+    s0[:, :n, :n], s0[:, :n, n:] = alpha, beta
+    s0[:, n:, :n], s0[:, n:, n:] = beta.conj(), alpha.conj()
+    return s0
+
+
+def _passive_two(theta, psi, phi1, phi2) -> np.ndarray:
+    """Batched ``R_1(phi1) R_2(phi2) B(theta) R_as(psi)`` of the two-mode
+    family as (B, 2, 2) unitaries."""
+    ct, st = np.cos(theta), np.sin(theta)
+    e1, e2 = np.exp(-1j * phi1), np.exp(-1j * phi2)
+    ep, em = np.exp(-1j * psi), np.exp(1j * psi)
+    u = np.array([[e1 * ct * ep, e1 * st * em], [-e2 * st * ep, e2 * ct * em]])
+    return np.moveaxis(u, -1, 0)
+
+
+def _objective(x, family, n_total, constraint, ikw, gamma) -> np.ndarray:
+    """Negative QFI of every decoded row of ``x`` (B, dim); ``+inf`` where
+    it is not finite.  Every row is computed alone, so its value does not
+    depend on the rest of the batch."""
+    f_d, f_th, g = _energy_fractions(x, family, constraint)
+    n_k = g * n_total
+    n_d, n_th = f_d * n_k, f_th * n_k
+    lams = 1.0 + 2.0 * n_th
+    r = np.arcsinh(np.sqrt(np.maximum(n_k - n_d - n_th, 0.0) / lams))
     if family == ONE_MODE:
-        return 2 if constraint else 4
-    return 7 if constraint else 11
+        u = np.exp(-1j * x[:, 0])[:, None, None]
+        phases = x[:, 1:2]
+    else:
+        u = _passive_two(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
+        phases = x[:, 4:6]
+    d_tilde = np.sqrt(n_d) * np.exp(1j * phases)
+    value = -sum(qfi_kernel(_s0(u, r), lams, d_tilde, ikw, gamma))
+    return np.where(np.isfinite(value), value, np.inf)
+
+
+def _decode(x: np.ndarray, family: str, n_total: float, constraint: str):
+    """Map one unconstrained search vector to feasible probe parameters."""
+    f_d, f_th, g = (a[0] for a in _energy_fractions(
+        np.asarray(x, dtype=float)[None], family, constraint))
+    budget = EnergyBudget(n_total, tuple(zip(f_d, f_th)), tuple(g))
+    if family == ONE_MODE:
+        return budget.one_mode_params(theta=x[0], phi_d=x[1]), budget
+    params = budget.two_mode_params(theta=x[0], psi=x[1], phi1=x[2], phi2=x[3],
+                                    phi_d1=x[4], phi_d2=x[5])
+    return params, budget
 
 
 def _warm_starts(channel: ChannelSpec, family: str, constraint: str):
@@ -297,66 +299,106 @@ def _start_points(channel, family, constraint, config):
     return starts[:config.restarts]
 
 
-def _fractions(x, offset: int, constraint: str):
-    if constraint == "coherent-only":
-        return 1.0, 0.0
-    if constraint == "squeezing-only":
-        return 0.0, 0.0
-    f_d = _sigmoid(x[offset])
-    return f_d, (1.0 - f_d) * _sigmoid(x[offset + 1])
+@dataclass
+class LockstepResult:
+    """Outcome of ``minimize``, one row per restart."""
+
+    x: np.ndarray          # (B, dim) best vertex of each final simplex
+    fun: np.ndarray        # (B,) objective value there
+    converged: np.ndarray  # (B,) met the xatol/fatol test within max_iter
+    nfev: int              # points evaluated, speculative candidates included
+
+    @property
+    def success(self) -> bool:
+        return bool(self.converged.all())
 
 
-def _fast_objective(x, family, n_total, constraint, ikw, gamma):
-    """Negative QFI of the decoded candidate (raw-array path)."""
-    if family == ONE_MODE:
-        f_d, f_th = _fractions(x, 2, constraint)
-        n_d, n_th = f_d * n_total, f_th * n_total
-        lam = 1.0 + 2.0 * n_th
-        r = np.arcsinh(np.sqrt(max(n_total - n_d - n_th, 0.0) / lam))
-        s0 = _fast_s0_one(r, x[0])
-        d = np.array([np.sqrt(n_d) * np.exp(1j * x[1])])
-        return -_fast_qfi(ikw, gamma, s0, np.array([lam]), d)
-    g = _sigmoid(x[6])
-    fd1, ft1 = _fractions(x, 7, constraint)
-    fd2, ft2 = _fractions(x, 9, constraint)
-    lams, rs, ds = [], [], []
-    for n_k, fd, ft, pd in ((g * n_total, fd1, ft1, x[4]),
-                            ((1.0 - g) * n_total, fd2, ft2, x[5])):
-        n_d, n_th = fd * n_k, ft * n_k
-        lam = 1.0 + 2.0 * n_th
-        lams.append(lam)
-        rs.append(np.arcsinh(np.sqrt(max(n_k - n_d - n_th, 0.0) / lam)))
-        ds.append(np.sqrt(n_d) * np.exp(1j * pd))
-    s0 = _fast_s0_two(rs[0], rs[1], x[0], x[1], x[2], x[3])
-    return -_fast_qfi(ikw, gamma, s0, np.array(lams), np.array(ds))
+def _sorted(sim: np.ndarray, fsim: np.ndarray):
+    order = np.argsort(fsim, axis=1)
+    rows = np.arange(len(fsim))[:, None]
+    return sim[rows, order], fsim[rows, order]
 
 
-def _run_start(channel, family, n_total, constraint, x0, max_iter, tol):
-    """One Nelder-Mead descent; returns (qfi, x, converged) or None."""
-    ikw = channel.generator.ikw()
-    gamma = channel.generator.gamma
+def minimize(fun, x0: np.ndarray, max_iter: int, xatol: float,
+             fatol: float) -> LockstepResult:
+    """Adaptive Nelder-Mead run from every row of ``x0`` (B, dim) in lockstep.
 
-    def objective(x):
-        try:
-            value = _fast_objective(x, family, n_total, constraint, ikw, gamma)
-        except (FloatingPointError, ValueError):
-            return np.inf
-        return value if np.isfinite(value) else np.inf
+    Each row takes the steps of ``scipy.optimize.minimize(fun, x0[b],
+    method="Nelder-Mead", options={"adaptive": True, "maxiter": max_iter,
+    "xatol": xatol, "fatol": fatol})``: the same initial simplex,
+    coefficients (Gao & Han, Comput. Optim. Appl. 51, 2012), step order,
+    stop test and vertex ordering.  ``fun`` maps points (M, dim) to values
+    (M,) and must compute each row alone.  Every iteration evaluates the
+    reflection, expansion and both contraction points of every active
+    restart in one call, and the shrunken simplices in a second.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    b, n = x0.shape
+    dim = float(n)
+    rho, chi = 1, 1 + 2 / dim
+    psi, sigma = 0.75 - 1 / (2 * dim), 1 - 1 / dim
 
-    if not np.isfinite(objective(x0)):
-        return None
-    res = minimize(objective, x0, method="Nelder-Mead",
-                   options={"maxiter": max_iter, "xatol": tol, "fatol": tol,
-                            "adaptive": True})
-    if not np.isfinite(res.fun):
-        return None
-    return -float(res.fun), np.asarray(res.x), bool(res.success)
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    k = np.arange(n)
+    sim[:, k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    fsim = fun(sim.reshape(-1, n)).reshape(b, n + 1)
+    nfev = fsim.size
+    # scipy sorts twice here; an unstable argsort may reorder ties again
+    sim, fsim = _sorted(*_sorted(sim, fsim))
+
+    active = np.ones(b, dtype=bool)
+    converged = np.zeros(b, dtype=bool)
+    iterations = 1
+    while iterations < max_iter:
+        rows = np.flatnonzero(active)
+        s, f = sim[rows], fsim[rows]
+        with np.errstate(invalid="ignore"):  # inf - inf where starts failed
+            done = ((np.max(np.abs(s[:, 1:] - s[:, :1]), axis=(1, 2)) <= xatol)
+                    & (np.max(np.abs(f[:, :1] - f[:, 1:]), axis=1) <= fatol))
+        converged[rows[done]] = True
+        active[rows[done]] = False
+        rows, s, f = rows[~done], s[~done], f[~done]
+        if not rows.size:
+            break
+
+        xbar = np.add.reduce(s[:, :-1], 1) / n
+        worst = s[:, -1]
+        cand = np.stack([(1 + rho) * xbar - rho * worst,
+                         (1 + rho * chi) * xbar - rho * chi * worst,
+                         (1 + psi * rho) * xbar - psi * rho * worst,
+                         (1 - psi) * xbar + psi * worst], axis=1)
+        fc = fun(cand.reshape(-1, n)).reshape(-1, 4)
+        nfev += fc.size
+        fr, fe, foc, fic = fc.T
+        expand = fr < f[:, 0]
+        contract = ~expand & ~(fr < f[:, -2])
+        outside = fr < f[:, -1]
+        pick = np.where(expand & (fe < fr), 1, 0)
+        pick[contract & outside] = 2
+        pick[contract & ~outside] = 3
+        accept = ~contract | np.where(outside, foc <= fr, fic < f[:, -1])
+        keep = np.flatnonzero(accept)
+        s[keep, -1] = cand[keep, pick[keep]]
+        f[keep, -1] = fc[keep, pick[keep]]
+        shrink = np.flatnonzero(~accept)
+        if shrink.size:
+            best = s[shrink, :1]
+            s[shrink, 1:] = best + sigma * (s[shrink, 1:] - best)
+            f[shrink, 1:] = fun(s[shrink, 1:].reshape(-1, n)).reshape(-1, n)
+            nfev += shrink.size * n
+        iterations += 1
+        sim[rows], fsim[rows] = _sorted(s, f)
+    return LockstepResult(sim[:, 0], np.min(fsim, axis=1), converged, int(nfev))
 
 
 def optimize_probe(channel: ChannelSpec, family: str, budget: EnergyBudget,
                    config: OptimizerConfig = OptimizerConfig(),
-                   constraint: str = None, jobs: int = 1) -> OptimizationResult:
+                   constraint: str = None) -> OptimizationResult:
     """Maximize the channel QFI over a probe family at fixed mean energy.
+
+    All restarts run in lockstep through one ``minimize`` call, each
+    iteration evaluating every restart's candidates in one batched
+    ``qfi_kernel`` call.  A restart's result does not depend on the others.
 
     Args:
         channel: one-parameter channel to estimate.
@@ -366,8 +408,6 @@ def optimize_probe(channel: ChannelSpec, family: str, budget: EnergyBudget,
         config: restart count, iteration cap, seed, simplex tolerance.
         constraint: None, "coherent-only" (all energy displaced) or
             "squeezing-only".
-        jobs: optional process-level parallelism over restarts; the
-            result is independent of the worker count.
     """
     if family not in (ONE_MODE, TWO_MODE):
         raise InvalidInputError(f"unknown probe family {family!r}")
@@ -380,32 +420,30 @@ def optimize_probe(channel: ChannelSpec, family: str, budget: EnergyBudget,
     if budget.n_total <= 0:
         raise DegenerateBudgetError("optimization needs n_total > 0")
 
-    starts = _start_points(channel, family, constraint, config)
-    args = [(channel, family, budget.n_total, constraint, x0,
-             config.max_iter, config.tol) for x0 in starts]
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_start_tuple, args))
-    else:
-        outcomes = [_run_start(*a) for a in args]
+    ikw = channel.generator.ikw()
+    gamma = channel.generator.gamma
 
-    trace = []
-    best = None
-    aborted = 0
-    for idx, out in enumerate(outcomes):
-        if out is None:
-            aborted += 1
-            log.warning("optimizer start %d aborted (non-finite objective)", idx)
-            continue
-        value, x, converged = out
-        trace.append((idx, value))
-        if best is None or value > best[0]:
-            best = (value, x, converged, idx)
-    if best is None:
+    def objective(x):
+        return _objective(x, family, budget.n_total, constraint, ikw, gamma)
+
+    starts = np.array(_start_points(channel, family, constraint, config))
+    values = -objective(starts)
+    xs = starts.copy()
+    converged = np.zeros(len(starts), dtype=bool)
+    ok = np.isfinite(values)
+    if ok.any():
+        res = minimize(objective, starts[ok], config.max_iter, config.tol, config.tol)
+        values[ok], xs[ok], converged[ok] = -res.fun, res.x, res.converged
+    aborted = ~np.isfinite(values)
+    for idx in np.flatnonzero(aborted):
+        log.warning("optimizer start %d aborted (non-finite objective)", idx)
+    if aborted.all():
         raise InvalidInputError("all optimizer starts aborted")
+    trace = [(int(idx), float(values[idx])) for idx in np.flatnonzero(~aborted)]
 
-    value, x, converged, _ = best
-    params, bud = _decode(x, family, budget.n_total, constraint)
+    best = int(np.argmax(values))
+    value = float(values[best])
+    params, bud = _decode(xs[best], family, budget.n_total, constraint)
     engine_value = qfi_unitary(params.to_probe_state(), channel).total
     if abs(engine_value - value) > 1e-9 * max(1.0, abs(value)):
         raise InvalidInputError(
@@ -414,12 +452,8 @@ def optimize_probe(channel: ChannelSpec, family: str, budget: EnergyBudget,
     best_params = {"family": family, "probe": params, "splits": bud.splits,
                    "mode_fractions": bud.mode_fractions}
     return OptimizationResult(best_params=best_params, best_qfi=value,
-                              trace=trace, restarts=len(starts) - aborted,
-                              converged=converged)
-
-
-def _run_start_tuple(args):
-    return _run_start(*args)
+                              trace=trace, restarts=int((~aborted).sum()),
+                              converged=bool(converged[best]))
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +530,7 @@ def scaling_exponent(channel: ChannelSpec, family: str, n_grid) -> ScalingFit:
 
 
 def conjecture_probe(channel: ChannelSpec, n_grid, restarts: int = 32,
-                     seed: int = 0, jobs: int = 1) -> list:
+                     seed: int = 0) -> list:
     """Numeric evidence on where optimal probes put their energy.
 
     For each budget the unconstrained optimum is located and its
@@ -510,7 +544,7 @@ def conjecture_probe(channel: ChannelSpec, n_grid, restarts: int = 32,
     for n in n_grid:
         splits_shape = ((0.0, 0.0),) if family == ONE_MODE else ((0.0, 0.0), (0.0, 0.0))
         result = optimize_probe(channel, family, EnergyBudget(float(n), splits_shape),
-                                config, jobs=jobs)
+                                config)
         splits = result.best_params["splits"]
         fractions = result.best_params["mode_fractions"]
         # fractions of the *total* budget; a mode whose energy share is zero

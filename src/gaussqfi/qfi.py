@@ -5,7 +5,10 @@ Two evaluation paths are provided:
 * ``qfi_unitary`` - the one-parameter-group path.  The probe enters
   through its Williamson factors, the channel through its quadratic
   generator; the result needs no channel parameter value because the QFI
-  of a one-parameter group is the same at every point.
+  of a one-parameter group is the same at every point.  It validates its
+  inputs and calls ``qfi_kernel``, the raw-array form of the same formula
+  that broadcasts over leading axes; the optimizer evaluates whole
+  batches of candidate probes through that kernel.
 * ``qfi_general`` - the raw formula with caller-supplied derivatives of
   the Williamson data, used as a finite-difference cross-check and for
   encodings outside the group framework.
@@ -117,8 +120,8 @@ class QfiBreakdown:
 
 def _mode_factors(lams: np.ndarray):
     """Pairwise eigenvalue factors with the pure-pure zero convention."""
-    li = lams[:, None]
-    lj = lams[None, :]
+    li = lams[..., :, None]
+    lj = lams[..., None, :]
     prod = li * lj
     f_minus = np.where(prod - 1.0 < DEGENERACY_TOL, 0.0,
                        (li - lj) ** 2 / np.where(prod - 1.0 < DEGENERACY_TOL, 1.0, prod - 1.0))
@@ -137,6 +140,41 @@ def p_matrix(probe: ProbeState, channel: ChannelSpec) -> PMatrix:
     return PMatrix(p[:n, :n], p[:n, n:])
 
 
+def qfi_kernel(s0: np.ndarray, lams: np.ndarray, d_tilde: np.ndarray,
+               ikw: np.ndarray, gamma: np.ndarray):
+    """Group-framework QFI terms from raw arrays, broadcast over leading axes.
+
+    Args:
+        s0: Williamson factors ``S_0``, shape ``(..., 2N, 2N)``.
+        lams: symplectic eigenvalues, shape ``(..., N)``.
+        d_tilde: first half of the complex-form displacement, ``(..., N)``.
+        ikw: the channel generator's ``iKW`` (``2N x 2N``).
+        gamma: the generator's linear part (length ``2N``).
+
+    Returns ``(r_term, q_term, disp_term)``, each of shape ``(...)``.  No
+    input is checked: ``qfi_unitary`` is the validated entry point.
+    """
+    n = lams.shape[-1]
+    # symplectic inverse K S0^dag K: conjugate transpose, off blocks negated
+    s0inv = np.conj(np.swapaxes(s0, -1, -2))
+    s0inv[..., :n, n:] *= -1.0
+    s0inv[..., n:, :n] *= -1.0
+    p = s0inv @ ikw @ s0
+    f_minus, f_plus = _mode_factors(lams)
+    r_block, q_block = p[..., :n, :n], p[..., :n, n:]
+    r_term = np.sum(f_minus * (r_block.real ** 2 + r_block.imag ** 2), axis=(-2, -1))
+    q_term = np.sum(f_plus * (q_block.real ** 2 + q_block.imag ** 2), axis=(-2, -1))
+
+    d0 = np.concatenate([d_tilde, np.conj(d_tilde)], axis=-1)
+    # matrix-vector products as stacked matmuls: each row of a batch is
+    # then computed alone, so a value never depends on the batch it is in
+    v = (ikw @ d0[..., None])[..., 0] + gamma
+    u = (s0inv @ v[..., None])[..., 0]
+    d_full = np.concatenate([lams, lams], axis=-1)
+    disp_term = 2.0 * np.sum((u.real ** 2 + u.imag ** 2) / d_full, axis=-1)
+    return r_term, q_term, disp_term
+
+
 def qfi_unitary(probe: ProbeState, channel: ChannelSpec) -> QfiBreakdown:
     """QFI of a one-parameter Gaussian unitary channel on a Gaussian probe.
 
@@ -145,17 +183,13 @@ def qfi_unitary(probe: ProbeState, channel: ChannelSpec) -> QfiBreakdown:
     ``2 v^dag sigma_0^{-1} v`` with ``v = iKW d_0 + gamma`` through the
     Williamson factors of the probe.
     """
-    pm = p_matrix(probe, channel)
-    lams = probe.williamson.eigenvalues
-    f_minus, f_plus = _mode_factors(lams)
-    r_term = float(np.sum(f_minus * np.abs(pm.r_block) ** 2))
-    q_term = float(np.sum(f_plus * np.abs(pm.q_block) ** 2))
-
-    v = channel.generator.ikw() @ probe.displacement + channel.generator.gamma
-    u = probe.williamson.s.inverse().matrix @ v
-    d_full = np.concatenate([lams, lams])
-    disp_term = 2.0 * float(np.sum(np.abs(u) ** 2 / d_full))
-    return QfiBreakdown(r_term, q_term, 0.0, disp_term)
+    if probe.modes != channel.modes:
+        raise InvalidInputError(
+            f"probe has {probe.modes} modes but channel has {channel.modes}")
+    r_term, q_term, disp_term = qfi_kernel(
+        probe.williamson.s.matrix, probe.williamson.eigenvalues, probe.d_tilde,
+        channel.generator.ikw(), channel.generator.gamma)
+    return QfiBreakdown(float(r_term), float(q_term), 0.0, float(disp_term))
 
 
 def qfi_general(eigenvalues, eigenvalues_dot, s: SymplecticMatrix, s_dot,

@@ -97,6 +97,42 @@ def test_nan_probe_field_exits_2(tmp_path, capsys):
     assert out == ""
 
 
+_PHASE = {"kind": "phase"}
+_ONE_MODE = {"kind": "one-mode", "r": 0.5}
+
+
+@pytest.mark.parametrize("command,config", [
+    ("closed-form", {"label": "universal-mix", "r": "abc"}),
+    ("closed-form", {"label": "universal-mix", "d1_mag": "abc"}),
+    ("closed-form", {"label": "universal-mix", "d2_mag": [1]}),
+    ("ellipse", {"epsilon": "x", "probe": _ONE_MODE, "channel": _PHASE}),
+    ("sweep", {"sweep": {"parameter": "probe.r", "grid": [0.1, "x"]},
+               "probe": _ONE_MODE, "channel": _PHASE}),
+    ("optimize", {"channel": _PHASE, "budget": {"n_total": "x"}}),
+    ("scaling", {"channel": _PHASE, "family": "optimal-squeezing",
+                 "n_grid": [1, 2, 4, "x"]}),
+    ("limits", {"n": [1, "x"]}),
+])
+def test_non_numeric_config_field_exits_2(tmp_path, capsys, command, config):
+    code, out = run_cli(tmp_path, capsys, command, {"schema": 1, **config})
+    assert code == 2
+    assert out == ""
+
+
+def test_nan_budget_exits_2(tmp_path, capsys):
+    config = {"schema": 1, "channel": _PHASE, "budget": {"n_total": float("nan")}}
+    code, out = run_cli(tmp_path, capsys, "optimize", config)
+    assert code == 2
+    assert out == ""
+
+
+def test_non_finite_result_exits_3(tmp_path, capsys):
+    # the f_plus factor overflows to inf / inf; the output must stay JSON
+    code, out = run_cli(tmp_path, capsys, "qfi", fig2_config(lambda1=1e300))
+    assert code == 3
+    assert out == ""
+
+
 def test_sweep_squeezed_monotone(tmp_path, capsys):
     config = {"schema": 1,
               "sweep": {"parameter": "probe.lambda1", "grid": [1, 2, 5]},

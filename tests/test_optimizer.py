@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
 import gaussqfi as gq
 from gaussqfi.errors import DegenerateBudgetError, InvalidInputError
@@ -12,8 +13,10 @@ from gaussqfi.optimizer import (
     EnergyBudget,
     OptimizerConfig,
     _decode,
-    _fast_objective,
+    _objective,
+    _start_points,
     conjecture_probe,
+    minimize,
     optimize_probe,
     scaling_exponent,
 )
@@ -45,23 +48,81 @@ def test_budget_rejects_infeasible():
         EnergyBudget(1.0, ((0.0, 0.0), (0.0, 0.0)), (0.7, 0.7))
 
 
-def test_fast_objective_matches_engine(rng):
-    # the optimizer's raw-array path must agree with the public engine
+@pytest.mark.parametrize("kwargs", [
+    {"n_total": float("nan")},
+    {"n_total": float("inf")},
+    {"n_total": 1.0, "splits": ((float("nan"), 0.0),)},
+    {"n_total": 1.0, "splits": ((0.0, float("nan")),)},
+    {"n_total": 1.0, "splits": ((0.0, 0.0), (0.0, 0.0)),
+     "mode_fractions": (float("nan"), 1.0)},
+])
+def test_budget_rejects_non_finite(kwargs):
+    with pytest.raises(InvalidInputError):
+        EnergyBudget(**kwargs)
+
+
+def test_batched_objective_matches_engine(rng):
+    # the optimizer's batched objective must agree with the public engine,
+    # row by row
     for fam, channel in ((ONE_MODE, gq.combined_channel(0.7, 1.2, 0.4)),
                          (TWO_MODE, gq.mix_channel(0.3)),
                          (TWO_MODE, gq.twomode_squeeze_channel(0.9))):
         dim = 4 if fam == ONE_MODE else 11
-        ikw = channel.generator.ikw()
-        gamma = channel.generator.gamma
-        for _ in range(40):
-            x = rng.normal(size=dim) * 2.0
-            n_total = float(rng.uniform(0.2, 4.0))
-            fast = -_fast_objective(x, fam, n_total, None, ikw, gamma)
+        n_total = float(rng.uniform(0.2, 4.0))
+        xs = rng.normal(size=(40, dim)) * 2.0
+        fast = -_objective(xs, fam, n_total, None, channel.generator.ikw(),
+                           channel.generator.gamma)
+        for x, value in zip(xs, fast):
             params, _ = _decode(x, fam, n_total, None)
             slow = gq.qfi_unitary(params.to_probe_state(), channel).total
-            assert abs(fast - slow) < 1e-10 * max(1.0, abs(slow))
+            assert abs(value - slow) < 1e-10 * max(1.0, abs(slow))
             # every candidate the search can visit is exactly on budget
             assert abs(params.mean_photon() - n_total) < 1e-8
+
+
+_NM_CASES = [(gq.combined_channel(0.7, 1.2, 0.4), ONE_MODE, 1.0, None),
+             (gq.squeeze_channel(0.6), ONE_MODE, 2.0, "coherent-only"),
+             # a coherent probe's phase QFI is 4 n at every angle: all ties
+             (gq.phase_channel(), ONE_MODE, 1.0, "coherent-only"),
+             (gq.mix_channel(0.3), TWO_MODE, 1.0, "coherent-only"),
+             (gq.twomode_squeeze_channel(0.9), TWO_MODE, 1.5, None)]
+
+
+def _nm_objective(channel, family, n_total, constraint):
+    ikw, gamma = channel.generator.ikw(), channel.generator.gamma
+    return lambda x: _objective(x, family, n_total, constraint, ikw, gamma)
+
+
+@pytest.mark.parametrize("channel,family,n_total,constraint", _NM_CASES)
+def test_lockstep_matches_scipy_nelder_mead(channel, family, n_total, constraint):
+    # every restart takes exactly the steps of scipy's adaptive simplex
+    fun = _nm_objective(channel, family, n_total, constraint)
+    config = OptimizerConfig(restarts=3, max_iter=400, seed=5)
+    starts = np.array(_start_points(channel, family, constraint, config))
+    res = minimize(fun, starts, config.max_iter, config.tol, config.tol)
+    assert isinstance(res.nfev, int) and isinstance(res.success, bool)
+    for x0, x, value, converged in zip(starts, res.x, res.fun, res.converged):
+        ref = scipy.optimize.minimize(
+            lambda v: fun(v[None])[0], x0, method="Nelder-Mead",
+            options={"maxiter": config.max_iter, "xatol": config.tol,
+                     "fatol": config.tol, "adaptive": True})
+        assert value == ref.fun
+        assert np.array_equal(x, ref.x)
+        assert converged == ref.success
+
+
+def test_restart_independent_of_batch():
+    # a start's result does not depend on the batch it runs in
+    channel, family, n_total, constraint = _NM_CASES[0]
+    fun = _nm_objective(channel, family, n_total, constraint)
+    config = OptimizerConfig(restarts=4, max_iter=300, seed=3)
+    starts = np.array(_start_points(channel, family, constraint, config))
+    together = minimize(fun, starts, config.max_iter, config.tol, config.tol)
+    for b, x0 in enumerate(starts):
+        alone = minimize(fun, x0[None], config.max_iter, config.tol, config.tol)
+        assert alone.fun[0] == together.fun[b]
+        assert np.array_equal(alone.x[0], together.x[b])
+        assert alone.converged[0] == together.converged[b]
 
 
 def test_phase_channel_heisenberg():
@@ -87,14 +148,6 @@ def test_determinism():
     assert a.best_qfi == b.best_qfi
     assert a.trace == b.trace
     assert a.best_params["probe"] == b.best_params["probe"]
-
-
-def test_parallel_matches_serial():
-    cfg = OptimizerConfig(restarts=4, max_iter=200, seed=3, tol=1e-10)
-    a = optimize_probe(gq.phase_channel(), ONE_MODE, EnergyBudget(0.8), cfg, jobs=1)
-    b = optimize_probe(gq.phase_channel(), ONE_MODE, EnergyBudget(0.8), cfg, jobs=2)
-    assert a.best_qfi == b.best_qfi
-    assert a.trace == b.trace
 
 
 def test_degenerate_budget():

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import gaussqfi as gq
 from gaussqfi.errors import DegenerateInputError, InvalidInputError
-from gaussqfi.qfi import qfi_general
+from gaussqfi import formulas
+from gaussqfi.qfi import qfi_general, qfi_kernel
 from gaussqfi.symplectic import GeneratorW, SymplecticMatrix, WilliamsonForm
 from conftest import random_symplectic, random_unitary
 
@@ -249,3 +250,43 @@ def test_factor_monotonicity(lam):
     assert 0.0 < f4 <= 1.0
     assert f1_up > f1
     assert f4_up < f4
+
+
+# --- qfi_kernel against the closed forms ----------------------------------
+
+_lam = st.one_of(st.just(1.0), st.floats(min_value=1.0 + 1e-6, max_value=4.0))
+_sq = st.floats(min_value=-1.5, max_value=1.5)
+_ang = st.floats(min_value=-np.pi, max_value=np.pi)
+_mag = st.floats(min_value=0.0, max_value=2.0)
+
+
+@given(st.sampled_from(["combined", "twomode-squeeze", "mix"]),
+       st.tuples(_lam, _lam, _sq, _sq, _ang, _ang, _ang, _ang, _mag, _mag, _ang, _ang),
+       st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), _ang))
+@settings(max_examples=40, deadline=None)
+def test_kernel_matches_closed_forms(family, p, c):
+    l1, l2, r1, r2, theta, psi, phi1, phi2, m1, m2, pd1, pd2 = p
+    omega_p, omega_s, chi = c
+    if family == "combined":
+        params = gq.OneModeProbeParams(lambda1=l1, r=r1, theta=theta, d_mag=m1, phi_d=pd1)
+        channel = gq.combined_channel(omega_p, omega_s, chi)
+        closed = formulas.qfi_one_mode_combined(params, omega_p, omega_s, chi)
+    else:
+        params = gq.TwoModeProbeParams(l1, l2, r1, r2, theta, psi, phi1, phi2,
+                                       m1, m2, pd1, pd2)
+        if family == "mix":
+            channel = gq.mix_channel(chi)
+            closed = formulas.qfi_mix_full(params, chi)
+        else:
+            channel = gq.twomode_squeeze_channel(chi)
+            closed = formulas.qfi_twomode_squeeze_full(params, chi)
+    probe = params.to_probe_state()
+    # a leading batch axis of two copies: both rows carry the same value
+    terms = qfi_kernel(np.stack([probe.williamson.s.matrix] * 2),
+                       np.stack([probe.williamson.eigenvalues] * 2),
+                       np.stack([probe.d_tilde] * 2),
+                       channel.generator.ikw(), channel.generator.gamma)
+    total = sum(terms)
+    assert total.shape == (2,)
+    assert abs(total[0] - closed) <= 1e-9 * max(1.0, abs(closed))
+    assert total[0] == total[1]
