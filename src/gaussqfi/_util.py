@@ -1,7 +1,7 @@
 """Small shared helpers for array normalization in typed containers."""
 import numpy as np
 
-from .errors import InvalidDimensionError
+from .errors import InvalidDimensionError, InvalidInputError
 
 
 def _as_complex(a, shape, name: str) -> np.ndarray:
@@ -9,6 +9,12 @@ def _as_complex(a, shape, name: str) -> np.ndarray:
     if arr.shape != shape:
         raise InvalidDimensionError(f"{name} must have shape {shape}, got {arr.shape}")
     return arr
+
+
+def _check_finite(name: str, *arrays):
+    """Reject NaN or infinite entries, which pass every ``>`` tolerance test."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise InvalidInputError(f"{name} entries must be finite")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _as_complex, _freeze
+from ._util import _as_complex, _check_finite, _freeze
 from .errors import InvalidDimensionError, StructureError
 
 # Gate for accepting nearly-Hermitian / nearly-symmetric blocks at
@@ -81,6 +81,7 @@ class GaussianState:
             raise InvalidDimensionError("d_tilde must be a non-empty vector")
         x = _as_complex(self.cov_x, (n, n), "cov_x")
         y = _as_complex(self.cov_y, (n, n), "cov_y")
+        _check_finite("state moment", d, x, y)
         if np.max(np.abs(x - x.conj().T)) > STRUCTURE_ATOL:
             raise StructureError("cov_x block must be Hermitian")
         if np.max(np.abs(y - y.T)) > STRUCTURE_ATOL:

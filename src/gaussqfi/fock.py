@@ -3,15 +3,19 @@
 Probes are built as density matrices by conjugating a thermal diagonal
 with truncated one-mode operator exponentials.  Each one-mode factor acts
 on its own mode axis of the ``(cutoff,) * 2 * modes`` view of rho, and
-rotations are elementwise phases; only the beam splitter, which couples
-the modes, is a dense exponential on the full space.  The channel
-``U = exp(eps G)`` with anti-Hermitian ``G`` is differentiated exactly:
-``drho/deps = G rho - rho G`` at ``eps = 0``, with no finite step and no
-exponential of ``G``.  The QFI is evaluated through the spectral form of
-the symmetric logarithmic derivative.  Unitaries keep the rank, so that
-sum over the support is continuous in the channel parameter.  Nothing
-here touches the phase-space machinery, which is the point: it validates
-the fast path from outside the formalism.
+rotations are elementwise phases.  The beam splitter, which couples the
+modes, conserves ``n1 + n2``: its truncated generator is exponentiated one
+block of constant total number at a time and applied as one dense
+operator.  Positivity of the built state is tested with one Cholesky
+factorization.  The channel ``U = exp(eps G)`` with anti-Hermitian ``G``
+is differentiated exactly: ``drho/deps = G rho - rho G`` at ``eps = 0``,
+with no finite step and no exponential of ``G``.  The QFI is evaluated
+through the spectral form of the symmetric logarithmic derivative.
+Unitaries keep the rank, so that sum over the support is continuous in
+the channel parameter, and only the eigenvectors that span the support
+are computed; completeness supplies the pairs outside it.  Nothing here
+touches the phase-space machinery, which is the point: it validates the
+fast path from outside the formalism.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ import numpy as np
 import scipy.linalg
 # bound at import: perfbench's traced pass swaps the module's ``scipy`` for
 # a namespace that holds only ``linalg.expm``
-from scipy.linalg import eigh
+from scipy.linalg import cholesky, eigh
 
 from .channels import ChannelSpec
 from .errors import CutoffTooSmallError, InvalidInputError
@@ -87,10 +91,21 @@ def _displacement_op(gamma: complex, cutoff: int) -> np.ndarray:
 
 
 def _beamsplit_op(theta: float, chi: float, cutoff: int) -> np.ndarray:
-    a = ladder(cutoff)
-    a1dag_a2 = np.kron(a.conj().T, a)
-    gen = theta * (np.exp(1j * chi) * a1dag_a2 - np.exp(-1j * chi) * a1dag_a2.conj().T)
-    return scipy.linalg.expm(gen)
+    """Truncated ``exp(theta (e^{i chi} a1^dag a2 - h.c.))`` on the
+    ``cutoff ** 2`` two-mode space.
+
+    The generator conserves ``n1 + n2``, so it is block diagonal with one
+    block of at most ``cutoff`` levels per total; each block is
+    tridiagonal in ``n1`` and is exponentiated on its own.
+    """
+    op = np.zeros((cutoff ** 2, cutoff ** 2), dtype=complex)
+    for total in range(2 * cutoff - 1):
+        n1 = np.arange(max(0, total - cutoff + 1), min(total, cutoff - 1) + 1)
+        # a1^dag a2 |n1, total - n1> = sqrt((n1 + 1) (total - n1)) |n1 + 1, total - n1 - 1>
+        hop = theta * np.exp(1j * chi) * np.sqrt((n1[:-1] + 1.0) * (total - n1[:-1]))
+        idx = n1 * cutoff + (total - n1)
+        op[np.ix_(idx, idx)] = scipy.linalg.expm(np.diag(hop, -1) - np.diag(hop.conj(), 1))
+    return op
 
 
 def _apply_local(ops: list, mat: np.ndarray) -> np.ndarray:
@@ -160,7 +175,8 @@ def build_fock_state(params, cutoff: int) -> FockDensity:
 
     Raises CutoffTooSmallError when any conjugation step leaks more than
     LEAK_TOL of trace, or when the result has an eigenvalue below
-    -NEGATIVITY_TOL.
+    -NEGATIVITY_TOL; that test is one Cholesky factorization of the
+    shifted state (``_check_positive``), not a spectrum.
     """
     if cutoff < 8:
         raise InvalidInputError(f"cutoff must be >= 8, got {cutoff}")
@@ -190,11 +206,30 @@ def build_fock_state(params, cutoff: int) -> FockDensity:
         raise InvalidInputError(f"unsupported probe parameter type {type(params)!r}")
 
     rho = (rho + rho.conj().T) / 2.0
-    min_eig = float(np.min(np.linalg.eigvalsh(rho)))
-    if min_eig < -NEGATIVITY_TOL:
-        raise CutoffTooSmallError(
-            f"cutoff {cutoff}: truncation produced negative eigenvalue {min_eig:.2e}")
+    _check_positive(rho, cutoff)
     return FockDensity(cutoff, modes, rho)
+
+
+def _check_positive(rho: np.ndarray, cutoff: int):
+    """Raise CutoffTooSmallError when rho has an eigenvalue below
+    -NEGATIVITY_TOL.
+
+    ``rho + NEGATIVITY_TOL I`` has a Cholesky factor exactly when no
+    eigenvalue lies below ``-NEGATIVITY_TOL``, so one factorization of a
+    shifted copy accepts a state.  The spectrum is computed only when the
+    factorization fails: it decides the rounding-level borderline case and
+    names the smallest eigenvalue in the error.
+    """
+    shifted = rho.copy()
+    shifted.flat[::shifted.shape[0] + 1] += NEGATIVITY_TOL
+    try:
+        cholesky(shifted, lower=True, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        min_eig = float(np.linalg.eigvalsh(rho)[0])
+        if min_eig < -NEGATIVITY_TOL:
+            raise CutoffTooSmallError(
+                f"cutoff {cutoff}: truncation produced negative eigenvalue "
+                f"{min_eig:.2e}") from None
 
 
 def channel_generator_fock(channel: ChannelSpec, cutoff: int) -> np.ndarray:
@@ -269,28 +304,30 @@ def state_qfi(rho: FockDensity, channel: ChannelSpec) -> float:
     ``H = 2 sum_jk |<j| drho |k>|^2 / (p_j + p_k)`` over the support
     ``p_j + p_k > SUPPORT_TOL``, with the exact derivative
     ``drho = G rho - rho G``.  In rho's eigenbasis
-    ``<j| drho |k> = (p_k - p_j) <j| G |k>``.  Every pair in the support
-    has an index with ``p > SUPPORT_TOL / 2``, so only those rows of
-    ``<j| G |k>`` are formed; for a nearly pure state that is a handful
-    of rows.
+    ``<j| drho |k> = (p_k - p_j) g_jk`` with ``g_jk = <j| G |k>``.
+
+    Only the eigenpairs with ``p > SUPPORT_TOL / 2`` (the set S) are
+    computed; every pair in the support has an index in S.  Pairs inside
+    S are summed exactly.  A pair with ``j`` in S and ``k`` outside has
+    ``p_k <= SUPPORT_TOL / 2`` and weight ``(p_j - p_k)^2 / (p_j + p_k)``,
+    taken as ``p_j`` (off by at most ``3 |p_k|``), and completeness of the
+    eigenbasis sums its ``|g_jk|^2`` over k:
+    ``sum_{k not in S} |g_jk|^2 = |G v_j|^2 - sum_{k in S} |g_jk|^2``.
+    For a nearly pure state S holds a handful of vectors.
     """
     if channel.modes != rho.modes:
         raise InvalidInputError("probe and channel mode counts differ")
     gen = channel_generator_fock(channel, rho.cutoff)
-    # the MRRR driver runs about three times faster than numpy's divide
-    # and conquer on the 1600 x 1600 two-mode states
-    probs, vecs = eigh(rho.matrix, driver="evr")
-    rows = probs > SUPPORT_TOL / 2
-    # rows of V^dag G^dag V = -V^dag G V; the sum needs only the moduli
-    g = (gen @ vecs[:, rows]).conj().T @ vecs
-    denom = probs[rows, None] + probs[None, :]
-    diff = probs[None, :] - probs[rows, None]
-    weight = np.divide(diff ** 2, denom, out=np.zeros_like(denom),
-                       where=denom > SUPPORT_TOL)
-    terms = np.abs(g) ** 2 * weight
-    # a pair with both indices in `rows` appears once in `terms`; any other
-    # pair in the support appears once and stands for its transpose too
-    return 2.0 * float(2.0 * np.sum(terms) - np.sum(terms[:, rows]))
+    # the MRRR driver computes just the eigenpairs above the threshold
+    probs, vecs = eigh(rho.matrix, driver="evr",
+                       subset_by_value=(SUPPORT_TOL / 2, np.inf))
+    g_vecs = gen @ vecs
+    g_sq = np.abs(vecs.conj().T @ g_vecs) ** 2
+    inside = np.sum(g_sq * (probs[:, None] - probs[None, :]) ** 2
+                    / (probs[:, None] + probs[None, :]))
+    outside = np.sum(np.abs(g_vecs) ** 2, axis=0) - np.sum(g_sq, axis=0)
+    # pairs (j, k) and (k, j) with k outside S contribute alike
+    return 2.0 * float(inside + 2.0 * np.dot(probs, outside))
 
 
 def fock_qfi(params, channel: ChannelSpec, cutoff: int = None) -> float:

@@ -15,12 +15,14 @@ Two evaluation paths are provided:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import GaussianState, validate_state
-from .errors import DegenerateInputError, InvalidInputError
+from .errors import DegenerateInputError, InvalidInputError, \
+    NumericalInstabilityError
 from .symplectic import SymplecticMatrix, WilliamsonForm
 from .channels import ChannelSpec
 from ._util import _freeze
@@ -181,15 +183,23 @@ def qfi_unitary(probe: ProbeState, channel: ChannelSpec) -> QfiBreakdown:
     The symplectic eigenvalues are unchanged by a unitary channel, so the
     eigenvalue term vanishes identically; the displacement term evaluates
     ``2 v^dag sigma_0^{-1} v`` with ``v = iKW d_0 + gamma`` through the
-    Williamson factors of the probe.
+    Williamson factors of the probe.  Raises NumericalInstabilityError
+    when a term overflows (for example at eigenvalues near 1e300).
     """
     if probe.modes != channel.modes:
         raise InvalidInputError(
             f"probe has {probe.modes} modes but channel has {channel.modes}")
-    r_term, q_term, disp_term = qfi_kernel(
-        probe.williamson.s.matrix, probe.williamson.eigenvalues, probe.d_tilde,
-        channel.generator.ikw(), channel.generator.gamma)
-    return QfiBreakdown(float(r_term), float(q_term), 0.0, float(disp_term))
+    # an overflow is reported once, as the error below, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = qfi_kernel(
+            probe.williamson.s.matrix, probe.williamson.eigenvalues, probe.d_tilde,
+            channel.generator.ikw(), channel.generator.gamma)
+    r_term, q_term, disp_term = map(float, terms)
+    if not all(map(math.isfinite, (r_term, q_term, disp_term))):
+        raise NumericalInstabilityError(
+            f"QFI terms are not finite: r_term={r_term}, q_term={q_term}, "
+            f"disp_term={disp_term}")
+    return QfiBreakdown(r_term, q_term, 0.0, disp_term)
 
 
 def qfi_general(eigenvalues, eigenvalues_dot, s: SymplecticMatrix, s_dot,

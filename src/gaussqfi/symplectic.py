@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._util import _as_complex, _freeze
+from ._util import _as_complex, _check_finite, _freeze
 from .core import k_signs, STRUCTURE_ATOL
 from .errors import (
     DecompositionFailureError,
@@ -117,14 +117,15 @@ class GeneratorW:
         x = np.atleast_2d(np.array(self.x_block, dtype=complex))
         n = x.shape[0]
         y = _as_complex(self.y_block, (n, n), "y_block")
-        if np.max(np.abs(x - x.conj().T)) > STRUCTURE_ATOL:
-            raise StructureError("X block must be Hermitian")
-        if np.max(np.abs(y - y.T)) > STRUCTURE_ATOL:
-            raise StructureError("Y block must be symmetric")
         g = self.gamma_tilde
         g = np.zeros(n, dtype=complex) if g is None else np.atleast_1d(np.asarray(g, dtype=complex))
         if g.shape != (n,):
             raise InvalidDimensionError(f"gamma_tilde must have length {n}")
+        _check_finite("generator", x, y, g)
+        if np.max(np.abs(x - x.conj().T)) > STRUCTURE_ATOL:
+            raise StructureError("X block must be Hermitian")
+        if np.max(np.abs(y - y.T)) > STRUCTURE_ATOL:
+            raise StructureError("Y block must be symmetric")
         object.__setattr__(self, "x_block", _freeze((x + x.conj().T) / 2))
         object.__setattr__(self, "y_block", _freeze((y + y.T) / 2))
         object.__setattr__(self, "gamma_tilde", _freeze(g))

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -126,11 +127,39 @@ def test_nan_budget_exits_2(tmp_path, capsys):
     assert out == ""
 
 
-def test_non_finite_result_exits_3(tmp_path, capsys):
-    # the f_plus factor overflows to inf / inf; the output must stay JSON
-    code, out = run_cli(tmp_path, capsys, "qfi", fig2_config(lambda1=1e300))
-    assert code == 3
+def test_nan_state_probe_exits_2(tmp_path, capsys):
+    config = {"schema": 1,
+              "probe": {"kind": "state", "modes": 1, "d_tilde": [[0, 0]],
+                        "sigma_X": [[float("nan"), 0]], "sigma_Y": [[0, 0]]},
+              "channel": _PHASE}
+    code, out = run_cli(tmp_path, capsys, "qfi", config)
+    assert code == 2
     assert out == ""
+
+
+def test_nan_custom_generator_exits_2(tmp_path, capsys):
+    config = fig2_config()
+    config["channel"] = {"kind": "custom",
+                         "custom_W": {"X": [[float("nan"), 0]], "Y": [[0, 0]]}}
+    code, out = run_cli(tmp_path, capsys, "qfi", config)
+    assert code == 2
+    assert out == ""
+
+
+def test_non_finite_result_exits_3(tmp_path, capsys):
+    # the f_plus factor overflows to inf / inf; the output must stay JSON,
+    # and the error line is the only thing written to stderr
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(fig2_config(lambda1=1e300)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["qfi", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert caught == []
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_sweep_squeezed_monotone(tmp_path, capsys):

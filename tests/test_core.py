@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaussqfi as gq
-from gaussqfi.errors import InvalidDimensionError, StructureError
+from gaussqfi.errors import InvalidDimensionError, InvalidInputError, StructureError
 from conftest import random_state
 
 
@@ -54,6 +54,16 @@ def test_constructor_rejects_non_hermitian_block():
     x = np.array([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(StructureError):
         gq.GaussianState(np.zeros(2), x, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["d_tilde", "cov_x", "cov_y"])
+def test_constructor_rejects_non_finite(field, bad):
+    parts = {"d_tilde": np.zeros(2, dtype=complex), "cov_x": np.eye(2, dtype=complex),
+             "cov_y": np.zeros((2, 2), dtype=complex)}
+    parts[field].flat[0] = bad
+    with pytest.raises(InvalidInputError, match="finite"):
+        gq.GaussianState(**parts)
 
 
 def test_state_arrays_are_frozen():

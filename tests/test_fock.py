@@ -5,8 +5,8 @@ from scipy.special import factorial
 
 import gaussqfi as gq
 from gaussqfi.errors import CutoffTooSmallError, InvalidInputError
-from gaussqfi.fock import SUPPORT_TOL, build_fock_state, channel_generator_fock, \
-    choose_cutoff, fock_qfi, ladder
+from gaussqfi.fock import NEGATIVITY_TOL, SUPPORT_TOL, _beamsplit_op, _check_positive, \
+    build_fock_state, channel_generator_fock, choose_cutoff, fock_qfi, ladder, state_qfi
 
 
 def test_ladder_matrix():
@@ -103,6 +103,64 @@ def test_exact_derivative_matches_central_difference():
         h_central = 2.0 * np.sum(np.abs(mixed[mask]) ** 2 / denom[mask])
         h_exact = fock_qfi(p, ch, cutoff=cutoff)
         assert abs(h_exact - h_central) <= 1e-6 * h_exact
+
+
+PANEL_CUTOFFS = [16, 32, 64, 32, 32, 16, 32, 32, 20, 20, 20, 40]
+
+
+def _full_spectrum_qfi(rho, gen):
+    """The SLD sum over every eigenpair of rho with ``p_j + p_k >
+    SUPPORT_TOL``.  Each such pair has an index with ``p > SUPPORT_TOL /
+    2``, so only those rows of ``V^dag G V`` are formed.  The MRRR driver
+    computes the full 1600 x 1600 spectrum three times faster than divide
+    and conquer."""
+    probs, vecs = scipy.linalg.eigh(rho, driver="evr")
+    rows = probs > SUPPORT_TOL / 2
+    g = vecs[:, rows].conj().T @ gen @ vecs
+    denom = probs[rows, None] + probs[None, :]
+    weight = np.where(denom > SUPPORT_TOL,
+                      (probs[None, :] - probs[rows, None]) ** 2 / np.maximum(denom, SUPPORT_TOL),
+                      0.0)
+    terms = np.abs(g) ** 2 * weight
+    # ordered pairs (j, k) with j in rows, plus their mirrors (k, j) with k
+    # outside rows; |g_kj| = |g_jk| as G is anti-Hermitian
+    return 2.0 * (np.sum(terms) + np.sum(terms[:, ~rows]))
+
+
+def test_state_qfi_matches_full_spectrum():
+    # state_qfi computes only the support's eigenvectors and closes the
+    # sum by completeness; the full spectrum must give the same value
+    from gaussqfi.validate import fock_panel_cases
+
+    for (name, p, ch), cutoff in zip(fock_panel_cases(), PANEL_CUTOFFS):
+        rho = build_fock_state(p, cutoff)
+        reference = _full_spectrum_qfi(rho.matrix, channel_generator_fock(ch, cutoff))
+        assert abs(state_qfi(rho, ch) - reference) <= 1e-9 * reference, name
+
+
+def _hermitian_with_spectrum(rng, eigs):
+    z = rng.normal(size=(len(eigs),) * 2) + 1j * rng.normal(size=(len(eigs),) * 2)
+    q, _ = np.linalg.qr(z)
+    mat = (q * np.asarray(eigs)[None, :]) @ q.conj().T
+    return (mat + mat.conj().T) / 2.0
+
+
+def test_positivity_test_threshold(rng):
+    eigs = [0.4, 0.3, 0.2, 0.1, 1e-3, 0.0]
+    bad = _hermitian_with_spectrum(rng, eigs + [-2.0 * NEGATIVITY_TOL])
+    with pytest.raises(CutoffTooSmallError, match="-2.00e-10"):
+        _check_positive(bad, 12)
+    _check_positive(_hermitian_with_spectrum(rng, eigs + [-0.5 * NEGATIVITY_TOL]), 12)
+
+
+@pytest.mark.parametrize("cutoff", [10, 20])
+def test_beamsplit_blocks_match_full_exponential(cutoff):
+    theta, chi = 0.7, 0.4
+    a1dag_a2 = np.kron(ladder(cutoff).conj().T, ladder(cutoff))
+    gen = theta * (np.exp(1j * chi) * a1dag_a2 - np.exp(-1j * chi) * a1dag_a2.conj().T)
+    op = _beamsplit_op(theta, chi, cutoff)
+    assert np.max(np.abs(op - scipy.linalg.expm(gen))) < 1e-12
+    assert np.max(np.abs(op @ op.conj().T - np.eye(cutoff ** 2))) < 1e-12
 
 
 def test_fock_panel_cutoffs():

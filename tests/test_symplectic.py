@@ -18,6 +18,16 @@ def random_generator(rng, n, gamma=False, norm=1.0):
     return w.scaled(norm / max(1.0, float(np.linalg.norm(w.matrix, 2))))
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+@pytest.mark.parametrize("field", ["x_block", "y_block", "gamma_tilde"])
+def test_generator_rejects_non_finite(field, bad):
+    parts = {"x_block": np.eye(2, dtype=complex), "y_block": np.zeros((2, 2), dtype=complex),
+             "gamma_tilde": np.zeros(2, dtype=complex)}
+    parts[field].flat[0] = bad
+    with pytest.raises(InvalidInputError, match="finite"):
+        gq.GeneratorW(**parts)
+
+
 def test_exp_zero_generator_is_identity():
     w = gq.GeneratorW(np.zeros((2, 2)), np.zeros((2, 2)))
     assert np.allclose(gq.exp_generator(w).matrix, np.eye(4))
