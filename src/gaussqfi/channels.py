@@ -59,11 +59,6 @@ def twomode_squeeze_matrix(r: float, chi: float = 0.0) -> SymplecticMatrix:
     return SymplecticMatrix(alpha, beta)
 
 
-def asym_rotation_matrix(psi: float) -> SymplecticMatrix:
-    """Asymmetric rotation ``R_1(psi) R_2(-psi)`` on two modes."""
-    return phase_matrix(psi, 0, 2) @ phase_matrix(-psi, 1, 2)
-
-
 # ---------------------------------------------------------------------------
 # Generators (per unit channel parameter)
 
@@ -229,8 +224,9 @@ def channel_from_dict(data: dict) -> ChannelSpec:
                                 float(data.get("omega_s", 0.0)), chi)
     if kind == CUSTOM:
         raw = data.get("custom_W")
-        if not isinstance(raw, dict):
-            raise StructureError("custom channel needs a 'custom_W' object")
+        if not isinstance(raw, dict) or not {"X", "Y"} <= raw.keys():
+            raise StructureError(
+                "custom channel needs a 'custom_W' object with 'X' and 'Y'")
         x = np.asarray(raw["X"], dtype=float)
         n = int(round(np.sqrt(x.shape[0])))
         if n * n != x.shape[0]:

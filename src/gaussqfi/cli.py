@@ -6,16 +6,18 @@ deterministic given the config and seed.  Numbers are printed with 15
 significant digits; CSV uses ``,`` delimiters, ``.`` decimals and always
 carries a header.
 
-Exit codes: 0 ok, 1 validation-panel failure, 2 config parse error,
-3 physics validation error or a non-finite result, 4 degenerate
-optimizer input.
+``sweep`` runs its grid points one after another in this process,
+copying only the swept ``probe`` or ``channel`` object for each point.
+
+Exit codes: 0 ok, 1 validation-panel failure, 2 config parse error
+(malformed or missing fields and unknown names included), 3 physics
+validation error or a non-finite result, 4 degenerate optimizer input.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -24,7 +26,8 @@ from .core import complex_to_real, complex_to_real_matrix, l_matrix, \
     state_from_dict
 from .errors import DegenerateBudgetError, GaussQfiError, \
     NumericalInstabilityError
-from .optimizer import EnergyBudget, OptimizerConfig, optimize_probe, scaling_exponent
+from .optimizer import SCALING_FAMILIES, EnergyBudget, OptimizerConfig, \
+    optimize_probe, scaling_exponent
 from .probes import OneModeProbeParams, probe_params_from_dict, \
     probe_params_to_dict
 from .qfi import ProbeState, qfi_unitary
@@ -95,6 +98,8 @@ def _require(config: dict, key: str):
 
 def _parse_channel(config: dict):
     raw = _require(config, "channel")
+    if not isinstance(raw, dict):
+        raise ConfigError("channel must be an object with a 'kind' field")
     try:
         return channel_from_dict(raw)
     except (GaussQfiError, TypeError, ValueError) as exc:
@@ -171,12 +176,16 @@ SWEEP_HEADER = "value,r_term,q_term,eigen_term,disp_term,total"
 
 
 def _sweep_row(config: dict, path: str, value: float) -> str:
-    parts = path.split(".")
-    patched = json.loads(json.dumps(config))
-    target = patched
-    for key in parts[:-1]:
-        target = target[key]
-    target[parts[-1]] = value
+    root, *keys = path.split(".")
+    # only the swept object is copied; the rest of the config is shared
+    patched = {**config, root: json.loads(json.dumps(config[root]))}
+    target = patched[root]
+    try:
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"sweep parameter {path!r} names no config field") from exc
     try:
         probe, _ = _parse_probe(patched)
         channel = _parse_channel(patched)
@@ -198,23 +207,12 @@ def cmd_sweep(config: dict, args) -> str:
     grid = [_number(v, "sweep grid value") for v in grid]
     if not all(np.isfinite(grid)):
         raise ConfigError("sweep grid must contain finite values")
-    root = path.split(".")[0]
-    if root not in ("probe", "channel"):
+    if not (isinstance(path, str) and path.startswith(("probe.", "channel."))):
         raise ConfigError("sweep parameter must start with 'probe.' or 'channel.'")
     _require(config, "probe")
     _require(config, "channel")
-    jobs = args.jobs or 1
-    work = [(config, path, v) for v in grid]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_row_tuple, work))
-    else:
-        rows = [_sweep_row(*w) for w in work]
+    rows = [_sweep_row(config, path, v) for v in grid]
     return SWEEP_HEADER + "\n" + "\n".join(rows) + "\n"
-
-
-def _sweep_row_tuple(work):
-    return _sweep_row(*work)
 
 
 def cmd_optimize(config: dict, args) -> str:
@@ -226,6 +224,9 @@ def cmd_optimize(config: dict, args) -> str:
     if channel.modes != (1 if family == "one-mode" else 2):
         raise ConfigError(f"family {family!r} does not match a "
                           f"{channel.modes}-mode channel")
+    constraint = config.get("constraint")
+    if constraint not in (None, "coherent-only", "squeezing-only"):
+        raise ConfigError(f"unknown constraint {constraint!r}")
     budget_raw = _require(config, "budget")
     if not isinstance(budget_raw, dict) or "n_total" not in budget_raw:
         raise ConfigError("budget must be an object with 'n_total'")
@@ -235,11 +236,14 @@ def cmd_optimize(config: dict, args) -> str:
         budget = EnergyBudget(n_total, tuple(((0.0, 0.0),) * modes))
     except GaussQfiError as exc:
         raise ConfigError(f"bad budget: {exc}") from exc
-    opt_config = OptimizerConfig.from_dict(config.get("optimizer", {}))
+    try:
+        opt_config = OptimizerConfig.from_dict(config.get("optimizer", {}))
+    except (AttributeError, TypeError, ValueError) as exc:
+        # AttributeError: "optimizer" is not an object
+        raise ConfigError(f"bad optimizer settings: {exc}") from exc
     if args.seed is not None:
         opt_config = OptimizerConfig(opt_config.restarts, opt_config.max_iter,
                                      args.seed, opt_config.tol)
-    constraint = config.get("constraint")
     result = optimize_probe(channel, family, budget, opt_config,
                             constraint=constraint)
     payload = {
@@ -260,6 +264,9 @@ def cmd_optimize(config: dict, args) -> str:
 def cmd_scaling(config: dict, args) -> str:
     channel = _parse_channel(config)
     family = _require(config, "family")
+    if family not in SCALING_FAMILIES:
+        raise ConfigError(f"unknown scaling family {family!r}; "
+                          f"known: {list(SCALING_FAMILIES)}")
     grid = _require(config, "n_grid")
     if not isinstance(grid, list) or len(grid) < 4:
         raise ConfigError("n_grid must be a list with at least 4 points")
@@ -341,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to the JSON config document",
                        required=needs_config)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=None)
         p.add_argument("--output", default=None,
                        help="output path (default: stdout)")
         return p

@@ -281,6 +281,8 @@ def state_from_dict(data: dict) -> GaussianState:
         raise StructureError("state JSON needs an integer 'modes' field") from exc
     if n < 1:
         raise InvalidDimensionError(f"modes must be >= 1, got {n}")
+    if "sigma_X" not in data:
+        raise StructureError("state JSON needs a 'sigma_X' field")
     d = _unpairs(data.get("d_tilde", [[0.0, 0.0]] * n), (n,), "d_tilde")
     x = _unpairs(data["sigma_X"], (n, n), "sigma_X")
     y = _unpairs(data.get("sigma_Y", [[0.0, 0.0]] * (n * n)), (n, n), "sigma_Y")

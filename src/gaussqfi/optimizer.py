@@ -29,13 +29,15 @@ from .channels import (
     ChannelSpec,
 )
 from .errors import DegenerateBudgetError, InvalidInputError
-from .probes import OneModeProbeParams, TwoModeProbeParams, squeezing_from_energy
+from .probes import OneModeProbeParams, TwoModeProbeParams
 from .qfi import qfi_kernel, qfi_unitary
 
 log = logging.getLogger(__name__)
 
 ONE_MODE = "one-mode"
 TWO_MODE = "two-mode-restricted"
+
+_PARAMS = {ONE_MODE: OneModeProbeParams, TWO_MODE: TwoModeProbeParams}
 
 # logistic(-SATURATION) ~ 9e-14: numerically "all energy into squeezing"
 SATURATION = 30.0
@@ -76,37 +78,6 @@ class EnergyBudget:
             raise InvalidInputError("mode_fractions must be a distribution over modes")
         object.__setattr__(self, "splits", splits)
         object.__setattr__(self, "mode_fractions", fractions)
-
-    @property
-    def modes(self) -> int:
-        return len(self.splits)
-
-    def mode_allocations(self):
-        """Per-mode (n_d, n_th, r) resolving the energy relation."""
-        out = []
-        for (fd, ft), g in zip(self.splits, self.mode_fractions):
-            n_k = g * self.n_total
-            n_d, n_th = fd * n_k, ft * n_k
-            out.append((n_d, n_th, squeezing_from_energy(n_k, n_d, n_th)))
-        return out
-
-    def one_mode_params(self, theta: float = 0.0, phi_d: float = 0.0) -> OneModeProbeParams:
-        if self.modes != 1:
-            raise InvalidInputError("budget is not single-mode")
-        n_d, n_th, r = self.mode_allocations()[0]
-        return OneModeProbeParams(lambda1=1.0 + 2 * n_th, r=r, theta=theta,
-                                  d_mag=np.sqrt(n_d), phi_d=phi_d)
-
-    def two_mode_params(self, theta=0.0, psi=0.0, phi1=0.0, phi2=0.0,
-                        phi_d1=0.0, phi_d2=0.0) -> TwoModeProbeParams:
-        if self.modes != 2:
-            raise InvalidInputError("budget is not two-mode")
-        (nd1, nth1, r1), (nd2, nth2, r2) = self.mode_allocations()
-        return TwoModeProbeParams(
-            lambda1=1.0 + 2 * nth1, lambda2=1.0 + 2 * nth2, r1=r1, r2=r2,
-            theta=theta, psi=psi, phi1=phi1, phi2=phi2,
-            d1_mag=np.sqrt(nd1), d2_mag=np.sqrt(nd2),
-            phi_d1=phi_d1, phi_d2=phi_d2)
 
 
 @dataclass(frozen=True)
@@ -172,58 +143,42 @@ def _energy_fractions(x: np.ndarray, family: str, constraint: str):
     return f_d, (1.0 - f_d) * u[:, 1::2], g
 
 
-def _s0(u: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """``S_0 = blkdiag(u, conj u) S(r)`` from passive unitaries ``u``
-    (B, N, N) and squeezing parameters ``r`` (B, N)."""
-    b, n = r.shape
-    alpha = u * np.cosh(r)[:, None, :]
-    beta = -u * np.sinh(r)[:, None, :]
-    s0 = np.empty((b, 2 * n, 2 * n), dtype=complex)
-    s0[:, :n, :n], s0[:, :n, n:] = alpha, beta
-    s0[:, n:, :n], s0[:, n:, n:] = beta.conj(), alpha.conj()
-    return s0
-
-
-def _passive_two(theta, psi, phi1, phi2) -> np.ndarray:
-    """Batched ``R_1(phi1) R_2(phi2) B(theta) R_as(psi)`` of the two-mode
-    family as (B, 2, 2) unitaries."""
-    ct, st = np.cos(theta), np.sin(theta)
-    e1, e2 = np.exp(-1j * phi1), np.exp(-1j * phi2)
-    ep, em = np.exp(-1j * psi), np.exp(1j * psi)
-    u = np.array([[e1 * ct * ep, e1 * st * em], [-e2 * st * ep, e2 * ct * em]])
-    return np.moveaxis(u, -1, 0)
+def _columns(x: np.ndarray, family: str, n_total: float, constraint: str):
+    """Search vectors ``x`` (B, dim) as the family's parameter fields, one
+    (B,) column per field in field order, and the ``_energy_fractions``
+    they came from.  Squeezing takes the rest of each mode's energy."""
+    f_d, f_th, g = _energy_fractions(x, family, constraint)
+    n_k = g * n_total
+    n_d, n_th = f_d * n_k, f_th * n_k
+    lams = 1.0 + 2.0 * n_th
+    r = np.arcsinh(np.sqrt(np.maximum(n_k - n_d - n_th, 0.0) / lams))
+    d_mag = np.sqrt(n_d)
+    if family == ONE_MODE:
+        columns = (lams[:, 0], r[:, 0], x[:, 0], d_mag[:, 0], x[:, 1])
+    else:
+        columns = (lams[:, 0], lams[:, 1], r[:, 0], r[:, 1], *x[:, :4].T,
+                   d_mag[:, 0], d_mag[:, 1], x[:, 4], x[:, 5])
+    return columns, (f_d, f_th, g)
 
 
 def _objective(x, family, n_total, constraint, ikw, gamma) -> np.ndarray:
     """Negative QFI of every decoded row of ``x`` (B, dim); ``+inf`` where
     it is not finite.  Every row is computed alone, so its value does not
     depend on the rest of the batch."""
-    f_d, f_th, g = _energy_fractions(x, family, constraint)
-    n_k = g * n_total
-    n_d, n_th = f_d * n_k, f_th * n_k
-    lams = 1.0 + 2.0 * n_th
-    r = np.arcsinh(np.sqrt(np.maximum(n_k - n_d - n_th, 0.0) / lams))
-    if family == ONE_MODE:
-        u = np.exp(-1j * x[:, 0])[:, None, None]
-        phases = x[:, 1:2]
-    else:
-        u = _passive_two(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
-        phases = x[:, 4:6]
-    d_tilde = np.sqrt(n_d) * np.exp(1j * phases)
-    value = -sum(qfi_kernel(_s0(u, r), lams, d_tilde, ikw, gamma))
+    columns, _ = _columns(x, family, n_total, constraint)
+    s0, lams, d_tilde = _PARAMS[family].arrays(*columns)
+    value = -sum(qfi_kernel(s0, lams, d_tilde, ikw, gamma))
     return np.where(np.isfinite(value), value, np.inf)
 
 
 def _decode(x: np.ndarray, family: str, n_total: float, constraint: str):
-    """Map one unconstrained search vector to feasible probe parameters."""
-    f_d, f_th, g = (a[0] for a in _energy_fractions(
-        np.asarray(x, dtype=float)[None], family, constraint))
-    budget = EnergyBudget(n_total, tuple(zip(f_d, f_th)), tuple(g))
-    if family == ONE_MODE:
-        return budget.one_mode_params(theta=x[0], phi_d=x[1]), budget
-    params = budget.two_mode_params(theta=x[0], psi=x[1], phi1=x[2], phi2=x[3],
-                                    phi_d1=x[4], phi_d2=x[5])
-    return params, budget
+    """Map one unconstrained search vector to feasible probe parameters
+    and the energy budget they spend."""
+    columns, fractions = _columns(np.asarray(x, dtype=float)[None], family,
+                                  n_total, constraint)
+    f_d, f_th, g = (a[0] for a in fractions)
+    params = _PARAMS[family](*(float(c[0]) for c in columns))
+    return params, EnergyBudget(n_total, tuple(zip(f_d, f_th)), tuple(g))
 
 
 def _warm_starts(channel: ChannelSpec, family: str, constraint: str):
@@ -462,6 +417,7 @@ def optimize_probe(channel: ChannelSpec, family: str, budget: EnergyBudget,
 FAMILY_OPTIMAL = "optimal-squeezing"
 FAMILY_COHERENT = "coherent-only"
 FAMILY_ONE_MODE_PROBE = "one-mode-probe"
+SCALING_FAMILIES = (FAMILY_OPTIMAL, FAMILY_COHERENT, FAMILY_ONE_MODE_PROBE)
 
 
 @dataclass(frozen=True)
@@ -509,6 +465,9 @@ def scaling_exponent(channel: ChannelSpec, family: str, n_grid) -> ScalingFit:
     scaling.  The fit window is the largest half of the grid so additive
     constants in the closed forms do not bias the slope.
     """
+    if family not in SCALING_FAMILIES:
+        raise InvalidInputError(f"unknown scaling family {family!r}; "
+                                f"known: {list(SCALING_FAMILIES)}")
     grid = sorted(float(n) for n in n_grid)
     if len(grid) < 4:
         raise InvalidInputError("n_grid needs at least 4 points")

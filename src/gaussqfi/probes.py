@@ -5,6 +5,8 @@ One-mode probes are squeezed rotated displaced thermal states built as
 restricted two-mode family applies local rotations, a beam splitter, an
 asymmetric rotation and local squeezers to a two-mode thermal core:
 ``S_0 = R_1(phi1) R_2(phi2) B(theta) R_as(psi) S_1(r1) S_2(r2)``.
+Each class's static ``arrays`` builds this data for a batch of field
+values; ``to_probe_state`` and the optimizer's objective both use it.
 """
 from __future__ import annotations
 
@@ -13,15 +15,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .channels import (
-    asym_rotation_matrix,
-    mix_matrix,
-    phase_matrix,
-    squeeze_matrix,
-)
 from .errors import InvalidInputError, StructureError
 from .qfi import ProbeState
-from .symplectic import WilliamsonForm
+from .symplectic import SymplecticMatrix, WilliamsonForm
 
 
 def _check_finite(params):
@@ -29,6 +25,26 @@ def _check_finite(params):
     for name, value in vars(params).items():
         if not math.isfinite(value):
             raise InvalidInputError(f"{name} must be finite, got {value}")
+
+
+def _squeezed(u: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``S_0 = blkdiag(u, conj u) S(r)`` from passive unitaries ``u``
+    (B, N, N) and squeezing parameters ``r`` (B, N)."""
+    b, n = r.shape
+    alpha = u * np.cosh(r)[:, None, :]
+    beta = -u * np.sinh(r)[:, None, :]
+    s0 = np.empty((b, 2 * n, 2 * n), dtype=complex)
+    s0[:, :n, :n], s0[:, :n, n:] = alpha, beta
+    s0[:, n:, :n], s0[:, n:, n:] = beta.conj(), alpha.conj()
+    return s0
+
+
+def _probe_state(params) -> ProbeState:
+    # one symplectic check, on the finished S_0
+    s0, lams, d_tilde = params.arrays(*np.array([list(vars(params).values())]).T)
+    n = lams.shape[1]
+    s = SymplecticMatrix(s0[0, :n, :n], s0[0, :n, n:])
+    return ProbeState(WilliamsonForm(s, lams[0]), d_tilde[0])
 
 
 @dataclass(frozen=True)
@@ -48,10 +64,17 @@ class OneModeProbeParams:
         if self.d_mag < 0.0:
             raise InvalidInputError("d_mag must be >= 0")
 
+    @staticmethod
+    def arrays(lambda1, r, theta, d_mag, phi_d):
+        """Raw Williamson data of a batch of probes, one (B,) array per
+        field: ``s0`` (B, 2, 2), ``lams`` (B, 1) and ``d_tilde`` (B, 1),
+        the inputs of ``qfi.qfi_kernel``.  Nothing is checked."""
+        u = np.exp(-1j * theta)[:, None, None]
+        return (_squeezed(u, r[:, None]), lambda1[:, None],
+                (d_mag * np.exp(1j * phi_d))[:, None])
+
     def to_probe_state(self) -> ProbeState:
-        s0 = phase_matrix(self.theta) @ squeeze_matrix(self.r)
-        d = np.array([self.d_mag * np.exp(1j * self.phi_d)])
-        return ProbeState(WilliamsonForm(s0, np.array([self.lambda1])), d)
+        return _probe_state(self)
 
     def mean_photon(self) -> float:
         n_th = (self.lambda1 - 1.0) / 2.0
@@ -82,14 +105,25 @@ class TwoModeProbeParams:
         if self.d1_mag < 0.0 or self.d2_mag < 0.0:
             raise InvalidInputError("displacement magnitudes must be >= 0")
 
+    @staticmethod
+    def arrays(lambda1, lambda2, r1, r2, theta, psi, phi1, phi2,
+               d1_mag, d2_mag, phi_d1, phi_d2):
+        """Raw Williamson data of a batch of probes, one (B,) array per
+        field: ``s0`` (B, 4, 4), ``lams`` (B, 2) and ``d_tilde`` (B, 2),
+        the inputs of ``qfi.qfi_kernel``.  Nothing is checked."""
+        # the passive part R_1(phi1) R_2(phi2) B(theta) R_as(psi)
+        ct, st = np.cos(theta), np.sin(theta)
+        e1, e2 = np.exp(-1j * phi1), np.exp(-1j * phi2)
+        ep, em = np.exp(-1j * psi), np.exp(1j * psi)
+        u = np.moveaxis(np.array([[e1 * ct * ep, e1 * st * em],
+                                  [-e2 * st * ep, e2 * ct * em]]), -1, 0)
+        d_tilde = np.stack([d1_mag * np.exp(1j * phi_d1),
+                            d2_mag * np.exp(1j * phi_d2)], axis=1)
+        return (_squeezed(u, np.stack([r1, r2], axis=1)),
+                np.stack([lambda1, lambda2], axis=1), d_tilde)
+
     def to_probe_state(self) -> ProbeState:
-        s0 = (phase_matrix(self.phi1, 0, 2) @ phase_matrix(self.phi2, 1, 2)
-              @ mix_matrix(self.theta) @ asym_rotation_matrix(self.psi)
-              @ squeeze_matrix(self.r1, 0.0, 0, 2) @ squeeze_matrix(self.r2, 0.0, 1, 2))
-        d = np.array([self.d1_mag * np.exp(1j * self.phi_d1),
-                      self.d2_mag * np.exp(1j * self.phi_d2)])
-        lams = np.array([self.lambda1, self.lambda2])
-        return ProbeState(WilliamsonForm(s0, lams), d)
+        return _probe_state(self)
 
     def mean_photon(self) -> float:
         total = 0.0

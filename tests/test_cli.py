@@ -120,6 +120,29 @@ def test_non_numeric_config_field_exits_2(tmp_path, capsys, command, config):
     assert out == ""
 
 
+_SWEEP = {"probe": _ONE_MODE, "channel": _PHASE}
+
+
+@pytest.mark.parametrize("command,config", [
+    ("sweep", {"sweep": {"parameter": 5, "grid": [0.1]}, **_SWEEP}),
+    ("sweep", {"sweep": {"parameter": "probe.foo.bar", "grid": [0.1]}, **_SWEEP}),
+    ("qfi", {"probe": _ONE_MODE, "channel": "phase"}),
+    ("qfi", {"probe": _ONE_MODE,
+             "channel": {"kind": "custom", "custom_W": {"Y": [[0.0, 0.0]]}}}),
+    ("qfi", {"probe": {"kind": "state", "modes": 1}, "channel": _PHASE}),
+    ("optimize", {"channel": _PHASE, "budget": {"n_total": 1.0},
+                  "optimizer": {"restarts": "x"}}),
+    ("optimize", {"channel": _PHASE, "budget": {"n_total": 1.0},
+                  "constraint": "foo"}),
+    ("scaling", {"channel": _PHASE, "family": "coherent",
+                 "n_grid": [1, 2, 4, 16]}),
+])
+def test_malformed_config_exits_2(tmp_path, capsys, command, config):
+    code, out = run_cli(tmp_path, capsys, command, {"schema": 1, **config})
+    assert code == 2
+    assert out == ""
+
+
 def test_nan_budget_exits_2(tmp_path, capsys):
     config = {"schema": 1, "channel": _PHASE, "budget": {"n_total": float("nan")}}
     code, out = run_cli(tmp_path, capsys, "optimize", config)
@@ -377,11 +400,3 @@ def test_output_file_and_determinism(tmp_path, capsys):
     assert cli.main(["qfi", "--config", str(path), "--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
-
-def test_sweep_jobs_independent(tmp_path, capsys):
-    config = {"schema": 1,
-              "sweep": {"parameter": "probe.lambda1", "grid": [1, 1.5, 2, 3]},
-              **fig2_config()}
-    _, serial = run_cli(tmp_path, capsys, "sweep", config)
-    _, parallel = run_cli(tmp_path, capsys, "sweep", config, extra=["--jobs", "2"])
-    assert serial == parallel

@@ -24,21 +24,6 @@ from gaussqfi.optimizer import (
 QUICK = OptimizerConfig(restarts=6, max_iter=600, seed=11, tol=1e-10)
 
 
-def test_budget_reconstruction_invariant(rng):
-    for _ in range(40):
-        n = float(rng.uniform(0.1, 5.0))
-        fd, ft = rng.uniform(0, 0.5, 2)
-        budget = EnergyBudget(n, ((fd, ft),))
-        params = budget.one_mode_params(theta=0.3, phi_d=-0.2)
-        got = gq.mean_photon_number(params.to_probe_state().to_state())
-        assert abs(got - n) < 1e-8
-        g = float(rng.uniform(0.1, 0.9))
-        budget2 = EnergyBudget(n, ((fd, ft), (ft, fd)), (g, 1.0 - g))
-        params2 = budget2.two_mode_params(theta=0.4, psi=0.1)
-        got2 = gq.mean_photon_number(params2.to_probe_state().to_state())
-        assert abs(got2 - n) < 1e-8
-
-
 def test_budget_rejects_infeasible():
     with pytest.raises(InvalidInputError):
         EnergyBudget(1.0, ((0.7, 0.5),))
@@ -76,8 +61,10 @@ def test_batched_objective_matches_engine(rng):
             params, _ = _decode(x, fam, n_total, None)
             slow = gq.qfi_unitary(params.to_probe_state(), channel).total
             assert abs(value - slow) < 1e-10 * max(1.0, abs(slow))
-            # every candidate the search can visit is exactly on budget
-            assert abs(params.mean_photon() - n_total) < 1e-8
+            # every candidate the search can visit is exactly on budget,
+            # counted on the state it builds
+            got = gq.mean_photon_number(params.to_probe_state().to_state())
+            assert abs(got - n_total) < 1e-8
 
 
 _NM_CASES = [(gq.combined_channel(0.7, 1.2, 0.4), ONE_MODE, 1.0, None),
@@ -206,6 +193,12 @@ def test_scaling_exponents_basic():
     assert abs(fit.exponent - 1.0) <= 0.05
     fit = scaling_exponent(gq.twomode_squeeze_channel(), FAMILY_ONE_MODE_PROBE, grid)
     assert abs(fit.exponent - 1.0) <= 0.05
+
+
+def test_scaling_rejects_unknown_family():
+    # a typo must not fall back to another strategy
+    with pytest.raises(InvalidInputError, match="coherent"):
+        scaling_exponent(gq.phase_channel(), "coherent", [1, 2, 4, 8, 16])
 
 
 def test_scaling_grid_validation():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaussqfi as gq
+from gaussqfi.channels import mix_matrix, phase_matrix, squeeze_matrix
 from gaussqfi.errors import InvalidInputError
 from gaussqfi.probes import probe_params_from_dict, probe_params_to_dict
 
@@ -47,6 +48,37 @@ def test_energy_inversion_round_trip(n, fd, ft):
 def test_energy_inversion_rejects_infeasible():
     with pytest.raises(InvalidInputError):
         gq.squeezing_from_energy(1.0, 0.8, 0.5)
+
+
+def _chain(p):
+    # the family's defining operator product, one validated factor at a time
+    if isinstance(p, gq.OneModeProbeParams):
+        return (phase_matrix(p.theta) @ squeeze_matrix(p.r)).matrix
+    return (phase_matrix(p.phi1, 0, 2) @ phase_matrix(p.phi2, 1, 2)
+            @ mix_matrix(p.theta)
+            @ phase_matrix(p.psi, 0, 2) @ phase_matrix(-p.psi, 1, 2)
+            @ squeeze_matrix(p.r1, 0.0, 0, 2) @ squeeze_matrix(p.r2, 0.0, 1, 2)).matrix
+
+
+@pytest.mark.parametrize("cls", [gq.OneModeProbeParams, gq.TwoModeProbeParams])
+def test_williamson_factor_matches_operator_chain(rng, cls):
+    # pins the operator order of the batched builder against the product
+    # R(theta) S(r), or R_1 R_2 B(theta) R_as(psi) S_1 S_2
+    for _ in range(200):
+        fields = {}
+        for name in cls.__dataclass_fields__:
+            if name.startswith("lambda"):
+                lo, hi = 1.0, 4.0
+            elif name.startswith("r"):
+                lo, hi = -1.5, 1.5
+            elif name.endswith("mag"):
+                lo, hi = 0.0, 2.0
+            else:
+                lo, hi = -np.pi, np.pi
+            fields[name] = rng.uniform(lo, hi)
+        p = cls(**fields)
+        got = p.to_probe_state().williamson.s.matrix
+        assert np.max(np.abs(got - _chain(p))) < 1e-12
 
 
 def test_one_mode_probe_on_two_structure():

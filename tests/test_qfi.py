@@ -290,3 +290,27 @@ def test_kernel_matches_closed_forms(family, p, c):
     assert total.shape == (2,)
     assert abs(total[0] - closed) <= 1e-9 * max(1.0, abs(closed))
     assert total[0] == total[1]
+
+
+# --- continuity across the pure-pure switch in _mode_factors ---------------
+
+# lambda1 lambda2 - 1 crosses DEGENERACY_TOL = 1e-9 inside this sweep
+_DELTAS = (1e-12, 1e-10, 5e-10, 1e-9, 2e-9, 1e-8, 1e-7, 1e-6)
+
+
+@given(st.sampled_from(["twomode-squeeze", "mix"]),
+       st.tuples(_sq, _sq, _ang, _ang, _ang, _ang, _mag, _mag, _ang, _ang), _ang)
+@settings(max_examples=200, deadline=None)
+def test_qfi_continuous_across_degeneracy_switch(family, p, chi):
+    # below the switch the R term of the pure pair is set to zero, its limit;
+    # above it the factor (l1 - l2)^2 / (l1 l2 - 1) is about delta
+    channel = (gq.mix_channel(chi) if family == "mix"
+               else gq.twomode_squeeze_channel(chi))
+
+    def h(delta):
+        params = gq.TwoModeProbeParams(1.0, 1.0 + delta, *p)
+        return gq.qfi_unitary(params.to_probe_state(), channel).total
+
+    h0 = h(0.0)
+    for delta in _DELTAS:
+        assert abs(h(delta) - h0) <= 10 * delta * max(1.0, h0)
