@@ -16,6 +16,7 @@ validation error or a non-finite result, 4 degenerate optimizer input.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -26,10 +27,10 @@ from .core import complex_to_real, complex_to_real_matrix, l_matrix, \
     state_from_dict
 from .errors import DegenerateBudgetError, GaussQfiError, \
     NumericalInstabilityError
-from .optimizer import SCALING_FAMILIES, EnergyBudget, OptimizerConfig, \
-    optimize_probe, scaling_exponent
-from .probes import OneModeProbeParams, probe_params_from_dict, \
-    probe_params_to_dict
+from .optimizer import FAMILY_ONE_MODE_PROBE, SCALING_FAMILIES, EnergyBudget, \
+    OptimizerConfig, optimize_probe, scaling_exponent
+from .probes import OneModeProbeParams, TwoModeProbeParams, \
+    probe_params_from_dict, probe_params_to_dict
 from .qfi import ProbeState, qfi_unitary
 from . import formulas, validate
 
@@ -209,8 +210,16 @@ def cmd_sweep(config: dict, args) -> str:
         raise ConfigError("sweep grid must contain finite values")
     if not (isinstance(path, str) and path.startswith(("probe.", "channel."))):
         raise ConfigError("sweep parameter must start with 'probe.' or 'channel.'")
-    _require(config, "probe")
+    probe = _require(config, "probe")
     _require(config, "channel")
+    kind = probe.get("kind") if isinstance(probe, dict) else None
+    if path.startswith("probe.") and kind in ("one-mode", "two-mode"):
+        # a typo would otherwise fail every row like a physics error
+        params = OneModeProbeParams if kind == "one-mode" else TwoModeProbeParams
+        names = [f.name for f in dataclasses.fields(params)]
+        if path[len("probe."):] not in names:
+            raise ConfigError(f"sweep parameter {path!r} is not a field of a "
+                              f"{kind} probe; fields: {names}")
     rows = [_sweep_row(config, path, v) for v in grid]
     return SWEEP_HEADER + "\n" + "\n".join(rows) + "\n"
 
@@ -238,12 +247,11 @@ def cmd_optimize(config: dict, args) -> str:
         raise ConfigError(f"bad budget: {exc}") from exc
     try:
         opt_config = OptimizerConfig.from_dict(config.get("optimizer", {}))
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, GaussQfiError) as exc:
         # AttributeError: "optimizer" is not an object
         raise ConfigError(f"bad optimizer settings: {exc}") from exc
     if args.seed is not None:
-        opt_config = OptimizerConfig(opt_config.restarts, opt_config.max_iter,
-                                     args.seed, opt_config.tol)
+        opt_config = dataclasses.replace(opt_config, seed=args.seed)
     result = optimize_probe(channel, family, budget, opt_config,
                             constraint=constraint)
     payload = {
@@ -267,6 +275,9 @@ def cmd_scaling(config: dict, args) -> str:
     if family not in SCALING_FAMILIES:
         raise ConfigError(f"unknown scaling family {family!r}; "
                           f"known: {list(SCALING_FAMILIES)}")
+    if family == FAMILY_ONE_MODE_PROBE and channel.modes != 2:
+        raise ConfigError(f"family {family!r} does not match a "
+                          f"{channel.modes}-mode channel")
     grid = _require(config, "n_grid")
     if not isinstance(grid, list) or len(grid) < 4:
         raise ConfigError("n_grid must be a list with at least 4 points")

@@ -1,22 +1,20 @@
 """Energy-constrained probe optimization and scaling-exponent fits.
 
-The search runs a derivative-free adaptive Nelder-Mead simplex from many
-starts.  All starts advance in lockstep: each iteration decodes the
-candidate points of every active start as one (B, dim) batch and
-evaluates them with one ``qfi.qfi_kernel`` call, while every start takes
-exactly the steps scipy's adaptive Nelder-Mead would take on its own.
-Energy feasibility is exact by construction: the per-mode displacement
-and thermal fractions live in a logistic-squashed simplex and the
-squeezing parameter absorbs whatever energy remains, so every iterate
-satisfies the budget.  Warm starts at the analytically known optima make
-the regression against the closed-form limits deterministic.
+The search runs a quasi-Newton (BFGS) descent with an Armijo line search
+from many starts in lockstep: each iteration evaluates the trial steps of
+every active start in one batched ``qfi.qfi_kernel`` call and the
+central-difference gradients at the accepted points in a second, and a
+start stops once a step gains almost nothing.  Every iterate is exactly on
+the energy budget: the per-mode displacement and thermal fractions are
+logistic-squashed and squeezing absorbs the rest.  Angles are wrapped into
+[-pi, pi) when decoded.
 """
 from __future__ import annotations
 
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -82,17 +80,23 @@ class EnergyBudget:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Number of search starts and the seed that places them."""
+
     restarts: int = 32
-    max_iter: int = 2000
     seed: int = 0
-    tol: float = 1e-10
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise InvalidInputError(f"restarts must be >= 1, got {self.restarts}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "OptimizerConfig":
-        return cls(restarts=int(data.get("restarts", 32)),
-                   max_iter=int(data.get("max_iter", 2000)),
-                   seed=int(data.get("seed", 0)),
-                   tol=float(data.get("tol", 1e-10)))
+        accepted = [f.name for f in fields(cls)]
+        unknown = sorted(set(data) - set(accepted))
+        if unknown:
+            raise InvalidInputError(f"unknown optimizer settings {unknown}; "
+                                    f"accepted: {accepted}")
+        return cls(**{key: int(value) for key, value in data.items()})
 
 
 @dataclass
@@ -146,18 +150,20 @@ def _energy_fractions(x: np.ndarray, family: str, constraint: str):
 def _columns(x: np.ndarray, family: str, n_total: float, constraint: str):
     """Search vectors ``x`` (B, dim) as the family's parameter fields, one
     (B,) column per field in field order, and the ``_energy_fractions``
-    they came from.  Squeezing takes the rest of each mode's energy."""
+    they came from.  Squeezing takes the rest of each mode's energy, and
+    the angles are wrapped into [-pi, pi)."""
     f_d, f_th, g = _energy_fractions(x, family, constraint)
     n_k = g * n_total
     n_d, n_th = f_d * n_k, f_th * n_k
     lams = 1.0 + 2.0 * n_th
     r = np.arcsinh(np.sqrt(np.maximum(n_k - n_d - n_th, 0.0) / lams))
     d_mag = np.sqrt(n_d)
+    angles = np.mod(x[:, :2 if family == ONE_MODE else 6] + np.pi, 2 * np.pi) - np.pi
     if family == ONE_MODE:
-        columns = (lams[:, 0], r[:, 0], x[:, 0], d_mag[:, 0], x[:, 1])
+        columns = (lams[:, 0], r[:, 0], angles[:, 0], d_mag[:, 0], angles[:, 1])
     else:
-        columns = (lams[:, 0], lams[:, 1], r[:, 0], r[:, 1], *x[:, :4].T,
-                   d_mag[:, 0], d_mag[:, 1], x[:, 4], x[:, 5])
+        columns = (lams[:, 0], lams[:, 1], r[:, 0], r[:, 1], *angles[:, :4].T,
+                   d_mag[:, 0], d_mag[:, 1], angles[:, 4], angles[:, 5])
     return columns, (f_d, f_th, g)
 
 
@@ -181,45 +187,6 @@ def _decode(x: np.ndarray, family: str, n_total: float, constraint: str):
     return params, EnergyBudget(n_total, tuple(zip(f_d, f_th)), tuple(g))
 
 
-def _warm_starts(channel: ChannelSpec, family: str, constraint: str):
-    """Deterministic seeds at the analytically optimal probe angles."""
-    chi = channel.chi
-    starts = []
-    lo = -SATURATION
-
-    def one(theta, phi_d):
-        if constraint:
-            return np.array([theta, phi_d], dtype=float)
-        return np.array([theta, phi_d, lo, lo], dtype=float)
-
-    def two(theta, psi, phi1, phi2, pd1, pd2):
-        base = [theta, psi, phi1, phi2, pd1, pd2, 0.0]
-        if not constraint:
-            base += [lo, lo, lo, lo]
-        return np.array(base, dtype=float)
-
-    if family == ONE_MODE:
-        if channel.kind == PHASE:
-            starts.append(one(0.0, np.pi / 2))
-        elif channel.kind == SQUEEZE1_MODE1:
-            starts.append(one(np.pi / 4 - chi / 2, np.pi / 4 + chi / 2))
-        elif channel.kind == COMBINED:
-            starts.append(one(-chi / 2 - np.pi / 4, chi / 2 - np.pi / 4))
-        starts.append(one(0.0, 0.0))
-    else:
-        if channel.kind == TWOMODE_SQUEEZE:
-            a = np.pi / 4 - chi / 2
-            b = np.pi / 4 + chi / 2
-            starts.append(two(0.0, 0.0, a, a, b, b))
-            starts.append(two(np.pi / 4, 0.0, a, a, b, b))
-        elif channel.kind == BEAMSPLIT:
-            starts.append(two(0.0, 0.0, np.pi / 4 - chi / 2, -np.pi / 4 + chi / 2,
-                              np.pi / 4 + chi / 2, -np.pi / 4 - chi / 2))
-            starts.append(two(np.pi / 4, np.pi / 4, 0.0, 0.0, 0.0, -np.pi / 2))
-        starts.append(two(0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-    return starts
-
-
 def _halton(index: int, base: int) -> float:
     result, f = 0.0, 1.0
     while index > 0:
@@ -233,15 +200,15 @@ _HALTON_BASES = (2, 3, 5, 7, 11, 13)
 _SPLIT_LATTICE = ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.3, 0.3))
 
 
-def _start_points(channel, family, constraint, config):
-    starts = _warm_starts(channel, family, constraint)
+def _start_points(family: str, constraint: str, config: OptimizerConfig):
+    """``config.restarts`` search vectors (restarts, dim): Halton angles
+    and mode share, energy fractions from a fixed lattice."""
     n_angles = 2 if family == ONE_MODE else 6
-    i = 0
-    while len(starts) < config.restarts:
+    starts = []
+    for i in range(config.restarts):
         idx = config.seed * 1000 + i + 1
-        angles = [2 * np.pi * (_halton(idx, _HALTON_BASES[j % 6]) - 0.5)
-                  for j in range(n_angles)]
-        x = list(angles)
+        x = [2 * np.pi * (_halton(idx, _HALTON_BASES[j % 6]) - 0.5)
+             for j in range(n_angles)]
         if family == TWO_MODE:
             x.append(_logit(0.25 + 0.5 * _halton(idx, 17)))
         if not constraint:
@@ -249,101 +216,98 @@ def _start_points(channel, family, constraint, config):
             us = [_logit(fd) if fd else -SATURATION,
                   _logit(ft) if ft else -SATURATION]
             x += us * (1 if family == ONE_MODE else 2)
-        starts.append(np.array(x, dtype=float))
-        i += 1
-    return starts[:config.restarts]
+        starts.append(x)
+    return np.array(starts)
+
+
+# minimize: iteration cap, stop tolerance on a step's relative gain, difference
+# step, Armijo constant, trial steps (above 1 to stretch a step made too short)
+MAX_ITER = 2000
+TOL = 1e-10
+_DIFF_STEP = 1e-6
+_ARMIJO = 1e-4
+_TRIAL_STEPS = 2.0 ** np.arange(3, -17, -1)
 
 
 @dataclass
 class LockstepResult:
     """Outcome of ``minimize``, one row per restart."""
 
-    x: np.ndarray          # (B, dim) best vertex of each final simplex
+    x: np.ndarray          # (B, dim) final point of each restart
     fun: np.ndarray        # (B,) objective value there
-    converged: np.ndarray  # (B,) met the xatol/fatol test within max_iter
-    nfev: int              # points evaluated, speculative candidates included
+    converged: np.ndarray  # (B,) stopped on the gain or line-search test
+    nfev: int              # points evaluated
 
     @property
     def success(self) -> bool:
         return bool(self.converged.all())
 
 
-def _sorted(sim: np.ndarray, fsim: np.ndarray):
-    order = np.argsort(fsim, axis=1)
-    rows = np.arange(len(fsim))[:, None]
-    return sim[rows, order], fsim[rows, order]
+def _value_and_gradient(fun, x: np.ndarray):
+    """``fun`` at every row of ``x`` (B, dim) and its central-difference
+    gradient, from one call on the ``2 dim + 1`` points of each row."""
+    b, n = x.shape
+    offsets = _DIFF_STEP * np.concatenate([np.zeros((1, n)), np.eye(n), -np.eye(n)])
+    f = fun((x[:, None, :] + offsets).reshape(-1, n)).reshape(b, 2 * n + 1)
+    return f[:, 0], (f[:, 1:n + 1] - f[:, n + 1:]) / (2 * _DIFF_STEP)
 
 
-def minimize(fun, x0: np.ndarray, max_iter: int, xatol: float,
-             fatol: float) -> LockstepResult:
-    """Adaptive Nelder-Mead run from every row of ``x0`` (B, dim) in lockstep.
-
-    Each row takes the steps of ``scipy.optimize.minimize(fun, x0[b],
-    method="Nelder-Mead", options={"adaptive": True, "maxiter": max_iter,
-    "xatol": xatol, "fatol": fatol})``: the same initial simplex,
-    coefficients (Gao & Han, Comput. Optim. Appl. 51, 2012), step order,
-    stop test and vertex ordering.  ``fun`` maps points (M, dim) to values
-    (M,) and must compute each row alone.  Every iteration evaluates the
-    reflection, expansion and both contraction points of every active
-    restart in one call, and the shrunken simplices in a second.
+def minimize(fun, x0: np.ndarray) -> LockstepResult:
+    """BFGS descent (Nocedal & Wright, ch. 6) from every row of ``x0``
+    (B, dim) in lockstep; ``fun`` maps points (M, dim) to values (M,),
+    each row computed alone, so a restart's path does not depend on the
+    batch.  Each iteration makes two calls: the ``_TRIAL_STEPS`` along
+    each active restart's quasi-Newton direction (steepest descent where
+    that does not descend), of which the lowest passing the Armijo test
+    is taken, then the central-difference gradients there.  A restart
+    converges when its step gains at most ``TOL * max(1, |f|)`` or no step
+    passes; it stops unconverged on a non-finite gradient or at ``MAX_ITER``.
     """
-    x0 = np.asarray(x0, dtype=float)
-    b, n = x0.shape
-    dim = float(n)
-    rho, chi = 1, 1 + 2 / dim
-    psi, sigma = 0.75 - 1 / (2 * dim), 1 - 1 / dim
-
-    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
-    k = np.arange(n)
-    sim[:, k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-    fsim = fun(sim.reshape(-1, n)).reshape(b, n + 1)
-    nfev = fsim.size
-    # scipy sorts twice here; an unstable argsort may reorder ties again
-    sim, fsim = _sorted(*_sorted(sim, fsim))
-
-    active = np.ones(b, dtype=bool)
+    x = np.array(x0, dtype=float)
+    b, n = x.shape
+    eye = np.eye(n)
+    f, g = _value_and_gradient(fun, x)
+    nfev = b * (2 * n + 1)
+    hess = np.repeat(eye[None], b, axis=0)  # inverse Hessian estimates
+    active = np.isfinite(g).all(axis=1)
     converged = np.zeros(b, dtype=bool)
-    iterations = 1
-    while iterations < max_iter:
+    for _ in range(MAX_ITER):
         rows = np.flatnonzero(active)
-        s, f = sim[rows], fsim[rows]
-        with np.errstate(invalid="ignore"):  # inf - inf where starts failed
-            done = ((np.max(np.abs(s[:, 1:] - s[:, :1]), axis=(1, 2)) <= xatol)
-                    & (np.max(np.abs(f[:, :1] - f[:, 1:]), axis=1) <= fatol))
-        converged[rows[done]] = True
-        active[rows[done]] = False
-        rows, s, f = rows[~done], s[~done], f[~done]
         if not rows.size:
             break
-
-        xbar = np.add.reduce(s[:, :-1], 1) / n
-        worst = s[:, -1]
-        cand = np.stack([(1 + rho) * xbar - rho * worst,
-                         (1 + rho * chi) * xbar - rho * chi * worst,
-                         (1 + psi * rho) * xbar - psi * rho * worst,
-                         (1 - psi) * xbar + psi * worst], axis=1)
-        fc = fun(cand.reshape(-1, n)).reshape(-1, 4)
-        nfev += fc.size
-        fr, fe, foc, fic = fc.T
-        expand = fr < f[:, 0]
-        contract = ~expand & ~(fr < f[:, -2])
-        outside = fr < f[:, -1]
-        pick = np.where(expand & (fe < fr), 1, 0)
-        pick[contract & outside] = 2
-        pick[contract & ~outside] = 3
-        accept = ~contract | np.where(outside, foc <= fr, fic < f[:, -1])
-        keep = np.flatnonzero(accept)
-        s[keep, -1] = cand[keep, pick[keep]]
-        f[keep, -1] = fc[keep, pick[keep]]
-        shrink = np.flatnonzero(~accept)
-        if shrink.size:
-            best = s[shrink, :1]
-            s[shrink, 1:] = best + sigma * (s[shrink, 1:] - best)
-            f[shrink, 1:] = fun(s[shrink, 1:].reshape(-1, n)).reshape(-1, n)
-            nfev += shrink.size * n
-        iterations += 1
-        sim[rows], fsim[rows] = _sorted(s, f)
-    return LockstepResult(sim[:, 0], np.min(fsim, axis=1), converged, int(nfev))
+        p = -(hess[rows] @ g[rows, :, None])[:, :, 0]
+        reset = ~(np.sum(g[rows] * p, axis=1) < 0)
+        hess[rows[reset]], p[reset] = eye, -g[rows[reset]]
+        slope = np.sum(g[rows] * p, axis=1)
+        trial = x[rows, None, :] + _TRIAL_STEPS[:, None] * p[:, None, :]
+        ft = fun(trial.reshape(-1, n)).reshape(len(rows), -1)
+        nfev += ft.size
+        ft[~(ft <= f[rows, None] + _ARMIJO * _TRIAL_STEPS * slope[:, None])] = np.inf
+        k = np.argmin(ft, axis=1)
+        f_new = ft[np.arange(len(rows)), k]
+        took = np.isfinite(f_new)
+        done = ~took | (f[rows] - f_new <= TOL * np.maximum(1.0, np.abs(f_new)))
+        converged[rows[done]], active[rows[done]] = True, False
+        x[rows[took]], f[rows[took]] = trial[took, k[took]], f_new[took]
+        rows, s = rows[~done], _TRIAL_STEPS[k[~done], None] * p[~done]
+        if not rows.size:
+            break
+        f[rows], g_new = _value_and_gradient(fun, x[rows])
+        nfev += len(rows) * (2 * n + 1)
+        y, g[rows] = g_new - g[rows], g_new
+        active[rows] = np.isfinite(g_new).all(axis=1)
+        sy = np.sum(s * y, axis=1)
+        # the curvature condition sy > 0 keeps every estimate positive definite
+        keep = active[rows] & (sy > 0)
+        rows, s, y, sy = rows[keep], s[keep], y[keep], sy[keep]
+        h = hess[rows]
+        # scale an identity estimate before its first update (N&W eq. 6.20)
+        first = (h == eye).all(axis=(1, 2))
+        h[first] *= (sy / np.sum(y * y, axis=1))[first, None, None]
+        v = eye - s[:, :, None] * y[:, None, :] / sy[:, None, None]
+        hess[rows] = (v @ h @ np.swapaxes(v, 1, 2)
+                      + s[:, :, None] * s[:, None, :] / sy[:, None, None])
+    return LockstepResult(x, f, converged, int(nfev))
 
 
 def optimize_probe(channel: ChannelSpec, family: str, budget: EnergyBudget,
@@ -351,16 +315,17 @@ def optimize_probe(channel: ChannelSpec, family: str, budget: EnergyBudget,
                    constraint: str = None) -> OptimizationResult:
     """Maximize the channel QFI over a probe family at fixed mean energy.
 
-    All restarts run in lockstep through one ``minimize`` call, each
-    iteration evaluating every restart's candidates in one batched
-    ``qfi_kernel`` call.  A restart's result does not depend on the others.
+    All restarts run in lockstep through one ``minimize`` call, whose
+    objective evaluates each batch of points with one ``qfi_kernel``
+    call.  A restart's result does not depend on the others; one whose
+    start value is not finite is reported as aborted.
 
     Args:
         channel: one-parameter channel to estimate.
         family: "one-mode" or "two-mode-restricted".
         budget: energy budget; only ``n_total`` is binding, the split is
             part of the search space (unless constrained).
-        config: restart count, iteration cap, seed, simplex tolerance.
+        config: restart count and the seed of the start points.
         constraint: None, "coherent-only" (all energy displaced) or
             "squeezing-only".
     """
@@ -375,20 +340,13 @@ def optimize_probe(channel: ChannelSpec, family: str, budget: EnergyBudget,
     if budget.n_total <= 0:
         raise DegenerateBudgetError("optimization needs n_total > 0")
 
-    ikw = channel.generator.ikw()
-    gamma = channel.generator.gamma
+    ikw, gamma = channel.generator.ikw(), channel.generator.gamma
 
     def objective(x):
         return _objective(x, family, budget.n_total, constraint, ikw, gamma)
 
-    starts = np.array(_start_points(channel, family, constraint, config))
-    values = -objective(starts)
-    xs = starts.copy()
-    converged = np.zeros(len(starts), dtype=bool)
-    ok = np.isfinite(values)
-    if ok.any():
-        res = minimize(objective, starts[ok], config.max_iter, config.tol, config.tol)
-        values[ok], xs[ok], converged[ok] = -res.fun, res.x, res.converged
+    res = minimize(objective, _start_points(family, constraint, config))
+    values = -res.fun
     aborted = ~np.isfinite(values)
     for idx in np.flatnonzero(aborted):
         log.warning("optimizer start %d aborted (non-finite objective)", idx)
@@ -398,7 +356,7 @@ def optimize_probe(channel: ChannelSpec, family: str, budget: EnergyBudget,
 
     best = int(np.argmax(values))
     value = float(values[best])
-    params, bud = _decode(xs[best], family, budget.n_total, constraint)
+    params, bud = _decode(res.x[best], family, budget.n_total, constraint)
     engine_value = qfi_unitary(params.to_probe_state(), channel).total
     if abs(engine_value - value) > 1e-9 * max(1.0, abs(value)):
         raise InvalidInputError(
@@ -408,7 +366,7 @@ def optimize_probe(channel: ChannelSpec, family: str, budget: EnergyBudget,
                    "mode_fractions": bud.mode_fractions}
     return OptimizationResult(best_params=best_params, best_qfi=value,
                               trace=trace, restarts=int((~aborted).sum()),
-                              converged=bool(converged[best]))
+                              converged=bool(res.converged[best]))
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +388,8 @@ class ScalingFit:
 
 def _strategy_probe(channel: ChannelSpec, family: str, n: float):
     chi = channel.chi
+    if family == FAMILY_ONE_MODE_PROBE and channel.modes != 2:
+        raise InvalidInputError(f"family {family!r} needs a two-mode channel")
     if channel.modes == 1:
         if family == FAMILY_COHERENT:
             angles = {"phase": (0.0, np.pi / 2)}.get(channel.kind, (0.0, 0.0))
@@ -501,9 +461,8 @@ def conjecture_probe(channel: ChannelSpec, n_grid, restarts: int = 32,
     config = OptimizerConfig(restarts=restarts, seed=seed)
     report = []
     for n in n_grid:
-        splits_shape = ((0.0, 0.0),) if family == ONE_MODE else ((0.0, 0.0), (0.0, 0.0))
-        result = optimize_probe(channel, family, EnergyBudget(float(n), splits_shape),
-                                config)
+        budget = EnergyBudget(float(n), ((0.0, 0.0),) * channel.modes)
+        result = optimize_probe(channel, family, budget, config)
         splits = result.best_params["splits"]
         fractions = result.best_params["mode_fractions"]
         # fractions of the *total* budget; a mode whose energy share is zero

@@ -6,6 +6,8 @@ import pytest
 
 import gaussqfi as gq
 from gaussqfi import cli
+from gaussqfi.errors import InvalidInputError
+from gaussqfi.optimizer import scaling_exponent
 
 
 def run_cli(tmp_path, capsys, command, config=None, extra=()):
@@ -136,11 +138,55 @@ _SWEEP = {"probe": _ONE_MODE, "channel": _PHASE}
                   "constraint": "foo"}),
     ("scaling", {"channel": _PHASE, "family": "coherent",
                  "n_grid": [1, 2, 4, 16]}),
+    ("optimize", {"channel": _PHASE, "budget": {"n_total": 1.0},
+                  "optimizer": {"restarts": 0}}),
+    ("optimize", {"channel": _PHASE, "budget": {"n_total": 1.0},
+                  "optimizer": {"restarts": -1}}),
+    ("optimize", {"channel": _PHASE, "budget": {"n_total": 1.0},
+                  "optimizer": {"max_iter": 2000}}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     code, out = run_cli(tmp_path, capsys, command, {"schema": 1, **config})
     assert code == 2
     assert out == ""
+
+
+def test_unknown_optimizer_setting_names_accepted_keys(tmp_path, capsys):
+    # a config written for the old settings fails loudly, not silently
+    config = {"schema": 1, "channel": _PHASE, "budget": {"n_total": 1.0},
+              "optimizer": {"restarts": 4, "tol": 1e-10}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["optimize", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'tol'" in captured.err
+    assert "'restarts'" in captured.err and "'seed'" in captured.err
+
+
+def test_sweep_unknown_probe_field_exits_2(tmp_path, capsys, monkeypatch):
+    # a field typo is a config error, caught before any row is computed
+    calls = []
+    monkeypatch.setattr(cli, "_sweep_row", lambda *a: calls.append(a) or "")
+    for probe in (_ONE_MODE, {"kind": "two-mode"}):
+        config = {"schema": 1, "sweep": {"parameter": "probe.rr", "grid": [0.1, 0.2]},
+                  "probe": probe, "channel": _PHASE}
+        code, out = run_cli(tmp_path, capsys, "sweep", config)
+        assert code == 2
+        assert out == ""
+    assert calls == []
+
+
+def test_scaling_one_mode_probe_on_one_mode_channel_exits_2(tmp_path, capsys):
+    # the one-mode-probe strategy is a two-mode probe; it must not fall back
+    # to optimal-squeezing on a one-mode channel
+    config = {"schema": 1, "channel": _PHASE, "family": "one-mode-probe",
+              "n_grid": [1, 2, 4, 8, 16, 32, 64]}
+    code, out = run_cli(tmp_path, capsys, "scaling", config)
+    assert code == 2
+    assert out == ""
+    with pytest.raises(InvalidInputError, match="two-mode"):
+        scaling_exponent(gq.phase_channel(), "one-mode-probe", [1, 2, 4, 8, 16, 32, 64])
 
 
 def test_nan_budget_exits_2(tmp_path, capsys):
@@ -252,12 +298,29 @@ def test_closed_form_unknown_label_exits_2(tmp_path, capsys):
 def test_optimize_phase(tmp_path, capsys):
     config = {"schema": 1, "channel": {"kind": "phase"}, "family": "one-mode",
               "budget": {"n_total": 1.0},
-              "optimizer": {"restarts": 6, "max_iter": 600, "seed": 1}}
+              "optimizer": {"restarts": 6, "seed": 1}}
     code, out = run_cli(tmp_path, capsys, "optimize", config)
     assert code == 0
     data = json.loads(out)
     assert data["best_qfi"] >= 16.0 - 1e-6
     assert data["best_params"]["probe"]["kind"] == "one-mode"
+
+
+@pytest.mark.parametrize("channel,family", [
+    ({"kind": "combined-one-mode", "omega_p": 0.7, "omega_s": 1.2, "chi": 0.4}, "one-mode"),
+    ({"kind": "beamsplit", "chi": 0.3}, "two-mode-restricted"),
+])
+def test_optimize_angles_wrapped(tmp_path, capsys, channel, family):
+    # the reported probe's angles lie in one period, [-pi, pi)
+    config = {"schema": 1, "channel": channel, "family": family,
+              "budget": {"n_total": 1.5}, "optimizer": {"restarts": 8, "seed": 3}}
+    code, out = run_cli(tmp_path, capsys, "optimize", config)
+    assert code == 0
+    probe = json.loads(out)["best_params"]["probe"]
+    angles = [v for k, v in probe.items()
+              if k in ("theta", "psi") or k.startswith("phi")]
+    assert len(angles) == (2 if family == "one-mode" else 6)
+    assert all(-np.pi <= a < np.pi for a in angles)
 
 
 def test_optimize_degenerate_budget_exits_4(tmp_path, capsys):
@@ -370,7 +433,7 @@ def test_optimize_output_feeds_back(tmp_path, capsys):
     # parse-what-you-print: the reported best probe evaluates to best_qfi
     config = {"schema": 1, "channel": {"kind": "squeeze1-mode1", "chi": 0.4},
               "family": "one-mode", "budget": {"n_total": 1.0},
-              "optimizer": {"restarts": 4, "max_iter": 400, "seed": 2}}
+              "optimizer": {"restarts": 4, "seed": 2}}
     code, out = run_cli(tmp_path, capsys, "optimize", config)
     assert code == 0
     result = json.loads(out)
