@@ -25,10 +25,9 @@ import numpy as np
 from .channels import channel_from_dict, channel_shift, channel_symplectic
 from .core import complex_to_real, complex_to_real_matrix, l_matrix, \
     state_from_dict
-from .errors import DegenerateBudgetError, GaussQfiError, \
+from .errors import DegenerateBudgetError, GaussQfiError, InvalidInputError, \
     NumericalInstabilityError
-from .optimizer import FAMILY_ONE_MODE_PROBE, SCALING_FAMILIES, EnergyBudget, \
-    OptimizerConfig, optimize_probe, scaling_exponent
+from .optimizer import EnergyBudget, OptimizerConfig, optimize_probe, scaling_exponent
 from .probes import OneModeProbeParams, TwoModeProbeParams, \
     probe_params_from_dict, probe_params_to_dict
 from .qfi import ProbeState, qfi_unitary
@@ -272,16 +271,15 @@ def cmd_optimize(config: dict, args) -> str:
 def cmd_scaling(config: dict, args) -> str:
     channel = _parse_channel(config)
     family = _require(config, "family")
-    if family not in SCALING_FAMILIES:
-        raise ConfigError(f"unknown scaling family {family!r}; "
-                          f"known: {list(SCALING_FAMILIES)}")
-    if family == FAMILY_ONE_MODE_PROBE and channel.modes != 2:
-        raise ConfigError(f"family {family!r} does not match a "
-                          f"{channel.modes}-mode channel")
     grid = _require(config, "n_grid")
-    if not isinstance(grid, list) or len(grid) < 4:
-        raise ConfigError("n_grid must be a list with at least 4 points")
-    fit = scaling_exponent(channel, family, [_number(v, "n_grid value") for v in grid])
+    if not isinstance(grid, list):
+        raise ConfigError("n_grid must be a list")
+    # scaling_exponent rejects only its inputs: the family, the grid and
+    # the family's probes on this channel
+    try:
+        fit = scaling_exponent(channel, family, [_number(v, "n_grid value") for v in grid])
+    except InvalidInputError as exc:
+        raise ConfigError(str(exc)) from exc
     return _dump_json({"exponent": fit.exponent, "prefactor": fit.prefactor,
                        "n_grid": list(fit.n_grid), "qfi_values": list(fit.qfi_values)})
 

@@ -1,32 +1,34 @@
 """Brute-force QFI oracle in a truncated Fock basis.
 
-Probes are built as density matrices by conjugating a thermal diagonal
-with truncated one-mode operator exponentials.  Each one-mode factor acts
-on its own mode axis of the ``(cutoff,) * 2 * modes`` view of rho, and
-rotations are elementwise phases.  The beam splitter, which couples the
-modes, conserves ``n1 + n2``: its truncated generator is exponentiated one
-block of constant total number at a time and applied as one dense
-operator.  Positivity of the built state is tested with one Cholesky
-factorization.  The channel ``U = exp(eps G)`` with anti-Hermitian ``G``
-is differentiated exactly: ``drho/deps = G rho - rho G`` at ``eps = 0``,
-with no finite step and no exponential of ``G``.  The QFI is evaluated
-through the spectral form of the symmetric logarithmic derivative.
-Unitaries keep the rank, so that sum over the support is continuous in
-the channel parameter, and only the eigenvectors that span the support
-are computed; completeness supplies the pairs outside it.  Nothing here
-touches the phase-space machinery, which is the point: it validates the
-fast path from outside the formalism.
+A probe is carried as a factor ``B`` of its density matrix,
+``rho = B B^dag``, with one column per thermal weight kept.  ``B`` starts
+as ``sqrt(p_k) e_k`` for each weight of the thermal diagonal above
+``SUPPORT_TOL / 2``; the dropped mass counts against the leak rule.
+Conjugating rho by a truncated unitary multiplies ``B`` from the left:
+one-mode factors act on their own mode axis of the row index, rotations
+are elementwise phases, and the beam splitter, which conserves
+``n1 + n2``, is exponentiated one block of constant total number at a
+time and applied to that block's rows.  ``B B^dag`` is positive
+semidefinite by construction, and every truncated exponential of an
+anti-Hermitian generator is unitary, so the columns of ``B`` stay
+orthogonal with squared norms equal to the kept weights: they are rho's
+support eigenvectors and eigenvalues, with no eigendecomposition.  The
+channel ``U = exp(eps G)`` with anti-Hermitian ``G`` is differentiated
+exactly, ``drho/deps = G rho - rho G`` at ``eps = 0``, and ``G`` is
+applied to the eigenvectors one mode at a time.  The QFI is evaluated
+through the spectral form of the symmetric logarithmic derivative;
+unitaries keep the rank, so that sum over the support is continuous in
+the channel parameter, and completeness supplies the pairs outside it.
+Nothing here touches the phase-space machinery, which is the point: it
+validates the fast path from outside the formalism.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 import scipy.linalg
-# bound at import: perfbench's traced pass swaps the module's ``scipy`` for
-# a namespace that holds only ``linalg.expm``
-from scipy.linalg import cholesky, eigh
 
 from .channels import ChannelSpec
 from .errors import CutoffTooSmallError, InvalidInputError
@@ -35,24 +37,20 @@ from .probes import OneModeProbeParams, TwoModeProbeParams
 # Trace loss allowed after every truncated conjugation (cumulative).
 LEAK_TOL = 1e-8
 MAX_CUTOFF_ONE_MODE = 128
-MAX_CUTOFF_TWO_MODE = 40
+MAX_CUTOFF_TWO_MODE = 80
 # Eigenvalue pairs with p_j + p_k below this are outside the support.
 SUPPORT_TOL = 1e-12
-# Eigenvalues of the built state below this mean truncation broke positivity.
-NEGATIVITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class FockDensity:
-    """Density matrix on a truncated Fock space (cutoff levels per mode)."""
+    """Density matrix ``factor @ factor^dag`` on a truncated Fock space
+    (cutoff levels per mode); ``factor`` is ``cutoff ** modes`` by the
+    number of kept thermal weights, with orthogonal columns."""
 
     cutoff: int
     modes: int
-    matrix: np.ndarray
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+    factor: np.ndarray
 
 
 def ladder(cutoff: int) -> np.ndarray:
@@ -90,35 +88,37 @@ def _displacement_op(gamma: complex, cutoff: int) -> np.ndarray:
     return scipy.linalg.expm(gamma * a.conj().T - np.conjugate(gamma) * a)
 
 
-def _beamsplit_op(theta: float, chi: float, cutoff: int) -> np.ndarray:
-    """Truncated ``exp(theta (e^{i chi} a1^dag a2 - h.c.))`` on the
+def _beamsplit(theta: float, chi: float, cutoff: int, mat: np.ndarray) -> np.ndarray:
+    """Truncated ``exp(theta (e^{i chi} a1^dag a2 - h.c.)) @ mat`` on the
     ``cutoff ** 2`` two-mode space.
 
     The generator conserves ``n1 + n2``, so it is block diagonal with one
     block of at most ``cutoff`` levels per total; each block is
-    tridiagonal in ``n1`` and is exponentiated on its own.
+    tridiagonal in ``n1`` and is exponentiated and applied on its own.
     """
-    op = np.zeros((cutoff ** 2, cutoff ** 2), dtype=complex)
+    out = np.empty_like(mat, dtype=complex)
     for total in range(2 * cutoff - 1):
         n1 = np.arange(max(0, total - cutoff + 1), min(total, cutoff - 1) + 1)
         # a1^dag a2 |n1, total - n1> = sqrt((n1 + 1) (total - n1)) |n1 + 1, total - n1 - 1>
         hop = theta * np.exp(1j * chi) * np.sqrt((n1[:-1] + 1.0) * (total - n1[:-1]))
         idx = n1 * cutoff + (total - n1)
-        op[np.ix_(idx, idx)] = scipy.linalg.expm(np.diag(hop, -1) - np.diag(hop.conj(), 1))
-    return op
+        out[idx] = scipy.linalg.expm(np.diag(hop, -1) - np.diag(hop.conj(), 1)) @ mat[idx]
+    return out
 
 
 def _apply_local(ops: list, mat: np.ndarray) -> np.ndarray:
     """``(ops[0] x ops[1] x ...) @ mat``, contracting one mode axis of the
-    row index at a time instead of forming the Kronecker product."""
+    row index at a time instead of forming the Kronecker product; a
+    ``None`` entry is the identity on its mode."""
     out = mat
     for k, op in enumerate(ops):
-        rows = op.shape[0]
-        out = np.matmul(op, out.reshape(rows ** k, rows, -1))
+        if op is not None:
+            rows = op.shape[0]
+            out = np.matmul(op, out.reshape(rows ** k, rows, -1))
     return out.reshape(mat.shape)
 
 
-def _edge_mass(rho: np.ndarray, cutoff: int) -> float:
+def _edge_mass(probs: np.ndarray, cutoff: int, modes: int) -> float:
     """Population sitting in the top two Fock levels of any mode.
 
     Truncated exponentials of anti-Hermitian generators are exactly
@@ -128,117 +128,70 @@ def _edge_mass(rho: np.ndarray, cutoff: int) -> float:
     inspected because parity-restricted states leave the very top level
     empty.
     """
-    probs = np.diagonal(rho).real
-    dim = rho.shape[0]
-    idx = np.arange(dim)
-    if dim == cutoff:
-        edge = idx >= cutoff - 2
-    else:
-        edge = (idx // cutoff >= cutoff - 2) | (idx % cutoff >= cutoff - 2)
-    return float(np.sum(probs[edge]))
-
-
-class _LeakTracker:
-    """Carries rho through the build and applies the leak rule after
-    every step."""
-
-    def __init__(self, rho: np.ndarray, cutoff: int):
-        self.rho = rho
-        self.cutoff = cutoff
-
-    def _check(self, label: str):
-        leak = max(1.0 - float(np.trace(self.rho).real),
-                   _edge_mass(self.rho, self.cutoff))
-        if leak > LEAK_TOL:
-            raise CutoffTooSmallError(
-                f"cutoff {self.cutoff}: trace leakage {leak:.2e} after {label}")
-
-    def conjugate(self, ops: list, label: str):
-        """rho -> M rho M^dag with M the tensor product of one c x c
-        operator per mode; M (M rho)^dag is that for Hermitian rho."""
-        self.rho = _apply_local(ops, _apply_local(ops, self.rho).conj().T)
-        self._check(label)
-
-    def rotate(self, thetas: list, label: str):
-        """Conjugation by the product of rotations ``exp(-i theta_k n_k)``."""
-        phases = reduce(np.kron, [_rotation_phases(t, self.cutoff) for t in thetas])
-        self.rho = self.rho * np.outer(phases, phases.conj())
-        self._check(label)
-
-    def conjugate_dense(self, op: np.ndarray, label: str):
-        self.rho = op @ self.rho @ op.conj().T
-        self._check(label)
+    interior = probs.reshape((cutoff,) * modes)[(slice(cutoff - 2),) * modes]
+    return float(np.sum(probs) - np.sum(interior))
 
 
 def build_fock_state(params, cutoff: int) -> FockDensity:
-    """Truncated density matrix of a parametric probe.
+    """Truncated density matrix of a parametric probe, as its factor.
 
     Raises CutoffTooSmallError when any conjugation step leaks more than
-    LEAK_TOL of trace, or when the result has an eigenvalue below
-    -NEGATIVITY_TOL; that test is one Cholesky factorization of the
-    shifted state (``_check_positive``), not a spectrum.
+    LEAK_TOL of trace, read from the row norms of the factor (the
+    diagonal of rho).
     """
     if cutoff < 8:
         raise InvalidInputError(f"cutoff must be >= 8, got {cutoff}")
+
+    def rotate(*thetas):
+        phases = reduce(np.kron, [_rotation_phases(t, cutoff) for t in thetas])
+        return partial(np.multiply, phases[:, None])
+
     if isinstance(params, OneModeProbeParams):
-        rho = np.diag(_thermal_diag(params.lambda1, cutoff)).astype(complex)
-        t = _LeakTracker(rho, cutoff)
-        t.conjugate([_squeeze_op(params.r, 0.0, cutoff)], "squeezing")
-        t.rotate([params.theta], "rotation")
-        t.conjugate([_displacement_op(params.d_mag * np.exp(1j * params.phi_d), cutoff)],
-                    "displacement")
-        rho, modes = t.rho, 1
+        modes = 1
+        weights = _thermal_diag(params.lambda1, cutoff)
+        gamma = params.d_mag * np.exp(1j * params.phi_d)
+        steps = [("squeezing", partial(_apply_local, [_squeeze_op(params.r, 0.0, cutoff)])),
+                 ("rotation", rotate(params.theta)),
+                 ("displacement", partial(_apply_local, [_displacement_op(gamma, cutoff)]))]
     elif isinstance(params, TwoModeProbeParams):
-        rho = np.diag(np.kron(_thermal_diag(params.lambda1, cutoff),
-                              _thermal_diag(params.lambda2, cutoff))).astype(complex)
-        t = _LeakTracker(rho, cutoff)
-        t.conjugate([_squeeze_op(params.r1, 0.0, cutoff),
-                     _squeeze_op(params.r2, 0.0, cutoff)], "squeezing")
-        t.rotate([params.psi, -params.psi], "asymmetric rotation")
+        modes = 2
+        weights = np.kron(_thermal_diag(params.lambda1, cutoff),
+                          _thermal_diag(params.lambda2, cutoff))
+        gammas = (params.d1_mag * np.exp(1j * params.phi_d1),
+                  params.d2_mag * np.exp(1j * params.phi_d2))
+        steps = [("squeezing", partial(_apply_local, [_squeeze_op(params.r1, 0.0, cutoff),
+                                                      _squeeze_op(params.r2, 0.0, cutoff)])),
+                 ("asymmetric rotation", rotate(params.psi, -params.psi))]
         if params.theta != 0.0:
-            t.conjugate_dense(_beamsplit_op(params.theta, 0.0, cutoff), "beam splitter")
-        t.rotate([params.phi1, params.phi2], "rotations")
-        t.conjugate([_displacement_op(params.d1_mag * np.exp(1j * params.phi_d1), cutoff),
-                     _displacement_op(params.d2_mag * np.exp(1j * params.phi_d2), cutoff)],
-                    "displacement")
-        rho, modes = t.rho, 2
+            steps.append(("beam splitter", partial(_beamsplit, params.theta, 0.0, cutoff)))
+        steps += [("rotations", rotate(params.phi1, params.phi2)),
+                  ("displacement", partial(_apply_local,
+                                           [_displacement_op(g, cutoff) for g in gammas]))]
     else:
         raise InvalidInputError(f"unsupported probe parameter type {type(params)!r}")
 
-    rho = (rho + rho.conj().T) / 2.0
-    _check_positive(rho, cutoff)
-    return FockDensity(cutoff, modes, rho)
-
-
-def _check_positive(rho: np.ndarray, cutoff: int):
-    """Raise CutoffTooSmallError when rho has an eigenvalue below
-    -NEGATIVITY_TOL.
-
-    ``rho + NEGATIVITY_TOL I`` has a Cholesky factor exactly when no
-    eigenvalue lies below ``-NEGATIVITY_TOL``, so one factorization of a
-    shifted copy accepts a state.  The spectrum is computed only when the
-    factorization fails: it decides the rounding-level borderline case and
-    names the smallest eigenvalue in the error.
-    """
-    shifted = rho.copy()
-    shifted.flat[::shifted.shape[0] + 1] += NEGATIVITY_TOL
-    try:
-        cholesky(shifted, lower=True, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        min_eig = float(np.linalg.eigvalsh(rho)[0])
-        if min_eig < -NEGATIVITY_TOL:
+    kept = np.flatnonzero(weights > SUPPORT_TOL / 2)
+    factor = np.zeros((weights.size, kept.size), dtype=complex)
+    factor[kept, np.arange(kept.size)] = np.sqrt(weights[kept])
+    for label, step in steps:
+        factor = step(factor)
+        probs = np.sum(factor.real ** 2 + factor.imag ** 2, axis=1)
+        leak = max(1.0 - float(np.sum(probs)), _edge_mass(probs, cutoff, modes))
+        if leak > LEAK_TOL:
             raise CutoffTooSmallError(
-                f"cutoff {cutoff}: truncation produced negative eigenvalue "
-                f"{min_eig:.2e}") from None
+                f"cutoff {cutoff}: trace leakage {leak:.2e} after {label}")
+    return FockDensity(cutoff, modes, factor)
 
 
-def channel_generator_fock(channel: ChannelSpec, cutoff: int) -> np.ndarray:
-    """Anti-Hermitian Fock-space generator of the channel's unitary group.
+def apply_generator(channel: ChannelSpec, cutoff: int, vecs: np.ndarray) -> np.ndarray:
+    """``G @ vecs`` for the anti-Hermitian Fock-space generator of the
+    channel's unitary group,
 
     ``G = (i/2) sum_kl [X_kl a_k^dag a_l + Y_kl a_k^dag a_l^dag + h.c.]
-    + sum_k (gamma_k a_k^dag - h.c.)``.  Terms within one mode are summed
-    as c x c matrices and terms coupling two modes are Kronecker products
-    of c x c factors, so no full-space product is formed.
+    + sum_k (gamma_k a_k^dag - h.c.)``.
+
+    Terms within one mode are summed as c x c matrices; every term acts on
+    ``vecs`` by per-mode contractions, so no full-space operator is formed.
     """
     n = channel.modes
     if n not in (1, 2):
@@ -246,9 +199,9 @@ def channel_generator_fock(channel: ChannelSpec, cutoff: int) -> np.ndarray:
     a = ladder(cutoff)
     adag = a.conj().T
     w = channel.generator
-    local = [np.zeros((cutoff, cutoff), dtype=complex) for _ in range(n)]
-    coupling = 0.0
+    out = np.zeros(vecs.shape, dtype=complex)
     for k in range(n):
+        local = w.gamma_tilde[k] * adag - np.conjugate(w.gamma_tilde[k]) * a
         for l in range(n):
             x, y = w.x_block[k, l], w.y_block[k, l]
             for coef, op_k, op_l in ((x, adag, a), (np.conjugate(x), a, adag),
@@ -256,16 +209,13 @@ def channel_generator_fock(channel: ChannelSpec, cutoff: int) -> np.ndarray:
                 if coef == 0:
                     continue
                 if k == l:
-                    local[k] += 0.5j * coef * (op_k @ op_l)
+                    local = local + 0.5j * coef * (op_k @ op_l)
                 else:
                     # the two factors act on different modes and commute
-                    first, second = (op_k, op_l) if k < l else (op_l, op_k)
-                    coupling = coupling + 0.5j * coef * np.kron(first, second)
-        local[k] += w.gamma_tilde[k] * adag - np.conjugate(w.gamma_tilde[k]) * a
-    if n == 1:
-        return local[0]
-    eye = np.eye(cutoff)
-    return np.kron(local[0], eye) + np.kron(eye, local[1]) + coupling
+                    ops = {k: 0.5j * coef * op_k, l: op_l}
+                    out += _apply_local([ops.get(m) for m in range(n)], vecs)
+        out += _apply_local([local if m == k else None for m in range(n)], vecs)
+    return out
 
 
 def _check_modes(params, channel: ChannelSpec):
@@ -276,7 +226,7 @@ def _check_modes(params, channel: ChannelSpec):
 
 def ladder_state(params) -> FockDensity:
     """Probe state at the smallest cutoff on the doubling ladder that
-    passes the leak rule (8, 16, ... one mode; 10, 20, 40 two modes)."""
+    passes the leak rule (8, 16, ... one mode; 10, 20, 40, 80 two modes)."""
     one_mode = isinstance(params, OneModeProbeParams)
     cutoff = 8 if one_mode else 10
     limit = MAX_CUTOFF_ONE_MODE if one_mode else MAX_CUTOFF_TWO_MODE
@@ -306,22 +256,22 @@ def state_qfi(rho: FockDensity, channel: ChannelSpec) -> float:
     ``drho = G rho - rho G``.  In rho's eigenbasis
     ``<j| drho |k> = (p_k - p_j) g_jk`` with ``g_jk = <j| G |k>``.
 
-    Only the eigenpairs with ``p > SUPPORT_TOL / 2`` (the set S) are
-    computed; every pair in the support has an index in S.  Pairs inside
-    S are summed exactly.  A pair with ``j`` in S and ``k`` outside has
-    ``p_k <= SUPPORT_TOL / 2`` and weight ``(p_j - p_k)^2 / (p_j + p_k)``,
-    taken as ``p_j`` (off by at most ``3 |p_k|``), and completeness of the
-    eigenbasis sums its ``|g_jk|^2`` over k:
-    ``sum_{k not in S} |g_jk|^2 = |G v_j|^2 - sum_{k in S} |g_jk|^2``.
+    The factor's columns are orthogonal, so the eigenpairs with
+    ``p > SUPPORT_TOL / 2`` (the set S) are their squared norms and the
+    normalised columns; every pair in the support has an index in S.
+    Pairs inside S are summed exactly.  A pair with ``j`` in S and ``k``
+    outside has ``p_k <= SUPPORT_TOL / 2`` and weight
+    ``(p_j - p_k)^2 / (p_j + p_k)``, taken as ``p_j`` (off by at most
+    ``3 |p_k|``), and completeness of the eigenbasis sums its ``|g_jk|^2``
+    over k: ``sum_{k not in S} |g_jk|^2 = |G v_j|^2 - sum_{k in S} |g_jk|^2``.
     For a nearly pure state S holds a handful of vectors.
     """
     if channel.modes != rho.modes:
         raise InvalidInputError("probe and channel mode counts differ")
-    gen = channel_generator_fock(channel, rho.cutoff)
-    # the MRRR driver computes just the eigenpairs above the threshold
-    probs, vecs = eigh(rho.matrix, driver="evr",
-                       subset_by_value=(SUPPORT_TOL / 2, np.inf))
-    g_vecs = gen @ vecs
+    b = rho.factor
+    probs = np.sum(b.real ** 2 + b.imag ** 2, axis=0)
+    vecs = b / np.sqrt(probs)
+    g_vecs = apply_generator(channel, rho.cutoff, vecs)
     g_sq = np.abs(vecs.conj().T @ g_vecs) ** 2
     inside = np.sum(g_sq * (probs[:, None] - probs[None, :]) ** 2
                     / (probs[:, None] + probs[None, :]))

@@ -217,6 +217,10 @@ def qfi_general(eigenvalues, eigenvalues_dot, s: SymplecticMatrix, s_dot,
         eigenvalues_ddot: second derivatives ``d2lam_i/deps2``, required
             whenever some ``lam_i`` is at the pure boundary where the
             eigenvalue term becomes the regularized limit.
+
+    The eigenvalue term ``sum_i lam_i'^2 / (lam_i^2 - 1)`` is 0/0 at a pure
+    mode; its regularized value there is ``lam_i''`` (Šafránek, Lee &
+    Fuentes, arXiv 1502.07924).
     """
     lams = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
     lams_dot = np.atleast_1d(np.asarray(eigenvalues_dot, dtype=float))

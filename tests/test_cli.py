@@ -144,6 +144,12 @@ _SWEEP = {"probe": _ONE_MODE, "channel": _PHASE}
                   "optimizer": {"restarts": -1}}),
     ("optimize", {"channel": _PHASE, "budget": {"n_total": 1.0},
                   "optimizer": {"max_iter": 2000}}),
+    ("scaling", {"channel": _PHASE, "family": "optimal-squeezing",
+                 "n_grid": [1, 2, 3, 4]}),
+    ("scaling", {"channel": {"kind": "squeeze1-mode2"}, "family": "optimal-squeezing",
+                 "n_grid": [1, 2, 4, 8, 16, 32, 64]}),
+    ("scaling", {"channel": _PHASE, "family": "optimal-squeezing",
+                 "n_grid": [1, 2, 4, float("nan"), 16, 32, 64]}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     code, out = run_cli(tmp_path, capsys, command, {"schema": 1, **config})

@@ -5,8 +5,18 @@ from scipy.special import factorial
 
 import gaussqfi as gq
 from gaussqfi.errors import CutoffTooSmallError, InvalidInputError
-from gaussqfi.fock import NEGATIVITY_TOL, SUPPORT_TOL, _beamsplit_op, _check_positive, \
-    build_fock_state, channel_generator_fock, choose_cutoff, fock_qfi, ladder, state_qfi
+from gaussqfi.fock import SUPPORT_TOL, _beamsplit, apply_generator, build_fock_state, \
+    choose_cutoff, fock_qfi, ladder, state_qfi
+from gaussqfi.validate import FOCK_TOL, fock_panel_cases
+
+
+def _dense(rho):
+    """The density matrix ``B B^dag`` of a built state."""
+    return rho.factor @ rho.factor.conj().T
+
+
+def _dense_generator(channel, cutoff):
+    return apply_generator(channel, cutoff, np.eye(cutoff ** channel.modes))
 
 
 def test_ladder_matrix():
@@ -19,14 +29,14 @@ def test_vacuum_density():
     rho = build_fock_state(gq.OneModeProbeParams(), 8)
     expected = np.zeros((8, 8))
     expected[0, 0] = 1.0
-    assert np.allclose(rho.matrix, expected, atol=1e-15)
+    assert np.allclose(_dense(rho), expected, atol=1e-15)
 
 
 def test_coherent_poisson_weights():
     rho = build_fock_state(gq.OneModeProbeParams(d_mag=1.0), 30)
     ks = np.arange(30)
     poisson = np.exp(-1.0) / factorial(ks)
-    assert np.max(np.abs(np.diag(rho.matrix).real - poisson)) < 1e-10
+    assert np.max(np.abs(np.diag(_dense(rho)).real - poisson)) < 1e-10
 
 
 def test_thermal_geometric_weights():
@@ -34,7 +44,7 @@ def test_thermal_geometric_weights():
     n_th = 0.5
     ks = np.arange(40)
     geometric = n_th ** ks / (1 + n_th) ** (ks + 1)
-    assert np.max(np.abs(np.diag(rho.matrix).real - geometric)) < 1e-10
+    assert np.max(np.abs(np.diag(_dense(rho)).real - geometric)) < 1e-10
 
 
 def test_cutoff_too_small_raises():
@@ -89,8 +99,8 @@ def test_exact_derivative_matches_central_difference():
          gq.mix_channel(0.5), 20),
     ]
     for p, ch, cutoff in cases:
-        rho = build_fock_state(p, cutoff).matrix
-        gen = channel_generator_fock(ch, cutoff)
+        rho = _dense(build_fock_state(p, cutoff))
+        gen = _dense_generator(ch, cutoff)
         u = scipy.linalg.expm(h * gen)
         central = (u @ rho @ u.conj().T - u.conj().T @ rho @ u) / (2.0 * h)
         exact = gen @ rho - rho @ gen
@@ -128,29 +138,35 @@ def _full_spectrum_qfi(rho, gen):
 
 
 def test_state_qfi_matches_full_spectrum():
-    # state_qfi computes only the support's eigenvectors and closes the
-    # sum by completeness; the full spectrum must give the same value
-    from gaussqfi.validate import fock_panel_cases
-
+    # state_qfi reads the support's eigenvectors off the factor's columns
+    # and closes the sum by completeness; the full spectrum of B B^dag
+    # must give the same value
     for (name, p, ch), cutoff in zip(fock_panel_cases(), PANEL_CUTOFFS):
         rho = build_fock_state(p, cutoff)
-        reference = _full_spectrum_qfi(rho.matrix, channel_generator_fock(ch, cutoff))
+        reference = _full_spectrum_qfi(_dense(rho), _dense_generator(ch, cutoff))
         assert abs(state_qfi(rho, ch) - reference) <= 1e-9 * reference, name
 
 
-def _hermitian_with_spectrum(rng, eigs):
-    z = rng.normal(size=(len(eigs),) * 2) + 1j * rng.normal(size=(len(eigs),) * 2)
-    q, _ = np.linalg.qr(z)
-    mat = (q * np.asarray(eigs)[None, :]) @ q.conj().T
-    return (mat + mat.conj().T) / 2.0
+def _kept_thermal_weights(p, cutoff):
+    """The thermal diagonal's weights above ``SUPPORT_TOL / 2``, in Fock
+    order: the factor's columns start as their square roots."""
+    lams = [p.lambda1] if isinstance(p, gq.OneModeProbeParams) else [p.lambda1, p.lambda2]
+    weights = np.ones(1)
+    ks = np.arange(cutoff)
+    for lam in lams:
+        n_th = (lam - 1.0) / 2.0
+        weights = np.kron(weights, n_th ** ks / (1.0 + n_th) ** (ks + 1))
+    return weights[weights > SUPPORT_TOL / 2]
 
 
-def test_positivity_test_threshold(rng):
-    eigs = [0.4, 0.3, 0.2, 0.1, 1e-3, 0.0]
-    bad = _hermitian_with_spectrum(rng, eigs + [-2.0 * NEGATIVITY_TOL])
-    with pytest.raises(CutoffTooSmallError, match="-2.00e-10"):
-        _check_positive(bad, 12)
-    _check_positive(_hermitian_with_spectrum(rng, eigs + [-0.5 * NEGATIVITY_TOL]), 12)
+def test_factor_columns_keep_thermal_weights():
+    # every build step is a truncated unitary acting on B from the left,
+    # so B^dag B stays the diagonal of kept weights; state_qfi reads the
+    # support spectrum off the columns on that ground
+    for (name, p, _), cutoff in zip(fock_panel_cases(), PANEL_CUTOFFS):
+        b = build_fock_state(p, cutoff).factor
+        gram = b.conj().T @ b
+        assert np.max(np.abs(gram - np.diag(_kept_thermal_weights(p, cutoff)))) < 1e-12, name
 
 
 @pytest.mark.parametrize("cutoff", [10, 20])
@@ -158,24 +174,20 @@ def test_beamsplit_blocks_match_full_exponential(cutoff):
     theta, chi = 0.7, 0.4
     a1dag_a2 = np.kron(ladder(cutoff).conj().T, ladder(cutoff))
     gen = theta * (np.exp(1j * chi) * a1dag_a2 - np.exp(-1j * chi) * a1dag_a2.conj().T)
-    op = _beamsplit_op(theta, chi, cutoff)
+    op = _beamsplit(theta, chi, cutoff, np.eye(cutoff ** 2))
     assert np.max(np.abs(op - scipy.linalg.expm(gen))) < 1e-12
     assert np.max(np.abs(op @ op.conj().T - np.eye(cutoff ** 2))) < 1e-12
 
 
 def test_fock_panel_cutoffs():
     # the leak rule on the built state alone picks these cutoffs
-    from gaussqfi.validate import fock_panel_cases
-
     cutoffs = [choose_cutoff(p, ch) for _, p, ch in fock_panel_cases()]
     assert cutoffs == [16, 32, 64, 32, 32, 16, 32, 32, 20, 20, 20, 40]
 
 
 def test_cutoff_monotone_improvement():
     # doubling the cutoff never worsens the agreement (one-mode panel
-    # cases; the two-mode ladder tops out at its 40-per-mode cap)
-    from gaussqfi.validate import fock_panel_cases
-
+    # cases)
     for name, p, ch in fock_panel_cases():
         if not isinstance(p, gq.OneModeProbeParams):
             continue
@@ -186,3 +198,13 @@ def test_cutoff_monotone_improvement():
         dev_lo = abs(fock_qfi(p, ch, cutoff=cutoff) - engine)
         dev_hi = abs(fock_qfi(p, ch, cutoff=2 * cutoff) - engine)
         assert dev_hi <= dev_lo + 1e-6, name
+
+
+@pytest.mark.parametrize("channel", [gq.mix_channel(), gq.twomode_squeeze_channel()])
+def test_thermal_two_mode_probe_reaches_cutoff_80(channel):
+    # a thermal, squeezed, beam-split two-mode probe leaks past every
+    # cutoff up to 40 and passes the leak rule at 80
+    p = gq.TwoModeProbeParams(lambda1=3.0, r1=0.3, r2=0.2, theta=np.pi / 4)
+    assert choose_cutoff(p, channel) == 80
+    engine = gq.qfi_unitary(p.to_probe_state(), channel).total
+    assert abs(fock_qfi(p, channel) - engine) < FOCK_TOL * engine

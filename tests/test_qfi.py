@@ -314,3 +314,34 @@ def test_qfi_continuous_across_degeneracy_switch(family, p, chi):
     h0 = h(0.0)
     for delta in _DELTAS:
         assert abs(h(delta) - h0) <= 10 * delta * max(1.0, h0)
+
+
+# --- invariance under passive transforms that commute with the generator ---
+
+@given(st.sampled_from(["phase", "mix", "twomode-squeeze"]),
+       st.tuples(_lam, _lam, _sq, _sq, _ang, _ang, _ang, _ang, _mag, _mag, _ang, _ang),
+       _ang, _ang)
+@settings(max_examples=200, deadline=None)
+def test_qfi_invariant_under_commuting_passive_transform(family, p, a, chi):
+    # a passive unitary u that commutes with the channel's generator maps
+    # the probe (S0, d) to (blkdiag(u, conj u) S0, u d) without changing
+    # the information it carries about the channel parameter
+    l1, l2, r1, r2, theta, psi, phi1, phi2, m1, m2, pd1, pd2 = p
+    if family == "phase":
+        params = gq.OneModeProbeParams(lambda1=l1, r=r1, theta=theta, d_mag=m1, phi_d=pd1)
+        channel, u = gq.phase_channel(), np.array([[np.exp(1j * a)]])
+    else:
+        params = gq.TwoModeProbeParams(l1, l2, r1, r2, theta, psi, phi1, phi2,
+                                       m1, m2, pd1, pd2)
+        if family == "mix":
+            channel, u = gq.mix_channel(chi), np.exp(1j * a) * np.eye(2)
+        else:
+            channel, u = gq.twomode_squeeze_channel(chi), np.diag(np.exp([-1j * a, 1j * a]))
+    probe = params.to_probe_state()
+    s0 = probe.williamson.s
+    moved = gq.ProbeState(
+        WilliamsonForm(SymplecticMatrix(u @ s0.alpha, u @ s0.beta), probe.williamson.eigenvalues),
+        u @ probe.d_tilde)
+    h0 = gq.qfi_unitary(probe, channel).total
+    h1 = gq.qfi_unitary(moved, channel).total
+    assert abs(h1 - h0) <= 1e-9 * max(1.0, abs(h0))
