@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -374,6 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: built by the first request, not at import
+_parser = functools.cache(build_parser)
+
 _HANDLERS = {
     "qfi": cmd_qfi,
     "closed-form": cmd_closed_form,
@@ -386,8 +390,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "validate":
             text, code = cmd_validate(args)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _as_complex, _check_finite, _freeze
+from ._util import _as_complex, _check_finite, _complex_form, _freeze
 from .errors import InvalidDimensionError, StructureError
 
 # Gate for accepting nearly-Hermitian / nearly-symmetric blocks at
@@ -102,8 +102,7 @@ class GaussianState:
     @property
     def covariance(self) -> np.ndarray:
         """Full 2N x 2N covariance ``[[X, Y], [conj(Y), conj(X)]]``."""
-        return np.block([[self.cov_x, self.cov_y],
-                         [self.cov_y.conj(), self.cov_x.conj()]])
+        return _complex_form(self.cov_x, self.cov_y)
 
     @classmethod
     def vacuum(cls, modes: int) -> "GaussianState":
@@ -144,9 +143,7 @@ def _structure_report(d: np.ndarray, sigma: np.ndarray, n: int) -> list:
     res = np.max(np.abs(sigma - sigma.conj().T))
     if res > STRUCTURE_ATOL:
         report.append(f"covariance is not Hermitian (residual {res:.2e})")
-    block = np.block([[sigma[n:, n:].conj(), sigma[n:, :n].conj()],
-                      [sigma[:n, n:].conj(), sigma[:n, :n].conj()]])
-    res = np.max(np.abs(sigma - block))
+    res = np.max(np.abs(sigma - _complex_form(sigma[:n, :n], sigma[:n, n:])))
     if res > STRUCTURE_ATOL:
         report.append(f"covariance lacks (X, Y) block-conjugation structure (residual {res:.2e})")
     return report

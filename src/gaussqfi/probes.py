@@ -15,6 +15,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from ._util import _complex_form
 from .errors import InvalidInputError, StructureError
 from .qfi import ProbeState
 from .symplectic import SymplecticMatrix, WilliamsonForm
@@ -30,13 +31,7 @@ def _check_finite(params):
 def _squeezed(u: np.ndarray, r: np.ndarray) -> np.ndarray:
     """``S_0 = blkdiag(u, conj u) S(r)`` from passive unitaries ``u``
     (B, N, N) and squeezing parameters ``r`` (B, N)."""
-    b, n = r.shape
-    alpha = u * np.cosh(r)[:, None, :]
-    beta = -u * np.sinh(r)[:, None, :]
-    s0 = np.empty((b, 2 * n, 2 * n), dtype=complex)
-    s0[:, :n, :n], s0[:, :n, n:] = alpha, beta
-    s0[:, n:, :n], s0[:, n:, n:] = beta.conj(), alpha.conj()
-    return s0
+    return _complex_form(u * np.cosh(r)[:, None, :], -u * np.sinh(r)[:, None, :])
 
 
 def _probe_state(params) -> ProbeState:

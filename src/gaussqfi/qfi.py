@@ -25,7 +25,7 @@ from .errors import DegenerateInputError, InvalidInputError, \
     NumericalInstabilityError
 from .symplectic import SymplecticMatrix, WilliamsonForm
 from .channels import ChannelSpec
-from ._util import _freeze
+from ._util import _complex_form, _freeze
 
 # Eigenvalue products within this distance of 1 trigger the degenerate
 # (pure-pure) conventions of the QFI formula.
@@ -89,8 +89,7 @@ class PMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.block([[self.r_block, self.q_block],
-                         [self.q_block.conj(), self.r_block.conj()]])
+        return _complex_form(self.r_block, self.q_block)
 
     def algebra_residual(self) -> float:
         """Max-norm residual of the Lie-algebra condition."""
@@ -184,22 +183,34 @@ def qfi_unitary(probe: ProbeState, channel: ChannelSpec) -> QfiBreakdown:
     eigenvalue term vanishes identically; the displacement term evaluates
     ``2 v^dag sigma_0^{-1} v`` with ``v = iKW d_0 + gamma`` through the
     Williamson factors of the probe.  Raises NumericalInstabilityError
-    when a term overflows (for example at eigenvalues near 1e300).
+    when a term overflows (see ``finite_terms``).
     """
     if probe.modes != channel.modes:
         raise InvalidInputError(
             f"probe has {probe.modes} modes but channel has {channel.modes}")
+    r_term, q_term, disp_term = map(float, finite_terms(
+        probe.williamson.s.matrix, probe.williamson.eigenvalues, probe.d_tilde,
+        channel)[:, 0])
+    return QfiBreakdown(r_term, q_term, 0.0, disp_term)
+
+
+def finite_terms(s0: np.ndarray, lams: np.ndarray, d_tilde: np.ndarray,
+                 channel: ChannelSpec) -> np.ndarray:
+    """``qfi_kernel`` on a batch of probes (or one) as a ``(3, B)`` array
+    of ``(r_term, q_term, disp_term)`` rows.  Raises
+    NumericalInstabilityError naming the terms of the first probe whose
+    terms are not finite (for example at eigenvalues near 1e300)."""
     # an overflow is reported once, as the error below, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = qfi_kernel(
-            probe.williamson.s.matrix, probe.williamson.eigenvalues, probe.d_tilde,
-            channel.generator.ikw(), channel.generator.gamma)
-    r_term, q_term, disp_term = map(float, terms)
-    if not all(map(math.isfinite, (r_term, q_term, disp_term))):
+        terms = np.reshape(qfi_kernel(s0, lams, d_tilde, channel.generator.ikw(),
+                                      channel.generator.gamma), (3, -1))
+    bad = np.flatnonzero(~np.isfinite(terms).all(axis=0))
+    if bad.size:
+        r_term, q_term, disp_term = map(float, terms[:, bad[0]])
         raise NumericalInstabilityError(
             f"QFI terms are not finite: r_term={r_term}, q_term={q_term}, "
             f"disp_term={disp_term}")
-    return QfiBreakdown(r_term, q_term, 0.0, disp_term)
+    return terms
 
 
 def qfi_general(eigenvalues, eigenvalues_dot, s: SymplecticMatrix, s_dot,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._util import _as_complex, _check_finite, _freeze
+from ._util import _as_complex, _check_finite, _complex_form, _freeze
 from .core import k_signs, STRUCTURE_ATOL
 from .errors import (
     DecompositionFailureError,
@@ -62,8 +62,7 @@ class SymplecticMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.block([[self.alpha, self.beta],
-                         [self.beta.conj(), self.alpha.conj()]])
+        return _complex_form(self.alpha, self.beta)
 
     def inverse(self) -> "SymplecticMatrix":
         """Symplectic inverse ``K S^dag K`` (never a general inverse)."""
@@ -84,10 +83,7 @@ class SymplecticMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
             raise InvalidDimensionError(f"matrix must be 2N x 2N, got {m.shape}")
         n = m.shape[0] // 2
-        res = max(
-            float(np.max(np.abs(m[n:, :n] - m[:n, n:].conj()))),
-            float(np.max(np.abs(m[n:, n:] - m[:n, :n].conj()))),
-        )
+        res = float(np.max(np.abs(m - _complex_form(m[:n, :n], m[:n, n:]))))
         if res > STRUCTURE_ATOL:
             raise StructureError(f"matrix lacks block-conjugation structure (residual {res:.2e})")
         return cls(m[:n, :n], m[:n, n:])
@@ -136,8 +132,7 @@ class GeneratorW:
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.block([[self.x_block, self.y_block],
-                         [self.y_block.conj(), self.x_block.conj()]])
+        return _complex_form(self.x_block, self.y_block)
 
     @property
     def gamma(self) -> np.ndarray:
@@ -177,10 +172,7 @@ def exp_generator(w: GeneratorW) -> SymplecticMatrix:
         m = scipy.linalg.expm(a)
     n = w.modes
     scale = max(1.0, float(np.max(np.abs(m))))
-    res = max(
-        float(np.max(np.abs(m[n:, :n] - m[:n, n:].conj()))),
-        float(np.max(np.abs(m[n:, n:] - m[:n, :n].conj()))),
-    )
+    res = float(np.max(np.abs(m - _complex_form(m[:n, :n], m[:n, n:]))))
     if res > SYMPLECTIC_FAIL_ATOL * scale:
         raise NumericalInstabilityError(
             f"exponential lost block structure (residual {res:.2e}); reduce |W|")
@@ -260,9 +252,10 @@ def _fix_column_phases(cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _order_degenerate(lams: np.ndarray, cols: np.ndarray, tol: float = 1e-8):
+def _order_degenerate(lams: np.ndarray, cols: np.ndarray, tol: float = 1e-12):
     """Sort descending by eigenvalue; break ties lexicographically by the
-    rounded column entries so the gauge is reproducible."""
+    rounded column entries so the gauge is reproducible.  A tie is a gap at
+    rounding level: a wider one (from 1e-9 up) is ordered by value."""
     order = list(range(len(lams)))
 
     def key(k):

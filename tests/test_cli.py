@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -8,6 +11,13 @@ import gaussqfi as gq
 from gaussqfi import cli
 from gaussqfi.errors import InvalidInputError
 from gaussqfi.optimizer import scaling_exponent
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def subprocess_env(**extra):
+    paths = [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths), **extra}
 
 
 def run_cli(tmp_path, capsys, command, config=None, extra=()):
@@ -224,11 +234,15 @@ def test_nan_custom_generator_exits_2(tmp_path, capsys):
 def test_non_finite_result_exits_3(tmp_path, capsys):
     # the f_plus factor overflows to inf / inf; the output must stay JSON,
     # and the error line is the only thing written to stderr
+    assert_exits_3_with_one_error_line(tmp_path, capsys, "qfi", fig2_config(lambda1=1e300))
+
+
+def assert_exits_3_with_one_error_line(tmp_path, capsys, command, config):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(fig2_config(lambda1=1e300)))
+    path.write_text(json.dumps(config))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = cli.main(["qfi", "--config", str(path)])
+        code = cli.main([command, "--config", str(path)])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
@@ -469,3 +483,63 @@ def test_output_file_and_determinism(tmp_path, capsys):
     assert cli.main(["qfi", "--config", str(path), "--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
+
+
+def test_scaling_overflow_exits_3(tmp_path, capsys):
+    # the batched fit overflows like the per-probe one did: one error line
+    config = {"schema": 1, "channel": {"kind": "phase"}, "family": "optimal-squeezing",
+              "n_grid": [1e300, 1e301, 1e302, 1e303]}
+    assert_exits_3_with_one_error_line(tmp_path, capsys, "scaling", config)
+
+
+def _fresh_process(argv, cwd):
+    proc = subprocess.run([sys.executable, "-m", "gaussqfi.cli", *argv], cwd=cwd,
+                          env=subprocess_env(COLUMNS="80"), capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_process(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_reuse_matches_fresh_process(tmp_path, capsys, monkeypatch):
+    # one parser serves every request of a process; no argument of an
+    # earlier request may leak into a later one
+    monkeypatch.setenv("COLUMNS", "80")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(fig2_config()))
+    seen = []
+
+    def spy(cfg, args):
+        seen.append((args.seed, args.output))
+        return cli.cmd_qfi(cfg, args)
+
+    monkeypatch.setitem(cli._HANDLERS, "qfi", spy)
+    first = tmp_path / "first.json"
+    code, _, _ = _in_process(["qfi", "--seed", "5", "--output", str(first),
+                              "--config", str(config)], capsys)
+    assert code == 0 and seen == [(5, str(first))]
+    later = [["qfi", "--seed", "x", "--config", str(config)],
+             ["--help"], ["qfi", "--help"], ["limits"], ["qfi", "--config", str(config)]]
+    codes = []
+    for argv in later:
+        got = _in_process(argv, capsys)
+        assert got == _fresh_process(argv, tmp_path), argv
+        codes.append(got[0])
+    assert codes == [2, 0, 0, 0, 0]
+    assert seen[-1] == (None, None)
+    assert json.loads(first.read_text()) == json.loads(_in_process(later[-1], capsys)[1])
+
+
+def test_parser_is_built_on_first_request_not_at_import(tmp_path):
+    probe = ("import gaussqfi.cli as c; n0 = c._parser.cache_info().currsize; "
+             "c.main(['limits']); c.main(['limits']); i = c._parser.cache_info(); "
+             "print(n0, i.currsize, i.misses, i.hits)")
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=subprocess_env(),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 1 1 1"

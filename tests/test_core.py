@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaussqfi as gq
+from gaussqfi._util import _complex_form
+from gaussqfi.core import STRUCTURE_ATOL
 from gaussqfi.errors import InvalidDimensionError, InvalidInputError, StructureError
-from conftest import random_state
+from gaussqfi.qfi import PMatrix
+from conftest import random_state, random_symplectic
 
 
 def test_k_matrix_one_mode():
@@ -191,3 +194,60 @@ def test_json_schema_fields():
 def test_state_from_dict_rejects_bad_pairs():
     with pytest.raises(StructureError):
         gq.state_from_dict({"modes": 1, "d_tilde": [[0, 0]], "sigma_X": [[1, 0], [0, 0]]})
+
+
+def _random_block(rng, n):
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+def _np_block(a, b):
+    return np.block([[a, b], [b.conj(), a.conj()]])
+
+
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_complex_form_views_match_np_block(n, seed):
+    # the preallocated assembler writes exactly what np.block stacks
+    rng = np.random.default_rng(seed)
+    s = random_symplectic(rng, n)
+    x, y = _random_block(rng, n), _random_block(rng, n)
+    w = gq.GeneratorW(x + x.conj().T, y + y.T)
+    state = random_state(rng, n)
+    p = PMatrix(_random_block(rng, n), _random_block(rng, n))
+    for view, a, b in ((s.matrix, s.alpha, s.beta), (w.matrix, w.x_block, w.y_block),
+                       (state.covariance, state.cov_x, state.cov_y),
+                       (p.matrix, p.r_block, p.q_block)):
+        assert view.dtype == complex
+        assert np.array_equal(view, _np_block(a, b))
+
+
+def _np_block_residual(sigma, n):
+    # reference: the block-conjugation residual as np.block assembles it
+    block = np.block([[sigma[n:, n:].conj(), sigma[n:, :n].conj()],
+                      [sigma[:n, n:].conj(), sigma[:n, :n].conj()]])
+    return np.max(np.abs(sigma - block))
+
+
+def test_block_conjugation_residual_text_is_pinned():
+    sigma = np.eye(4, dtype=complex)
+    sigma[0, 0] = 1.5
+    sigma[1, 3], sigma[3, 1] = 0.25 + 0.125j, 0.25 - 0.125j
+    assert gq.validate_moments(np.zeros(4), sigma) == [
+        "covariance lacks (X, Y) block-conjugation structure (residual 5.00e-01)",
+        "physicality violated: smallest symplectic eigenvalue 0.960143218484 < 1"]
+
+
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_block_conjugation_residual_text_unchanged(n, seed):
+    rng = np.random.default_rng(seed)
+    sigma = random_state(rng, n).covariance
+    # a Hermitian perturbation that breaks the (X, Y) block pattern
+    e = _random_block(rng, 2 * n) * 10.0 ** rng.uniform(-12, 0)
+    sigma = sigma + e + e.conj().T
+    res = _np_block_residual(sigma, n)
+    assert np.max(np.abs(sigma - _complex_form(sigma[:n, :n], sigma[:n, n:]))) == res
+    text = f"covariance lacks (X, Y) block-conjugation structure (residual {res:.2e})"
+    report = gq.validate_moments(np.zeros(2 * n), sigma)
+    lines = [line for line in report if "block-conjugation" in line]
+    assert lines == ([text] if res > STRUCTURE_ATOL else [])

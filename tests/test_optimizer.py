@@ -251,3 +251,32 @@ def test_conjecture_probe_mix_channel():
     assert not entry["flagged"]
     assert entry["f_d"] < 1e-3 and entry["f_th"] < 1e-3
     assert entry["best_qfi"] >= 32.0 - 1e-6
+
+
+def test_scaling_matches_per_probe_engine():
+    # one batched kernel call gives the per-probe engine values bit for bit
+    from gaussqfi.optimizer import SCALING_FAMILIES, _strategy_probe
+    from gaussqfi.qfi import qfi_unitary
+
+    grid = [0.5, 1.0, 3.0, 10.0, 40.0, 200.0]
+    chans = [gq.phase_channel(), gq.squeeze_channel(0.3),
+             gq.squeeze_channel(0.3, mode=1, modes=2), gq.mix_channel(0.3),
+             gq.twomode_squeeze_channel(0.3), gq.combined_channel(1.0, 0.5, 0.3)]
+    assert sorted({c.kind for c in chans}) == sorted(gq.channels.CATALOG)
+    accepted = 0
+    for channel in chans:
+        for family in SCALING_FAMILIES:
+            try:
+                probes = [_strategy_probe(channel, family, n) for n in grid]
+            except InvalidInputError:
+                with pytest.raises(InvalidInputError):
+                    scaling_exponent(channel, family, grid)
+                continue
+            accepted += 1
+            values = [qfi_unitary(p.to_probe_state(), channel).total for p in probes]
+            fit = scaling_exponent(channel, family, grid)
+            assert fit.qfi_values == tuple(values), (channel.kind, family)
+            tail = len(grid) // 2
+            slope, _ = np.polyfit(np.log(grid[tail:]), np.log(values[tail:]), 1)
+            assert fit.exponent == float(slope)
+    assert accepted == 14

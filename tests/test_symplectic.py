@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gaussqfi as gq
 from gaussqfi.errors import (
     InvalidInputError,
     StructureError,
 )
-from gaussqfi.symplectic import _exp_eig, _shift_series
+from gaussqfi.symplectic import RECONSTRUCTION_FAIL_RTOL, SymplecticMatrix, _exp_eig, \
+    _shift_series
 from conftest import random_covariance, random_symplectic, random_unitary
 
 
@@ -213,3 +216,25 @@ def test_williamson_eigenvalues_of_composition(rng):
         sigma = (s.matrix * np.concatenate([lams, lams])[None, :]) @ s.matrix.conj().T
         got = gq.williamson(sigma).eigenvalues
         assert np.allclose(got, lams, atol=1e-10)
+
+
+@given(st.integers(min_value=2, max_value=3), st.booleans(),
+       st.floats(min_value=-9.0, max_value=-6.0), st.floats(min_value=-9.0, max_value=-6.0),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_williamson_near_degenerate_round_trip(n, near_one, log_gap, log_offset, seed):
+    # two symplectic eigenvalues 1e-9 to 1e-6 apart, either near 1 (within
+    # 1e-9 to 1e-6 of the pure boundary) or in the thermal bulk
+    rng = np.random.default_rng(seed)
+    lams = rng.uniform(1.0, 4.0, n)
+    lams[0] = 1.0 + 10.0 ** log_offset if near_one else rng.uniform(1.5, 4.0)
+    lams[1] = lams[0] + 10.0 ** log_gap
+    s = random_symplectic(rng, n).matrix
+    sigma = (s * np.concatenate([lams, lams])[None, :]) @ s.conj().T
+    form = gq.williamson(sigma)
+    assert np.max(np.abs(form.covariance - sigma)) \
+        <= RECONSTRUCTION_FAIL_RTOL * max(1.0, np.max(np.abs(sigma)))
+    assert np.all(np.diff(form.eigenvalues) <= 0.0)
+    assert np.allclose(form.eigenvalues, np.sort(lams)[::-1], rtol=0.0, atol=1e-10)
+    SymplecticMatrix(form.s.alpha, form.s.beta)
+    assert gq.symplectic_residual(form.s) < 1e-10
