@@ -86,9 +86,12 @@ def _load_config(path: str) -> dict:
 
 def _number(value, what: str) -> float:
     try:
-        return float(value)
+        x = float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+    if not np.isfinite(x):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return x
 
 
 def _require(config: dict, key: str):
@@ -206,8 +209,6 @@ def cmd_sweep(config: dict, args) -> str:
     if not isinstance(grid, list) or not grid:
         raise ConfigError("sweep grid must be a non-empty list")
     grid = [_number(v, "sweep grid value") for v in grid]
-    if not all(np.isfinite(grid)):
-        raise ConfigError("sweep grid must contain finite values")
     if not (isinstance(path, str) and path.startswith(("probe.", "channel."))):
         raise ConfigError("sweep parameter must start with 'probe.' or 'channel.'")
     probe = _require(config, "probe")

@@ -1,7 +1,11 @@
 """Structured symplectic linear algebra: generator exponentials, the
-displacement integral, Williamson decomposition and Euler composition."""
+displacement integral, Williamson decomposition and Euler composition.
+
+Each exponential is one ``scipy.linalg.expm`` (Al-Mohy & Higham 2009); the
+displacement integral is read off an augmented one (Van Loan 1978)."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,12 +21,6 @@ from .errors import (
     StructureError,
 )
 
-# exp_generator falls back from the eigendecomposition path once the
-# eigenvector basis is worse conditioned than this.
-EIG_COND_LIMIT = 1e6
-# Relative singular-value cutoff below which iKW counts as singular and the
-# displacement integral switches to its series form.
-INVERTIBILITY_RTOL = 1e-10
 SYMPLECTIC_FAIL_ATOL = 1e-9
 RECONSTRUCTION_FAIL_RTOL = 1e-8
 
@@ -45,13 +43,17 @@ class SymplecticMatrix:
         b = _as_complex(self.beta, (n, n), "beta")
         if a.shape != (n, n):
             raise InvalidDimensionError("alpha must be square")
+        # roundoff in the defining products grows with the squared entry
+        # scale; NaN, inf or overflowing squares leave nothing to check
+        ma, mb = float(np.max(np.abs(a))), float(np.max(np.abs(b)))
+        scale = ma * ma + mb * mb
+        if not math.isfinite(scale):
+            raise StructureError("blocks must be finite, with squares that do not overflow")
         res = max(
             float(np.max(np.abs(a @ a.conj().T - b @ b.conj().T - np.eye(n)))),
             float(np.max(np.abs(a @ b.T - (a @ b.T).T))),
         )
-        # roundoff in the defining products grows with the squared entry scale
-        scale = max(1.0, float(np.max(np.abs(a))) ** 2 + float(np.max(np.abs(b))) ** 2)
-        if res > STRUCTURE_ATOL * scale:
+        if not res <= STRUCTURE_ATOL * max(1.0, scale):  # NaN fails
             raise StructureError(f"blocks violate the symplectic condition (residual {res:.2e})")
         object.__setattr__(self, "alpha", _freeze(a))
         object.__setattr__(self, "beta", _freeze(b))
@@ -147,29 +149,16 @@ class GeneratorW:
         return 1j * k_signs(self.modes)[:, None] * self.matrix
 
 
-def _exp_eig(a: np.ndarray):
-    """Eigendecomposition exponential; returns None when ill-conditioned."""
-    try:
-        vals, vecs = np.linalg.eig(a)
-        cond = np.linalg.cond(vecs)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.isfinite(cond) or cond > EIG_COND_LIMIT:
-        return None
-    return vecs @ (np.exp(vals)[:, None] * np.linalg.inv(vecs))
-
-
 def exp_generator(w: GeneratorW) -> SymplecticMatrix:
     """Symplectic matrix ``exp(iKW)`` of a quadratic generator.
 
-    Uses the eigendecomposition of iKW while its eigenvector basis is well
-    conditioned and falls back to scaling-and-squaring otherwise; both
-    paths are cross-checked in the test suite.
+    One ``scipy.linalg.expm`` of iKW; the result must be finite, keep the
+    block-conjugation structure and satisfy ``S K S^dag = K``.
     """
-    a = w.ikw()
-    m = _exp_eig(a)
-    if m is None:
-        m = scipy.linalg.expm(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = scipy.linalg.expm(w.ikw())
+    if not np.isfinite(m).all():
+        raise NumericalInstabilityError("exponential overflowed; reduce |W|")
     n = w.modes
     scale = max(1.0, float(np.max(np.abs(m))))
     res = float(np.max(np.abs(m - _complex_form(m[:n, :n], m[:n, n:]))))
@@ -187,33 +176,21 @@ def exp_generator(w: GeneratorW) -> SymplecticMatrix:
     return s
 
 
-def _shift_series(a: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Series ``sum_n a^n / (n+1)! gamma`` for the displacement integral."""
-    term = gamma.copy()
-    b = term.copy()
-    for n in range(1, 201):
-        term = (a @ term) / (n + 1)
-        b = b + term
-        if np.linalg.norm(term) < 1e-16 * max(np.linalg.norm(b), 1e-300):
-            return b
-    raise NumericalInstabilityError("displacement series did not converge in 200 terms")
-
-
 def displacement_shift(w: GeneratorW) -> np.ndarray:
     """Displacement ``b = (integral_0^1 exp(iKW t) dt) gamma``.
 
-    Evaluates the closed form ``(iKW)^{-1} (exp(iKW) - I) gamma`` when iKW
-    is safely invertible and the convergent series otherwise.
+    ``b`` is the last column of ``expm([[iKW, gamma], [0, 0]])`` (Van Loan
+    1978), exact for singular iKW and exactly zero for zero gamma.
     """
-    a = w.ikw()
-    gamma = w.gamma
-    if not np.any(gamma):
-        return np.zeros_like(gamma)
-    svals = np.linalg.svd(a, compute_uv=False)
-    if svals[-1] > INVERTIBILITY_RTOL * svals[0]:
-        s = exp_generator(w).matrix
-        return np.linalg.solve(a, (s - np.eye(a.shape[0])) @ gamma)
-    return _shift_series(a, gamma)
+    n2 = 2 * w.modes
+    aug = np.zeros((n2 + 1, n2 + 1), dtype=complex)
+    aug[:n2, :n2] = w.ikw()
+    aug[:n2, n2] = w.gamma
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = scipy.linalg.expm(aug)[:n2, n2]
+    if not np.isfinite(b).all():
+        raise NumericalInstabilityError("displacement integral overflowed; reduce |W|")
+    return b
 
 
 @dataclass(frozen=True)

@@ -69,15 +69,27 @@ def test_combined_reduces_to_phase(rng):
         assert np.allclose(a, b, atol=1e-13)
 
 
-def test_fast_path_matches_generic(rng):
-    from gaussqfi.symplectic import exp_generator
+def test_channel_symplectic_matches_closed_forms(rng):
+    for _ in range(40):
+        eps, chi = rng.uniform(-1.5, 1.5), rng.uniform(-np.pi, np.pi)
+        for spec, ref in (
+                (gq.phase_channel(), phase_matrix(eps)),
+                (gq.squeeze_channel(chi), squeeze_matrix(eps, chi)),
+                (gq.squeeze_channel(chi, mode=1, modes=2), squeeze_matrix(eps, chi, 1, 2)),
+                (gq.mix_channel(chi), mix_matrix(eps, chi)),
+                (gq.twomode_squeeze_channel(chi), twomode_squeeze_matrix(eps, chi))):
+            got = gq.channel_symplectic(spec, eps).matrix
+            assert np.max(np.abs(got - ref.matrix)) < 1e-13 * np.max(np.abs(ref.matrix))
 
-    for _ in range(200):
-        spec = catalog_channels(rng)[int(rng.integers(0, 6))]
-        eps = rng.uniform(-1.5, 1.5)
-        fast = gq.channel_symplectic(spec, eps).matrix
-        generic = exp_generator(spec.generator.scaled(eps)).matrix
-        assert np.max(np.abs(fast - generic)) < 1e-12 * max(1.0, np.max(np.abs(fast)))
+
+def test_combined_nilpotent_is_linear(rng):
+    # omega_p = omega_s: (iKW)^2 = 0, so S(eps) = I + eps iKW exactly
+    for _ in range(10):
+        omega, chi, eps = rng.uniform(-2, 2), rng.uniform(-np.pi, np.pi), rng.uniform(-1.5, 1.5)
+        spec = gq.combined_channel(omega, omega, chi)
+        want = np.eye(2) + eps * spec.generator.ikw()
+        got = gq.channel_symplectic(spec, eps).matrix
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
 def test_group_law_and_symplectic(rng):

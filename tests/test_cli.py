@@ -125,6 +125,10 @@ _ONE_MODE = {"kind": "one-mode", "r": 0.5}
     ("scaling", {"channel": _PHASE, "family": "optimal-squeezing",
                  "n_grid": [1, 2, 4, "x"]}),
     ("limits", {"n": [1, "x"]}),
+    ("closed-form", {"label": "universal-mix", "r": float("nan")}),
+    ("ellipse", {"epsilon": float("nan"), "probe": _ONE_MODE, "channel": _PHASE}),
+    ("ellipse", {"epsilon": float("inf"), "probe": _ONE_MODE, "channel": _PHASE}),
+    ("limits", {"n": [float("nan"), 1.0]}),
 ])
 def test_non_numeric_config_field_exits_2(tmp_path, capsys, command, config):
     code, out = run_cli(tmp_path, capsys, command, {"schema": 1, **config})
@@ -235,6 +239,23 @@ def test_non_finite_result_exits_3(tmp_path, capsys):
     # the f_plus factor overflows to inf / inf; the output must stay JSON,
     # and the error line is the only thing written to stderr
     assert_exits_3_with_one_error_line(tmp_path, capsys, "qfi", fig2_config(lambda1=1e300))
+
+
+@pytest.mark.parametrize("epsilon", [400.0, 800.0])
+def test_ellipse_overflow_exits_3(tmp_path, capsys, epsilon):
+    # cosh(400) overflows the symplectic check's products; cosh(800) overflows
+    # the exponential itself
+    config = {"schema": 1, "epsilon": epsilon, "probe": {"kind": "one-mode", "r": 0.3},
+              "channel": {"kind": "squeeze1-mode1"}}
+    assert_exits_3_with_one_error_line(tmp_path, capsys, "ellipse", config)
+
+
+def test_ellipse_custom_drive_overflow_exits_3(tmp_path, capsys):
+    channel = {"kind": "custom", "custom_W": {
+        "X": [[0.0, 0.0]], "Y": [[0.0, 0.5]], "gamma": [[0.5, -0.2]]}}
+    config = {"schema": 1, "epsilon": 2000.0, "probe": {"kind": "one-mode", "r": 0.3},
+              "channel": channel}
+    assert_exits_3_with_one_error_line(tmp_path, capsys, "ellipse", config)
 
 
 def assert_exits_3_with_one_error_line(tmp_path, capsys, command, config):

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 import gaussqfi as gq
 from gaussqfi.errors import (
     InvalidInputError,
+    NumericalInstabilityError,
     StructureError,
 )
-from gaussqfi.symplectic import RECONSTRUCTION_FAIL_RTOL, SymplecticMatrix, _exp_eig, \
-    _shift_series
+from gaussqfi.symplectic import RECONSTRUCTION_FAIL_RTOL, SymplecticMatrix
 from conftest import random_covariance, random_symplectic, random_unitary
 
 
@@ -29,6 +29,30 @@ def test_generator_rejects_non_finite(field, bad):
     parts[field].flat[0] = bad
     with pytest.raises(InvalidInputError, match="finite"):
         gq.GeneratorW(**parts)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["alpha", "beta"])
+def test_symplectic_matrix_rejects_non_finite(field, bad):
+    parts = {"alpha": np.eye(2, dtype=complex), "beta": np.zeros((2, 2), dtype=complex)}
+    parts[field].flat[0] = bad
+    with pytest.raises(StructureError, match="finite"):
+        SymplecticMatrix(**parts)
+
+
+def test_symplectic_matrix_rejects_overflowing_squares():
+    # squeezing by r = 400 is symplectic, but its defining products overflow
+    ch, sh = np.cosh(400.0), np.sinh(400.0)
+    with pytest.raises(StructureError, match="overflow"):
+        SymplecticMatrix(np.array([[ch]]), np.array([[-sh]]))
+
+
+@pytest.mark.parametrize("gamma", [False, True])
+def test_exp_overflow_raises(gamma):
+    w = gq.GeneratorW(np.zeros((1, 1)), np.array([[1000j]]),
+                      np.array([1.0]) if gamma else None)
+    with pytest.raises(NumericalInstabilityError, match="overflow"):
+        (gq.displacement_shift if gamma else gq.exp_generator)(w)
 
 
 def test_exp_zero_generator_is_identity():
@@ -53,17 +77,9 @@ def test_exp_squeeze_generator():
 
 
 def test_exp_paths_cross_check(rng):
-    import scipy.linalg
-
     for _ in range(50):
         n = int(rng.integers(1, 4))
-        w = random_generator(rng, n)
-        a = w.ikw()
-        via_eig = _exp_eig(a)
-        via_pade = scipy.linalg.expm(a)
-        if via_eig is not None:
-            assert np.max(np.abs(via_eig - via_pade)) < 1e-9 * max(1, np.max(np.abs(via_pade)))
-        s = gq.exp_generator(w)
+        s = gq.exp_generator(random_generator(rng, n))
         assert gq.symplectic_residual(s) < 1e-11
 
 
@@ -103,14 +119,40 @@ def test_shift_zero_gamma_returns_zero(rng):
     assert np.array_equal(gq.displacement_shift(w), np.zeros(4, dtype=complex))
 
 
-def test_shift_paths_agree(rng):
-    for _ in range(100):
+def test_shift_matches_quadrature(rng):
+    # 30-node Gauss-Legendre rule for integral_0^1 expm(t iKW) gamma dt
+    import scipy.linalg
+
+    nodes, weights = np.polynomial.legendre.leggauss(30)
+    ts, ws = (nodes + 1) / 2, weights / 2
+    for _ in range(50):
         n = int(rng.integers(1, 3))
         w = random_generator(rng, n, gamma=True)
         a = w.ikw()
-        closed = gq.displacement_shift(w)
-        series = _shift_series(a, w.gamma)
-        assert np.max(np.abs(closed - series)) < 1e-12 * max(1.0, np.max(np.abs(closed)))
+        quad = sum(wt * scipy.linalg.expm(t * a) @ w.gamma for t, wt in zip(ts, ws))
+        b = gq.displacement_shift(w)
+        assert np.max(np.abs(b - quad)) < 1e-13 * max(1.0, np.max(np.abs(quad)))
+
+
+def test_shift_nearly_singular_generator():
+    # iKW = diag(i, i 1e-9, -i, -i 1e-9): b_k = expm1(a_k) / a_k gamma_k exactly
+    w = gq.GeneratorW(np.diag([1.0, 1e-9]), np.zeros((2, 2)),
+                      np.array([0.3 - 0.1j, 0.7 + 0.2j]))
+    a = np.diag(w.ikw())
+    want = np.expm1(a) / a * w.gamma
+    b = gq.displacement_shift(w)
+    assert np.max(np.abs(b - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def test_shift_nilpotent_generator():
+    # omega_p = omega_s: (iKW)^2 = 0, so b = gamma + iKW gamma / 2
+    w = gq.combined_channel(0.8, 0.8, 0.4).generator
+    w = gq.GeneratorW(w.x_block, w.y_block, np.array([0.5 - 0.3j]))
+    a = w.ikw()
+    assert np.max(np.abs(a @ a)) < 1e-15
+    want = w.gamma + a @ w.gamma / 2
+    b = gq.displacement_shift(w)
+    assert np.max(np.abs(b - want)) < 1e-13 * np.max(np.abs(want))
 
 
 def test_symplectic_inverse_and_compose(rng):
