@@ -23,10 +23,10 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _complex_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``[[a, b], [conj b, conj a]]`` from ``N x N`` blocks (leading axes
-    are batch axes), written into one preallocated array."""
-    n = a.shape[-1]
-    out = np.empty(a.shape[:-2] + (2 * n, 2 * n), dtype=complex)
-    out[..., :n, :n], out[..., :n, n:] = a, b
-    out[..., n:, :n], out[..., n:, n:] = np.conj(b), np.conj(a)
+    """``[[a, b], [conj b, conj a]]`` from ``(N, N, ...)`` blocks (trailing
+    axes are batch axes), written into one preallocated array."""
+    n = a.shape[0]
+    out = np.empty((2 * n, 2 * n) + a.shape[2:], dtype=complex)
+    out[:n, :n], out[:n, n:] = a, b
+    out[n:, :n], out[n:, n:] = np.conj(b), np.conj(a)
     return out

@@ -27,13 +27,21 @@ from ._util import _as_complex, _check_finite, _complex_form, _freeze
 from .errors import InvalidDimensionError, StructureError
 
 # Gate for accepting nearly-Hermitian / nearly-symmetric blocks at
-# construction; accepted blocks are symmetrized exactly.
+# construction (accepted blocks are symmetrized exactly) and for the
+# imaginary residue of a real-form map, relative to the largest entry
+# (see exceeds_structure_tol).
 STRUCTURE_ATOL = 1e-8
-# Residual imaginary part allowed when a complex-form object is mapped to
-# the real form.
-IMAG_RESIDUE_ATOL = 1e-9
 # Symplectic eigenvalues >= 1 - PHYSICALITY_TOL count as physical.
 PHYSICALITY_TOL = 1e-9
+
+
+def exceeds_structure_tol(res: float, *arrays) -> bool:
+    """Whether a structure residual exceeds ``STRUCTURE_ATOL`` scaled by the
+    largest entry of ``arrays`` (at least 1).  Roundoff in a residual grows
+    with the entries it comes from, so a fixed gate would refuse valid large
+    inputs.  The scale is computed only for a residual past the fixed gate."""
+    return res > STRUCTURE_ATOL and res > STRUCTURE_ATOL * max(
+        1.0, *(float(np.max(np.abs(a))) for a in arrays))
 
 
 def k_matrix(modes: int) -> np.ndarray:
@@ -82,9 +90,9 @@ class GaussianState:
         x = _as_complex(self.cov_x, (n, n), "cov_x")
         y = _as_complex(self.cov_y, (n, n), "cov_y")
         _check_finite("state moment", d, x, y)
-        if np.max(np.abs(x - x.conj().T)) > STRUCTURE_ATOL:
+        if exceeds_structure_tol(np.max(np.abs(x - x.conj().T)), x, y):
             raise StructureError("cov_x block must be Hermitian")
-        if np.max(np.abs(y - y.T)) > STRUCTURE_ATOL:
+        if exceeds_structure_tol(np.max(np.abs(y - y.T)), x, y):
             raise StructureError("cov_y block must be symmetric")
         object.__setattr__(self, "d_tilde", _freeze(d))
         object.__setattr__(self, "cov_x", _freeze((x + x.conj().T) / 2))
@@ -138,13 +146,13 @@ class GaussianState:
 def _structure_report(d: np.ndarray, sigma: np.ndarray, n: int) -> list:
     report = []
     res = np.max(np.abs(d[n:] - d[:n].conj()))
-    if res > STRUCTURE_ATOL:
+    if exceeds_structure_tol(res, d):
         report.append(f"displacement lacks conjugate-pair structure (residual {res:.2e})")
     res = np.max(np.abs(sigma - sigma.conj().T))
-    if res > STRUCTURE_ATOL:
+    if exceeds_structure_tol(res, sigma):
         report.append(f"covariance is not Hermitian (residual {res:.2e})")
     res = np.max(np.abs(sigma - _complex_form(sigma[:n, :n], sigma[:n, n:])))
-    if res > STRUCTURE_ATOL:
+    if exceeds_structure_tol(res, sigma):
         report.append(f"covariance lacks (X, Y) block-conjugation structure (residual {res:.2e})")
     return report
 
@@ -193,13 +201,13 @@ def complex_to_real(state: GaussianState):
     """Map a state to real-form moments ``(d_re, sigma_re)``.
 
     Ordering is ``(x_1..x_N, p_1..p_N)``; the output is checked to be real
-    to IMAG_RESIDUE_ATOL and the imaginary residue is discarded.
+    to ``exceeds_structure_tol`` and the imaginary residue is discarded.
     """
     el = l_matrix(state.modes)
     d_re = el @ state.displacement
     sigma_re = el @ state.covariance @ el.conj().T
     res = max(np.max(np.abs(d_re.imag)), np.max(np.abs(sigma_re.imag)))
-    if res > IMAG_RESIDUE_ATOL:
+    if exceeds_structure_tol(res, d_re, sigma_re):
         raise StructureError(
             f"complex-form input maps to non-real moments (imag residue {res:.2e})")
     return d_re.real, sigma_re.real
@@ -211,7 +219,7 @@ def complex_to_real_matrix(matrix: np.ndarray) -> np.ndarray:
     n = m.shape[0] // 2
     el = l_matrix(n)
     out = el @ m @ el.conj().T
-    if np.max(np.abs(out.imag)) > IMAG_RESIDUE_ATOL:
+    if exceeds_structure_tol(np.max(np.abs(out.imag)), out):
         raise StructureError("matrix lacks the block-conjugation structure")
     return out.real
 
@@ -231,7 +239,7 @@ def real_to_complex(displacement_re, covariance_re) -> GaussianState:
     if d_re.shape[0] % 2 != 0 or sig_re.shape != (d_re.shape[0], d_re.shape[0]):
         raise InvalidDimensionError(
             f"inconsistent real-form shapes {d_re.shape} / {sig_re.shape}")
-    if np.max(np.abs(sig_re - sig_re.T)) > STRUCTURE_ATOL:
+    if exceeds_structure_tol(np.max(np.abs(sig_re - sig_re.T)), sig_re):
         raise StructureError("real-form covariance must be symmetric")
     n = d_re.shape[0] // 2
     el = l_matrix(n)

@@ -67,8 +67,8 @@ def _thermal_diag(lam: float, cutoff: int) -> np.ndarray:
         p = np.zeros(cutoff)
         p[0] = 1.0
         return p
-    ks = np.arange(cutoff)
-    return n_th ** ks / (1.0 + n_th) ** (ks + 1)
+    # the ratio's powers underflow gently where n_th ** k would overflow
+    return (n_th / (1.0 + n_th)) ** np.arange(cutoff) / (1.0 + n_th)
 
 
 def _rotation_phases(theta: float, cutoff: int) -> np.ndarray:

@@ -243,13 +243,13 @@ class LockstepResult:
         return bool(self.converged.all())
 
 
-def _value_and_gradient(fun, x: np.ndarray):
-    """``fun`` at every row of ``x`` (B, dim) and its central-difference
-    gradient, from one call on the ``2 dim + 1`` points of each row."""
+def _gradient(fun, x: np.ndarray) -> np.ndarray:
+    """Central-difference gradient of ``fun`` at every row of ``x``
+    (B, dim), from one call on the ``2 dim`` offset points of each row."""
     b, n = x.shape
-    offsets = _DIFF_STEP * np.concatenate([np.zeros((1, n)), np.eye(n), -np.eye(n)])
-    f = fun((x[:, None, :] + offsets).reshape(-1, n)).reshape(b, 2 * n + 1)
-    return f[:, 0], (f[:, 1:n + 1] - f[:, n + 1:]) / (2 * _DIFF_STEP)
+    offsets = _DIFF_STEP * np.concatenate([np.eye(n), -np.eye(n)])
+    f = fun((x[:, None, :] + offsets).reshape(-1, n)).reshape(b, 2 * n)
+    return (f[:, :n] - f[:, n:]) / (2 * _DIFF_STEP)
 
 
 def minimize(fun, x0: np.ndarray) -> LockstepResult:
@@ -259,14 +259,15 @@ def minimize(fun, x0: np.ndarray) -> LockstepResult:
     batch.  Each iteration makes two calls: the ``_TRIAL_STEPS`` along
     each active restart's quasi-Newton direction (steepest descent where
     that does not descend), of which the lowest passing the Armijo test
-    is taken, then the central-difference gradients there.  A restart
+    is taken, then the central-difference gradients there (the value there
+    is the accepted trial's, each row being computed alone).  A restart
     converges when its step gains at most ``TOL * max(1, |f|)`` or no step
     passes; it stops unconverged on a non-finite gradient or at ``MAX_ITER``.
     """
     x = np.array(x0, dtype=float)
     b, n = x.shape
     eye = np.eye(n)
-    f, g = _value_and_gradient(fun, x)
+    f, g = fun(x), _gradient(fun, x)
     nfev = b * (2 * n + 1)
     hess = np.repeat(eye[None], b, axis=0)  # inverse Hessian estimates
     active = np.isfinite(g).all(axis=1)
@@ -292,8 +293,9 @@ def minimize(fun, x0: np.ndarray) -> LockstepResult:
         rows, s = rows[~done], _TRIAL_STEPS[k[~done], None] * p[~done]
         if not rows.size:
             break
-        f[rows], g_new = _value_and_gradient(fun, x[rows])
-        nfev += len(rows) * (2 * n + 1)
+        # the value at the accepted point is the trial value already taken
+        g_new = _gradient(fun, x[rows])
+        nfev += len(rows) * 2 * n
         y, g[rows] = g_new - g[rows], g_new
         active[rows] = np.isfinite(g_new).all(axis=1)
         sy = np.sum(s * y, axis=1)

@@ -6,7 +6,8 @@ restricted two-mode family applies local rotations, a beam splitter, an
 asymmetric rotation and local squeezers to a two-mode thermal core:
 ``S_0 = R_1(phi1) R_2(phi2) B(theta) R_as(psi) S_1(r1) S_2(r2)``.
 Each class's static ``arrays`` builds this data for a batch of field
-values; ``to_probe_state`` and the optimizer's objective both use it.
+values, with the batch on the trailing axis of every array; ``to_probe_state``
+and the optimizer's objective both use it.
 """
 from __future__ import annotations
 
@@ -30,16 +31,16 @@ def _check_finite(params):
 
 def _squeezed(u: np.ndarray, r: np.ndarray) -> np.ndarray:
     """``S_0 = blkdiag(u, conj u) S(r)`` from passive unitaries ``u``
-    (B, N, N) and squeezing parameters ``r`` (B, N)."""
-    return _complex_form(u * np.cosh(r)[:, None, :], -u * np.sinh(r)[:, None, :])
+    (N, N, B) and squeezing parameters ``r`` (N, B)."""
+    return _complex_form(u * np.cosh(r)[None], -u * np.sinh(r)[None])
 
 
 def _probe_state(params) -> ProbeState:
     # one symplectic check, on the finished S_0
     s0, lams, d_tilde = params.arrays(*np.array([list(vars(params).values())]).T)
-    n = lams.shape[1]
-    s = SymplecticMatrix(s0[0, :n, :n], s0[0, :n, n:])
-    return ProbeState(WilliamsonForm(s, lams[0]), d_tilde[0])
+    n = lams.shape[0]
+    s = SymplecticMatrix(s0[:n, :n, 0], s0[:n, n:, 0])
+    return ProbeState(WilliamsonForm(s, lams[:, 0]), d_tilde[:, 0])
 
 
 @dataclass(frozen=True)
@@ -62,11 +63,11 @@ class OneModeProbeParams:
     @staticmethod
     def arrays(lambda1, r, theta, d_mag, phi_d):
         """Raw Williamson data of a batch of probes, one (B,) array per
-        field: ``s0`` (B, 2, 2), ``lams`` (B, 1) and ``d_tilde`` (B, 1),
+        field: ``s0`` (2, 2, B), ``lams`` (1, B) and ``d_tilde`` (1, B),
         the inputs of ``qfi.qfi_kernel``.  Nothing is checked."""
-        u = np.exp(-1j * theta)[:, None, None]
-        return (_squeezed(u, r[:, None]), lambda1[:, None],
-                (d_mag * np.exp(1j * phi_d))[:, None])
+        u = np.exp(-1j * theta)[None, None]
+        return (_squeezed(u, r[None]), lambda1[None],
+                (d_mag * np.exp(1j * phi_d))[None])
 
     def to_probe_state(self) -> ProbeState:
         return _probe_state(self)
@@ -104,18 +105,18 @@ class TwoModeProbeParams:
     def arrays(lambda1, lambda2, r1, r2, theta, psi, phi1, phi2,
                d1_mag, d2_mag, phi_d1, phi_d2):
         """Raw Williamson data of a batch of probes, one (B,) array per
-        field: ``s0`` (B, 4, 4), ``lams`` (B, 2) and ``d_tilde`` (B, 2),
+        field: ``s0`` (4, 4, B), ``lams`` (2, B) and ``d_tilde`` (2, B),
         the inputs of ``qfi.qfi_kernel``.  Nothing is checked."""
         # the passive part R_1(phi1) R_2(phi2) B(theta) R_as(psi)
         ct, st = np.cos(theta), np.sin(theta)
         e1, e2 = np.exp(-1j * phi1), np.exp(-1j * phi2)
         ep, em = np.exp(-1j * psi), np.exp(1j * psi)
-        u = np.moveaxis(np.array([[e1 * ct * ep, e1 * st * em],
-                                  [-e2 * st * ep, e2 * ct * em]]), -1, 0)
+        u = np.array([[e1 * ct * ep, e1 * st * em],
+                      [-e2 * st * ep, e2 * ct * em]])
         d_tilde = np.stack([d1_mag * np.exp(1j * phi_d1),
-                            d2_mag * np.exp(1j * phi_d2)], axis=1)
-        return (_squeezed(u, np.stack([r1, r2], axis=1)),
-                np.stack([lambda1, lambda2], axis=1), d_tilde)
+                            d2_mag * np.exp(1j * phi_d2)])
+        return (_squeezed(u, np.stack([r1, r2])),
+                np.stack([lambda1, lambda2]), d_tilde)
 
     def to_probe_state(self) -> ProbeState:
         return _probe_state(self)

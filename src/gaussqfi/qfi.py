@@ -7,8 +7,10 @@ Two evaluation paths are provided:
   generator; the result needs no channel parameter value because the QFI
   of a one-parameter group is the same at every point.  It validates its
   inputs and calls ``qfi_kernel``, the raw-array form of the same formula
-  that broadcasts over leading axes; the optimizer evaluates whole
-  batches of candidate probes through that kernel.
+  with the probe batch on the trailing axis of every array; the optimizer
+  evaluates whole batches of candidate probes through that kernel, whose
+  small 2N axes are contracted as elementwise products of length-B
+  vectors.
 * ``qfi_general`` - the raw formula with caller-supplied derivatives of
   the Williamson data, used as a finite-difference cross-check and for
   encodings outside the group framework.
@@ -120,12 +122,13 @@ class QfiBreakdown:
 
 
 def _mode_factors(lams: np.ndarray):
-    """Pairwise eigenvalue factors with the pure-pure zero convention."""
-    li = lams[..., :, None]
-    lj = lams[..., None, :]
+    """Pairwise eigenvalue factors with the pure-pure zero convention, from
+    ``lams`` (N, ...) to (N, N, ...); trailing axes are batch axes."""
+    li = lams[:, None]
+    lj = lams[None, :]
     prod = li * lj
-    f_minus = np.where(prod - 1.0 < DEGENERACY_TOL, 0.0,
-                       (li - lj) ** 2 / np.where(prod - 1.0 < DEGENERACY_TOL, 1.0, prod - 1.0))
+    pure = prod - 1.0 < DEGENERACY_TOL
+    f_minus = np.where(pure, 0.0, (li - lj) ** 2 / np.where(pure, 1.0, prod - 1.0))
     f_plus = (li + lj) ** 2 / (prod + 1.0)
     return f_minus, f_plus
 
@@ -141,38 +144,65 @@ def p_matrix(probe: ProbeState, channel: ChannelSpec) -> PMatrix:
     return PMatrix(p[:n, :n], p[:n, n:])
 
 
+def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``sum_k a[i, k] b[k, j]`` over the two leading axes, batch axes
+    trailing: one elementwise multiply-add per k over contiguous batch
+    vectors, in order of k.  Each column is computed alone, so its value
+    does not depend on the batch it is in."""
+    out = a[:, 0, None] * b[None, 0]
+    for k in range(1, b.shape[0]):
+        out += a[:, k, None] * b[None, k]
+    return out
+
+
+def _leading_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the two leading axes of ``x`` (I, J, ...) in a fixed order
+    (``np.sum`` may pair terms differently for different batch sizes)."""
+    return sum(x.reshape((-1,) + x.shape[2:]))
+
+
 def qfi_kernel(s0: np.ndarray, lams: np.ndarray, d_tilde: np.ndarray,
                ikw: np.ndarray, gamma: np.ndarray):
-    """Group-framework QFI terms from raw arrays, broadcast over leading axes.
+    """Group-framework QFI terms from raw arrays, batch axes trailing.
 
     Args:
-        s0: Williamson factors ``S_0``, shape ``(..., 2N, 2N)``.
-        lams: symplectic eigenvalues, shape ``(..., N)``.
-        d_tilde: first half of the complex-form displacement, ``(..., N)``.
+        s0: Williamson factors ``S_0``, shape ``(2N, 2N, ...)``.
+        lams: symplectic eigenvalues, shape ``(N, ...)``.
+        d_tilde: first half of the complex-form displacement, ``(N, ...)``.
         ikw: the channel generator's ``iKW`` (``2N x 2N``).
         gamma: the generator's linear part (length ``2N``).
 
     Returns ``(r_term, q_term, disp_term)``, each of shape ``(...)``.  No
     input is checked: ``qfi_unitary`` is the validated entry point.
-    """
-    n = lams.shape[-1]
-    # symplectic inverse K S0^dag K: conjugate transpose, off blocks negated
-    s0inv = np.conj(np.swapaxes(s0, -1, -2))
-    s0inv[..., :n, n:] *= -1.0
-    s0inv[..., n:, :n] *= -1.0
-    p = s0inv @ ikw @ s0
-    f_minus, f_plus = _mode_factors(lams)
-    r_block, q_block = p[..., :n, :n], p[..., :n, n:]
-    r_term = np.sum(f_minus * (r_block.real ** 2 + r_block.imag ** 2), axis=(-2, -1))
-    q_term = np.sum(f_plus * (q_block.real ** 2 + q_block.imag ** 2), axis=(-2, -1))
 
-    d0 = np.concatenate([d_tilde, np.conj(d_tilde)], axis=-1)
-    # matrix-vector products as stacked matmuls: each row of a batch is
-    # then computed alone, so a value never depends on the batch it is in
-    v = (ikw @ d0[..., None])[..., 0] + gamma
-    u = (s0inv @ v[..., None])[..., 0]
-    d_full = np.concatenate([lams, lams], axis=-1)
-    disp_term = 2.0 * np.sum((u.real ** 2 + u.imag ** 2) / d_full, axis=-1)
+    Only the top N rows of ``P = S_0^{-1} iKW S_0`` and of
+    ``u = S_0^{-1} v`` are formed.  ``S_0``, ``iKW`` and their products
+    have the block-conjugation form ``[[a, b], [conj b, conj a]]``, and
+    ``v = iKW d_0 + gamma`` is ``(w, conj w)``, so the bottom rows only
+    repeat the top ones conjugated: the R and Q blocks are P's top rows,
+    and ``2 v^dag sigma_0^{-1} v = 4 sum_top |u|^2 / lams``.  Both come
+    from one product ``T = S_0^{-1} [iKW | gamma]``:
+    ``P = T[:, :2N] S_0`` and ``u = T[:, :2N] d_0 + T[:, 2N]``.  Each
+    contraction is a sequence of elementwise multiply-adds over the batch
+    (never a BLAS product across it), so a probe's value does not depend
+    on the batch it is in.
+    """
+    n = lams.shape[0]
+    # top rows [A^dag, -B^T] of the symplectic inverse K S0^dag K
+    s0inv_top = np.concatenate([np.conj(s0[:n, :n].swapaxes(0, 1)),
+                                -s0[:n, n:].swapaxes(0, 1)], axis=1)
+    ext = np.concatenate([ikw, gamma[:, None]], axis=1)
+    t = _contract(s0inv_top, ext.reshape(ext.shape + (1,) * (s0.ndim - 2)))
+    t_ikw = t[:, :2 * n]
+    p_top = _contract(t_ikw, s0)
+    d0 = np.concatenate([d_tilde, np.conj(d_tilde)])
+    u = _contract(t_ikw, d0[:, None])[:, 0] + t[:, 2 * n]
+
+    f_minus, f_plus = _mode_factors(lams)
+    p_abs2 = p_top.real ** 2 + p_top.imag ** 2
+    r_term = _leading_sum(f_minus * p_abs2[:, :n])
+    q_term = _leading_sum(f_plus * p_abs2[:, n:])
+    disp_term = 4.0 * sum((u.real ** 2 + u.imag ** 2) / lams)
     return r_term, q_term, disp_term
 
 

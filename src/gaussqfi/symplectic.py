@@ -7,12 +7,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from ._util import _as_complex, _check_finite, _complex_form, _freeze
-from .core import k_signs, STRUCTURE_ATOL
+from .core import STRUCTURE_ATOL, exceeds_structure_tol, k_signs
 from .errors import (
     DecompositionFailureError,
     InvalidDimensionError,
@@ -86,7 +87,7 @@ class SymplecticMatrix:
             raise InvalidDimensionError(f"matrix must be 2N x 2N, got {m.shape}")
         n = m.shape[0] // 2
         res = float(np.max(np.abs(m - _complex_form(m[:n, :n], m[:n, n:]))))
-        if res > STRUCTURE_ATOL:
+        if exceeds_structure_tol(res, m):
             raise StructureError(f"matrix lacks block-conjugation structure (residual {res:.2e})")
         return cls(m[:n, :n], m[:n, n:])
 
@@ -120,9 +121,9 @@ class GeneratorW:
         if g.shape != (n,):
             raise InvalidDimensionError(f"gamma_tilde must have length {n}")
         _check_finite("generator", x, y, g)
-        if np.max(np.abs(x - x.conj().T)) > STRUCTURE_ATOL:
+        if exceeds_structure_tol(np.max(np.abs(x - x.conj().T)), x, y):
             raise StructureError("X block must be Hermitian")
-        if np.max(np.abs(y - y.T)) > STRUCTURE_ATOL:
+        if exceeds_structure_tol(np.max(np.abs(y - y.T)), x, y):
             raise StructureError("Y block must be symmetric")
         object.__setattr__(self, "x_block", _freeze((x + x.conj().T) / 2))
         object.__setattr__(self, "y_block", _freeze((y + y.T) / 2))
@@ -136,17 +137,22 @@ class GeneratorW:
     def matrix(self) -> np.ndarray:
         return _complex_form(self.x_block, self.y_block)
 
-    @property
+    @cached_property
     def gamma(self) -> np.ndarray:
-        return np.concatenate([self.gamma_tilde, self.gamma_tilde.conj()])
+        return _freeze(np.concatenate([self.gamma_tilde, self.gamma_tilde.conj()]))
 
     def scaled(self, factor: float) -> "GeneratorW":
         return GeneratorW(factor * self.x_block, factor * self.y_block,
                           factor * self.gamma_tilde)
 
     def ikw(self) -> np.ndarray:
-        """The matrix ``iKW`` generating the symplectic flow."""
-        return 1j * k_signs(self.modes)[:, None] * self.matrix
+        """The matrix ``iKW`` generating the symplectic flow (read-only)."""
+        return self._ikw
+
+    # formed on first use: every QFI evaluation of a channel reads iKW and gamma
+    @cached_property
+    def _ikw(self) -> np.ndarray:
+        return _freeze(1j * k_signs(self.modes)[:, None] * self.matrix)
 
 
 def exp_generator(w: GeneratorW) -> SymplecticMatrix:
@@ -256,7 +262,7 @@ def williamson(sigma: np.ndarray) -> WilliamsonForm:
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
         raise InvalidDimensionError(f"covariance must be 2N x 2N, got {sigma.shape}")
     n = sigma.shape[0] // 2
-    if np.max(np.abs(sigma - sigma.conj().T)) > STRUCTURE_ATOL:
+    if exceeds_structure_tol(np.max(np.abs(sigma - sigma.conj().T)), sigma):
         raise InvalidInputError("covariance must be Hermitian")
     evals, evecs = np.linalg.eigh((sigma + sigma.conj().T) / 2)
     if evals[0] <= 0:
@@ -299,7 +305,7 @@ class EulerFactors:
         if r.shape != (n,):
             raise InvalidDimensionError("squeezings must have one entry per mode")
         for name, u in (("u1", u1), ("u2", u2)):
-            if np.max(np.abs(u @ u.conj().T - np.eye(n))) > STRUCTURE_ATOL:
+            if exceeds_structure_tol(np.max(np.abs(u @ u.conj().T - np.eye(n))), u):
                 raise InvalidInputError(f"{name} must be unitary")
         object.__setattr__(self, "u1", _freeze(u1))
         object.__setattr__(self, "u2", _freeze(u2))

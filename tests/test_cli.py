@@ -250,6 +250,43 @@ def test_ellipse_overflow_exits_3(tmp_path, capsys, epsilon):
     assert_exits_3_with_one_error_line(tmp_path, capsys, "ellipse", config)
 
 
+def _ellipse_rows(out, size):
+    rows = {}
+    for line in out.strip().splitlines()[1:]:
+        name, i, j, value = line.split(",")
+        rows.setdefault(name, np.zeros((size, size)))[int(i), int(j)] = float(value)
+    return rows
+
+
+@pytest.mark.parametrize("epsilon", [17.0, 100.0, 350.0])
+def test_ellipse_large_squeeze_exits_0(tmp_path, capsys, epsilon):
+    # entries near exp(epsilon) leave an imaginary roundoff in the real-form
+    # map that a fixed 1e-9 gate refused from epsilon 17 up
+    config = {"schema": 1, "epsilon": epsilon, "probe": {"kind": "one-mode", "r": 0.3},
+              "channel": {"kind": "squeeze1-mode1"}}
+    code, out = run_cli(tmp_path, capsys, "ellipse", config)
+    assert code == 0
+    after = _ellipse_rows(out, 2)["sigma_re_after"]
+    expected = np.exp(0.6 + 2.0 * epsilon)
+    assert abs(after[1, 1] - expected) <= 1e-9 * expected
+
+
+def test_ellipse_phase_on_large_squeezed_probe_exits_0(tmp_path, capsys):
+    # at r = 10 the probe's real-form moments carry an imaginary roundoff
+    # of about 5e-9, relative 2e-17 of the entries
+    eps = 0.2
+    config = {"schema": 1, "epsilon": eps,
+              "probe": {"kind": "one-mode", "r": 10.0, "theta": 0.3},
+              "channel": {"kind": "phase"}}
+    code, out = run_cli(tmp_path, capsys, "ellipse", config)
+    assert code == 0
+    rows = _ellipse_rows(out, 2)
+    rot = np.array([[np.cos(eps), np.sin(eps)], [-np.sin(eps), np.cos(eps)]])
+    before = rows["sigma_re_before"]
+    scale = np.max(np.abs(before))
+    assert np.max(np.abs(rows["sigma_re_after"] - rot @ before @ rot.T)) <= 1e-12 * scale
+
+
 def test_ellipse_custom_drive_overflow_exits_3(tmp_path, capsys):
     channel = {"kind": "custom", "custom_W": {
         "X": [[0.0, 0.0]], "Y": [[0.0, 0.5]], "gamma": [[0.5, -0.2]]}}

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import gaussqfi as gq
 from gaussqfi._util import _complex_form
-from gaussqfi.core import STRUCTURE_ATOL
+from gaussqfi.core import STRUCTURE_ATOL, exceeds_structure_tol
 from gaussqfi.errors import InvalidDimensionError, InvalidInputError, StructureError
 from gaussqfi.qfi import PMatrix
 from conftest import random_state, random_symplectic
@@ -57,6 +57,25 @@ def test_constructor_rejects_non_hermitian_block():
     x = np.array([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(StructureError):
         gq.GaussianState(np.zeros(2), x, np.zeros((2, 2)))
+
+
+def test_constructor_accepts_large_squeezed_covariance():
+    # at r = 12 the covariance entries reach about 1e10, and the Williamson
+    # product leaves a Hermitian residue far above a fixed 1e-8
+    probe = gq.OneModeProbeParams(r=12.0, theta=0.3).to_probe_state()
+    sigma = probe.williamson.covariance
+    assert np.max(np.abs(sigma - sigma.conj().T)) > STRUCTURE_ATOL
+    state = probe.to_state()
+    assert np.max(np.abs(state.covariance - sigma)) <= STRUCTURE_ATOL * np.max(np.abs(sigma))
+
+
+def test_structure_gate_scales_above_one():
+    small, large = np.eye(2), np.array([-4e6j])
+    assert exceeds_structure_tol(1.5 * STRUCTURE_ATOL, small, 1e-3 * np.ones(3))
+    assert not exceeds_structure_tol(STRUCTURE_ATOL, small)
+    assert not exceeds_structure_tol(3.9e6 * STRUCTURE_ATOL, small, large)
+    assert exceeds_structure_tol(4.1e6 * STRUCTURE_ATOL, small, large)
+    assert not exceeds_structure_tol(float("nan"), large)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -250,4 +269,5 @@ def test_block_conjugation_residual_text_unchanged(n, seed):
     text = f"covariance lacks (X, Y) block-conjugation structure (residual {res:.2e})"
     report = gq.validate_moments(np.zeros(2 * n), sigma)
     lines = [line for line in report if "block-conjugation" in line]
-    assert lines == ([text] if res > STRUCTURE_ATOL else [])
+    tol = STRUCTURE_ATOL * max(1.0, np.max(np.abs(sigma)))
+    assert lines == ([text] if res > tol else [])

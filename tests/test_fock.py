@@ -5,8 +5,8 @@ from scipy.special import factorial
 
 import gaussqfi as gq
 from gaussqfi.errors import CutoffTooSmallError, InvalidInputError
-from gaussqfi.fock import SUPPORT_TOL, _beamsplit, apply_generator, build_fock_state, \
-    choose_cutoff, fock_qfi, ladder, state_qfi
+from gaussqfi.fock import SUPPORT_TOL, _beamsplit, _thermal_diag, apply_generator, \
+    build_fock_state, choose_cutoff, fock_qfi, ladder, state_qfi
 from gaussqfi.validate import FOCK_TOL, fock_panel_cases
 
 
@@ -45,6 +45,15 @@ def test_thermal_geometric_weights():
     ks = np.arange(40)
     geometric = n_th ** ks / (1 + n_th) ** (ks + 1)
     assert np.max(np.abs(np.diag(_dense(rho)).real - geometric)) < 1e-10
+
+
+def test_thermal_weights_finite_at_large_cutoff():
+    # n_th ** k and (1 + n_th) ** (k + 1) both overflow here, and their
+    # quotient inf / inf would be a NaN weight
+    with np.errstate(all="raise"):
+        p = _thermal_diag(10.0, 512)
+    assert np.isfinite(p).all()
+    assert abs(p.sum() - 1.0) < 1e-12
 
 
 def test_cutoff_too_small_raises():

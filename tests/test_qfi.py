@@ -8,7 +8,7 @@ from gaussqfi.errors import DegenerateInputError, InvalidInputError
 from gaussqfi import formulas
 from gaussqfi.qfi import qfi_general, qfi_kernel
 from gaussqfi.symplectic import GeneratorW, SymplecticMatrix, WilliamsonForm
-from conftest import random_symplectic, random_unitary
+from conftest import random_state, random_symplectic, random_unitary
 
 
 def random_probe(rng, n, pure=False):
@@ -281,15 +281,88 @@ def test_kernel_matches_closed_forms(family, p, c):
             channel = gq.twomode_squeeze_channel(chi)
             closed = formulas.qfi_twomode_squeeze_full(params, chi)
     probe = params.to_probe_state()
-    # a leading batch axis of two copies: both rows carry the same value
-    terms = qfi_kernel(np.stack([probe.williamson.s.matrix] * 2),
-                       np.stack([probe.williamson.eigenvalues] * 2),
-                       np.stack([probe.d_tilde] * 2),
+    # a trailing batch axis of two copies: both columns carry the same value
+    terms = qfi_kernel(np.stack([probe.williamson.s.matrix] * 2, axis=-1),
+                       np.stack([probe.williamson.eigenvalues] * 2, axis=-1),
+                       np.stack([probe.d_tilde] * 2, axis=-1),
                        channel.generator.ikw(), channel.generator.gamma)
     total = sum(terms)
     assert total.shape == (2,)
     assert abs(total[0] - closed) <= 1e-9 * max(1.0, abs(closed))
     assert total[0] == total[1]
+
+
+# --- the half-P kernel against the full-P route ---------------------------
+
+def _random_generator(rng, n):
+    """A random quadratic generator with a nonzero linear part."""
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    y = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    g = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return GeneratorW(x + x.conj().T, y + y.T, g)
+
+
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_half_p_kernel_matches_full_p_route(n, seed):
+    # S0 from williamson, not from a family, and a channel with gamma != 0:
+    # the kernel reads only the top rows of P and of u; the reference forms
+    # all of P and solves sigma for the displacement term
+    rng = np.random.default_rng(seed)
+    probe = gq.ProbeState.from_state(random_state(rng, n))
+    channel = gq.custom_channel(_random_generator(rng, n))
+    ikw, gamma = channel.generator.ikw(), channel.generator.gamma
+    lams = probe.williamson.eigenvalues
+    pm = gq.p_matrix(probe, channel)
+    factors = np.array([[gq.temperature_factors(li, lj) for lj in lams] for li in lams])
+    v = ikw @ probe.displacement + gamma
+    expected = (np.sum(factors[..., 2] * np.abs(pm.r_block) ** 2),
+                np.sum(factors[..., 1] * np.abs(pm.q_block) ** 2),
+                2.0 * np.real(v.conj() @ np.linalg.solve(probe.williamson.covariance, v)))
+    got = qfi_kernel(probe.williamson.s.matrix, lams, probe.d_tilde, ikw, gamma)
+    for term, ref in zip(got, expected):
+        assert abs(term - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def _batch_of_seven(rng, source):
+    """Kernel inputs ``(s0, lams, d_tilde)`` for seven probes, batch trailing."""
+    if source == "general":
+        n = int(rng.integers(1, 4))
+        probes = [gq.ProbeState.from_state(random_state(rng, n)) for _ in range(7)]
+        return (np.stack([p.williamson.s.matrix for p in probes], axis=-1),
+                np.stack([p.williamson.eigenvalues for p in probes], axis=-1),
+                np.stack([p.d_tilde for p in probes], axis=-1))
+    cls = gq.OneModeProbeParams if source == "one-mode" else gq.TwoModeProbeParams
+    return cls.arrays(*(rng.uniform(*_field_range(name), 7)
+                        for name in cls.__dataclass_fields__))
+
+
+def _field_range(name):
+    if name.startswith("lambda"):
+        return 1.0, 4.0
+    if name.startswith("r"):
+        return -1.5, 1.5
+    if name.endswith("mag"):
+        return 0.0, 2.0
+    return -np.pi, np.pi
+
+
+@pytest.mark.parametrize("source", ["one-mode", "two-mode", "general"])
+def test_kernel_columns_independent_of_batch(rng, source):
+    # every column of a batched call equals the call on that probe alone,
+    # bit for bit, with or without a batch axis: the optimizer's restarts
+    # rely on it
+    for _ in range(10):
+        s0, lams, d_tilde = _batch_of_seven(rng, source)
+        w = _random_generator(rng, lams.shape[0])
+        together = qfi_kernel(s0, lams, d_tilde, w.ikw(), w.gamma)
+        for b in range(7):
+            one = qfi_kernel(np.ascontiguousarray(s0[..., b:b + 1]), lams[:, b:b + 1].copy(),
+                             d_tilde[:, b:b + 1].copy(), w.ikw(), w.gamma)
+            bare = qfi_kernel(s0[..., b].copy(), lams[:, b].copy(), d_tilde[:, b].copy(),
+                              w.ikw(), w.gamma)
+            for t, o, u in zip(together, one, bare):
+                assert t[b] == o[0] == u
 
 
 # --- continuity across the pure-pure switch in _mode_factors ---------------
