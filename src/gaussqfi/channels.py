@@ -66,28 +66,27 @@ def _zeros(n):
     return np.zeros((n, n), dtype=complex)
 
 
-def phase_generator(mode: int = 0, modes: int = 1, rate: float = 1.0) -> GeneratorW:
+def phase_generator(mode: int = 0, modes: int = 1) -> GeneratorW:
     x = _zeros(modes)
-    x[mode, mode] = -rate
+    x[mode, mode] = -1.0
     return GeneratorW(x, _zeros(modes))
 
 
-def squeeze_generator(chi: float = 0.0, mode: int = 0, modes: int = 1,
-                      rate: float = 1.0) -> GeneratorW:
+def squeeze_generator(chi: float = 0.0, mode: int = 0, modes: int = 1) -> GeneratorW:
     y = _zeros(modes)
-    y[mode, mode] = 1j * rate * np.exp(1j * chi)
+    y[mode, mode] = 1j * np.exp(1j * chi)
     return GeneratorW(_zeros(modes), y)
 
 
-def mix_generator(chi: float = 0.0, rate: float = 1.0) -> GeneratorW:
-    x = np.array([[0.0, -1j * rate * np.exp(1j * chi)],
-                  [1j * rate * np.exp(-1j * chi), 0.0]], dtype=complex)
+def mix_generator(chi: float = 0.0) -> GeneratorW:
+    x = np.array([[0.0, -1j * np.exp(1j * chi)],
+                  [1j * np.exp(-1j * chi), 0.0]], dtype=complex)
     return GeneratorW(x, _zeros(2))
 
 
-def twomode_squeeze_generator(chi: float = 0.0, rate: float = 1.0) -> GeneratorW:
-    y = np.array([[0.0, 1j * rate * np.exp(1j * chi)],
-                  [1j * rate * np.exp(1j * chi), 0.0]], dtype=complex)
+def twomode_squeeze_generator(chi: float = 0.0) -> GeneratorW:
+    y = np.array([[0.0, 1j * np.exp(1j * chi)],
+                  [1j * np.exp(1j * chi), 0.0]], dtype=complex)
     return GeneratorW(_zeros(2), y)
 
 

@@ -141,17 +141,22 @@ def cmd_qfi(config: dict, args) -> str:
     return _dump_json(qfi_unitary(probe, channel).to_dict())
 
 
+def _param(config: dict, key: str) -> float:
+    """A closed form's numeric parameter, 0 when absent."""
+    return _number(config.get(key, 0.0), key)
+
+
 _CLOSED_FORMS = {
     "eq19": ("one-mode", lambda p, c: formulas.qfi_one_mode_combined(
-        p, c.get("omega_p", 0.0), c.get("omega_s", 0.0), c.get("chi", 0.0))),
+        p, _param(c, "omega_p"), _param(c, "omega_s"), _param(c, "chi"))),
     "eq20": ("one-mode", lambda p, c: formulas.qfi_phase(p)),
-    "eq21": ("one-mode", lambda p, c: formulas.qfi_squeeze1(p, c.get("chi", 0.0))),
-    "eq28": ("two-mode", lambda p, c: formulas.qfi_twomode_squeeze_separable(p, c.get("chi", 0.0))),
-    "eq30": ("two-mode", lambda p, c: formulas.qfi_twomode_squeeze_bs(p, c.get("chi", 0.0))),
-    "eq36": ("two-mode", lambda p, c: formulas.qfi_mix_separable(p, c.get("chi", 0.0))),
-    "eq38": ("two-mode", lambda p, c: formulas.qfi_mix_bs(p, c.get("chi", 0.0))),
-    "appC-st": ("two-mode", lambda p, c: formulas.qfi_twomode_squeeze_full(p, c.get("chi", 0.0))),
-    "appC-mix": ("two-mode", lambda p, c: formulas.qfi_mix_full(p, c.get("chi", 0.0))),
+    "eq21": ("one-mode", lambda p, c: formulas.qfi_squeeze1(p, _param(c, "chi"))),
+    "eq28": ("two-mode", lambda p, c: formulas.qfi_twomode_squeeze_separable(p, _param(c, "chi"))),
+    "eq30": ("two-mode", lambda p, c: formulas.qfi_twomode_squeeze_bs(p, _param(c, "chi"))),
+    "eq36": ("two-mode", lambda p, c: formulas.qfi_mix_separable(p, _param(c, "chi"))),
+    "eq38": ("two-mode", lambda p, c: formulas.qfi_mix_bs(p, _param(c, "chi"))),
+    "appC-st": ("two-mode", lambda p, c: formulas.qfi_twomode_squeeze_full(p, _param(c, "chi"))),
+    "appC-mix": ("two-mode", lambda p, c: formulas.qfi_mix_full(p, _param(c, "chi"))),
 }
 
 
@@ -159,9 +164,7 @@ def cmd_closed_form(config: dict, args) -> str:
     label = _require(config, "label")
     if label == "universal-mix":
         value = formulas.universal_mix_probe_qfi(
-            _number(config.get("r", 0.0), "r"),
-            _number(config.get("d1_mag", 0.0), "d1_mag"),
-            _number(config.get("d2_mag", 0.0), "d2_mag"))
+            _param(config, "r"), _param(config, "d1_mag"), _param(config, "d2_mag"))
         return _dump_json({"label": label, "value": value})
     if label not in _CLOSED_FORMS:
         raise ConfigError(f"unknown closed-form label {label!r}; "

@@ -31,7 +31,9 @@ from .errors import InvalidDimensionError, StructureError
 # imaginary residue of a real-form map, relative to the largest entry
 # (see exceeds_structure_tol).
 STRUCTURE_ATOL = 1e-8
-# Symplectic eigenvalues >= 1 - PHYSICALITY_TOL count as physical.
+# Symplectic eigenvalues >= 1 - PHYSICALITY_TOL count as physical (the
+# floor of validate_moments and of qfi.ProbeState); williamson refuses a
+# covariance whose conditioning cannot resolve it.
 PHYSICALITY_TOL = 1e-9
 
 

@@ -17,12 +17,14 @@ Two evaluation paths are provided:
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GaussianState, validate_state
+# validate_state is not called here; it stays bound because perfbench's
+# tracer patches qfi.validate_state until the next change to the benchmark
+# (ROADMAP item 4)
+from .core import PHYSICALITY_TOL, GaussianState, validate_state
 from .errors import DegenerateInputError, InvalidInputError, \
     NumericalInstabilityError
 from .symplectic import SymplecticMatrix, WilliamsonForm
@@ -32,9 +34,6 @@ from ._util import _complex_form, _freeze
 # Eigenvalue products within this distance of 1 trigger the degenerate
 # (pure-pure) conventions of the QFI formula.
 DEGENERACY_TOL = 1e-9
-# Symplectic eigenvalues may fall below 1 by this much before they are
-# rejected as unphysical.
-EIGENVALUE_FLOOR_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -54,8 +53,10 @@ class ProbeState:
         d = np.zeros(n, dtype=complex) if d is None else np.atleast_1d(np.asarray(d, dtype=complex))
         if d.shape != (n,):
             raise InvalidInputError(f"d_tilde must have length {n}")
-        if np.min(self.williamson.eigenvalues) < 1.0 - EIGENVALUE_FLOOR_TOL:
-            raise InvalidInputError("probe symplectic eigenvalues must be >= 1")
+        if np.min(self.williamson.eigenvalues) < 1.0 - PHYSICALITY_TOL:
+            raise InvalidInputError(
+                "probe symplectic eigenvalues must be >= 1, smallest is "
+                f"{np.min(self.williamson.eigenvalues):.12g}")
         object.__setattr__(self, "d_tilde", _freeze(d))
 
     @property
@@ -73,11 +74,11 @@ class ProbeState:
 
     @classmethod
     def from_state(cls, state: GaussianState) -> "ProbeState":
+        """Probe from raw moments.  The constructor of ``state`` checks its
+        structure; ``williamson`` and the eigenvalue floor above are the
+        physicality test."""
         from .symplectic import williamson
 
-        report = validate_state(state)
-        if report:
-            raise InvalidInputError("invalid probe state: " + "; ".join(report))
         return cls(williamson(state.covariance), state.d_tilde)
 
 
@@ -268,14 +269,13 @@ def qfi_general(eigenvalues, eigenvalues_dot, s: SymplecticMatrix, s_dot,
     n = lams.shape[0]
     if lams_dot.shape != (n,) or s.modes != n:
         raise InvalidInputError("inconsistent eigenvalue/matrix dimensions")
-    if np.min(lams) < 1.0 - EIGENVALUE_FLOOR_TOL:
+    if np.min(lams) < 1.0 - PHYSICALITY_TOL:
         raise InvalidInputError("symplectic eigenvalues must be >= 1")
 
     p = s.inverse().matrix @ np.asarray(s_dot, dtype=complex)
-    pm = PMatrix(p[:n, :n], p[:n, n:])
     f_minus, f_plus = _mode_factors(lams)
-    r_term = float(np.sum(f_minus * np.abs(pm.r_block) ** 2))
-    q_term = float(np.sum(f_plus * np.abs(pm.q_block) ** 2))
+    r_term = float(np.sum(f_minus * np.abs(p[:n, :n]) ** 2))
+    q_term = float(np.sum(f_plus * np.abs(p[:n, n:]) ** 2))
 
     eigen_term = 0.0
     for i in range(n):

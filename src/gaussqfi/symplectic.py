@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from ._util import _as_complex, _check_finite, _complex_form, _freeze
-from .core import STRUCTURE_ATOL, exceeds_structure_tol, k_signs
+from .core import PHYSICALITY_TOL, STRUCTURE_ATOL, exceeds_structure_tol, k_signs
 from .errors import (
     DecompositionFailureError,
     InvalidDimensionError,
@@ -223,33 +223,6 @@ class WilliamsonForm:
         return (m * d[None, :]) @ m.conj().T
 
 
-def _fix_column_phases(cols: np.ndarray) -> np.ndarray:
-    """Deterministic gauge: largest-magnitude entry of each column made
-    real and positive."""
-    out = cols.copy()
-    for k in range(cols.shape[1]):
-        idx = int(np.argmax(np.abs(cols[:, k])))
-        z = cols[idx, k]
-        if np.abs(z) > 0:
-            out[:, k] = cols[:, k] * (np.abs(z) / z)
-    return out
-
-
-def _order_degenerate(lams: np.ndarray, cols: np.ndarray, tol: float = 1e-12):
-    """Sort descending by eigenvalue; break ties lexicographically by the
-    rounded column entries so the gauge is reproducible.  A tie is a gap at
-    rounding level: a wider one (from 1e-9 up) is ordered by value."""
-    order = list(range(len(lams)))
-
-    def key(k):
-        col = np.round(cols[:, k], 10)
-        return (-round(float(lams[k]) / tol) * tol,
-                tuple(np.column_stack([col.real, col.imag]).ravel()))
-
-    order.sort(key=key)
-    return lams[order], cols[:, order]
-
-
 def williamson(sigma: np.ndarray) -> WilliamsonForm:
     """Williamson decomposition of a valid complex-form covariance.
 
@@ -257,6 +230,10 @@ def williamson(sigma: np.ndarray) -> WilliamsonForm:
     transform ``sigma^{1/2} K sigma^{1/2}`` of ``K sigma`` (same
     eigenvalues, stable eigenvectors); the symplectic factor is rebuilt
     from the positive-eigenvalue columns, K-normalized by construction.
+    Among equal eigenvalues the factor is fixed only up to a unitary, and
+    no gauge is chosen.  Raises NumericalInstabilityError when the
+    conditioning of ``sigma`` cannot resolve the spectrum to
+    ``PHYSICALITY_TOL`` (a pure one-mode squeezing r of about 3.84 and above).
     """
     sigma = np.asarray(sigma, dtype=complex)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
@@ -268,17 +245,20 @@ def williamson(sigma: np.ndarray) -> WilliamsonForm:
     if evals[0] <= 0:
         raise InvalidInputError(
             f"covariance must be positive-definite (min eigenvalue {evals[0]:.3e})")
+    # the spectrum's rounding error is about eps * cond(sigma)
+    if np.finfo(float).eps * evals[-1] / evals[0] > PHYSICALITY_TOL:
+        raise NumericalInstabilityError(
+            f"covariance condition number {evals[-1] / evals[0]:.2e} cannot resolve "
+            f"symplectic eigenvalues to {PHYSICALITY_TOL:.0e}")
     root = (evecs * np.sqrt(evals)[None, :]) @ evecs.conj().T
     t = root @ (k_signs(n)[:, None] * root)
     t = (t + t.conj().T) / 2
     tvals, tvecs = np.linalg.eigh(t)
-    pos = np.argsort(tvals)[::-1][:n]
-    lams = tvals[pos]
-    if lams.shape[0] != n or lams[-1] <= 0:
-        raise DecompositionFailureError("symplectic spectrum is not (+, -) paired")
-    cols = root @ tvecs[:, pos] / np.sqrt(lams)[None, :]
-    cols = _fix_column_phases(cols)
-    lams, cols = _order_degenerate(lams, cols)
+    # t has n positive and n negative eigenvalues, each at least evals[0] in
+    # size, so under the conditioning gate above eigh's ascending order puts
+    # the positive half, reversed to descending, in its top n
+    lams = tvals[n:][::-1]
+    cols = root @ tvecs[:, n:][:, ::-1] / np.sqrt(lams)[None, :]
     s = SymplecticMatrix(cols[:n, :], cols[n:, :].conj())
     form = WilliamsonForm(s, lams)
     res = float(np.max(np.abs(form.covariance - sigma)))

@@ -83,6 +83,29 @@ def test_qfi_unphysical_state_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+def _state_probe_config(r):
+    params = gq.OneModeProbeParams(r=r, theta=0.3)
+    state = params.to_probe_state().to_state()
+    return params, {"schema": 1, "probe": {"kind": "state", **gq.state_to_dict(state)},
+                    "channel": {"kind": "phase"}}
+
+
+def test_qfi_ill_conditioned_state_probe_exits_3(tmp_path, capsys):
+    # at r = 9 the covariance's condition number (about 3e15) leaves the
+    # symplectic spectrum no digits at the eigenvalue floor; a QFI computed
+    # from it comes out 23% low
+    _, config = _state_probe_config(9.0)
+    assert_exits_3_with_one_error_line(tmp_path, capsys, "qfi", config)
+
+
+def test_qfi_state_probe_matches_parametric(tmp_path, capsys):
+    params, config = _state_probe_config(3.0)
+    code, out = run_cli(tmp_path, capsys, "qfi", config)
+    assert code == 0
+    want = gq.qfi_unitary(params.to_probe_state(), gq.phase_channel()).total
+    assert abs(json.loads(out)["total"] - want) <= 1e-9 * want
+
+
 def test_bad_schema_exits_2(tmp_path, capsys):
     code, _ = run_cli(tmp_path, capsys, "qfi", {"schema": 2})
     assert code == 2
@@ -164,6 +187,9 @@ _SWEEP = {"probe": _ONE_MODE, "channel": _PHASE}
                  "n_grid": [1, 2, 4, 8, 16, 32, 64]}),
     ("scaling", {"channel": _PHASE, "family": "optimal-squeezing",
                  "n_grid": [1, 2, 4, float("nan"), 16, 32, 64]}),
+    ("closed-form", {"label": "eq21", "chi": "x", "probe": _ONE_MODE}),
+    ("closed-form", {"label": "eq19", "omega_p": [1], "probe": _ONE_MODE}),
+    ("closed-form", {"label": "eq21", "chi": float("nan"), "probe": _ONE_MODE}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     code, out = run_cli(tmp_path, capsys, command, {"schema": 1, **config})

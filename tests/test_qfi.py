@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from gaussqfi.errors import DegenerateInputError, InvalidInputError
 from gaussqfi import formulas
 from gaussqfi.qfi import qfi_general, qfi_kernel
 from gaussqfi.symplectic import GeneratorW, SymplecticMatrix, WilliamsonForm
+from gaussqfi.validate import _oracle_families
 from conftest import random_state, random_symplectic, random_unitary
 
 
@@ -146,6 +149,36 @@ def test_probe_from_state_round_trip(rng):
         back = probe.to_state()
         assert np.max(np.abs(back.covariance - state.covariance)) < 1e-9
         assert np.max(np.abs(back.displacement - state.displacement)) < 1e-12
+
+
+@pytest.mark.parametrize("lam,accepted", [(0.5, False), (1.0 - 1e-8, False),
+                                          (1.0 - 1e-10, True)])
+def test_from_state_eigenvalue_floor(lam, accepted):
+    # williamson plus the ProbeState floor are the physicality test of raw
+    # moments: a thermal state just below 1 is refused, one within
+    # PHYSICALITY_TOL of it is not
+    state = gq.GaussianState.thermal([lam])
+    if accepted:
+        assert gq.ProbeState.from_state(state).williamson.eigenvalues[0] == pytest.approx(lam)
+    else:
+        with pytest.raises(InvalidInputError, match=">= 1"):
+            gq.ProbeState.from_state(state)
+
+
+def test_from_state_matches_parametric_probe_on_oracle_families(rng):
+    # raw moments -> williamson gives the QFI of the parametric route for
+    # every oracle family; every other two-mode draw is pure-degenerate
+    # (lambda1 = lambda2 = 1), where the Williamson factor has a unitary
+    # gauge freedom that williamson does not fix
+    for name, family in _oracle_families(rng):
+        for k in range(50):
+            _, params, channel = family(rng)
+            if isinstance(params, gq.TwoModeProbeParams) and k % 2:
+                params = dataclasses.replace(params, lambda1=1.0, lambda2=1.0)
+            want = gq.qfi_unitary(params.to_probe_state(), channel).total
+            probe = gq.ProbeState.from_state(params.to_probe_state().to_state())
+            got = gq.qfi_unitary(probe, channel).total
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (name, params)
 
 
 def test_probe_rejects_unphysical_eigenvalues():

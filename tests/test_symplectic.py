@@ -225,6 +225,21 @@ def test_williamson_rejects_non_pd():
         gq.williamson(np.diag([1.0, -1.0]).astype(complex))
 
 
+def test_williamson_refuses_unresolvable_conditioning():
+    # eps * cond(sigma) bounds the spectrum's rounding error; past the
+    # eigenvalue floor's tolerance (pure one-mode r near 3.84) it refuses
+    from gaussqfi.channels import squeeze_matrix
+
+    for r, ok in ((3.8, True), (3.9, False), (9.0, False)):
+        s = squeeze_matrix(r).matrix
+        sigma = s @ s.conj().T
+        if ok:
+            assert abs(gq.williamson(sigma).eigenvalues[0] - 1.0) < 1e-9
+        else:
+            with pytest.raises(NumericalInstabilityError, match="condition number"):
+                gq.williamson(sigma)
+
+
 def test_euler_identity():
     f = gq.EulerFactors(np.eye(2), np.zeros(2), np.eye(2))
     assert np.allclose(gq.euler_compose(f).matrix, np.eye(4))
