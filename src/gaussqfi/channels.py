@@ -7,10 +7,12 @@ matrices below are references that the test suite checks it against.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _pairs, _unpairs
 from .errors import InvalidInputError, StructureError
 from .symplectic import GeneratorW, SymplecticMatrix, displacement_shift, exp_generator
 
@@ -166,11 +168,8 @@ def channel_to_dict(spec: ChannelSpec) -> dict:
             "omega_p": spec.omega_p, "omega_s": spec.omega_s}
     if spec.kind == CUSTOM:
         w = spec.generator
-        data["custom_W"] = {
-            "X": [[float(z.real), float(z.imag)] for z in w.x_block.reshape(-1)],
-            "Y": [[float(z.real), float(z.imag)] for z in w.y_block.reshape(-1)],
-            "gamma": [[float(z.real), float(z.imag)] for z in w.gamma_tilde],
-        }
+        data["custom_W"] = {"X": _pairs(w.x_block), "Y": _pairs(w.y_block),
+                            "gamma": _pairs(w.gamma_tilde)}
     return data
 
 
@@ -195,16 +194,10 @@ def channel_from_dict(data: dict) -> ChannelSpec:
         if not isinstance(raw, dict) or not {"X", "Y"} <= raw.keys():
             raise StructureError(
                 "custom channel needs a 'custom_W' object with 'X' and 'Y'")
-        x = np.asarray(raw["X"], dtype=float)
-        n = int(round(np.sqrt(x.shape[0])))
-        if n * n != x.shape[0]:
+        n = math.isqrt(len(raw["X"]))
+        if n * n != len(raw["X"]):
             raise StructureError("custom_W blocks must be square row-major arrays")
-
-        def cplx(pairs, shape):
-            arr = np.asarray(pairs, dtype=float)
-            return (arr[:, 0] + 1j * arr[:, 1]).reshape(shape)
-
-        w = GeneratorW(cplx(raw["X"], (n, n)), cplx(raw["Y"], (n, n)),
-                       cplx(raw["gamma"], (n,)) if "gamma" in raw else None)
+        w = GeneratorW(_unpairs(raw["X"], (n, n), "X"), _unpairs(raw["Y"], (n, n), "Y"),
+                       _unpairs(raw["gamma"], (n,), "gamma") if "gamma" in raw else None)
         return custom_channel(w)
     raise StructureError(f"unknown channel kind {kind!r}")

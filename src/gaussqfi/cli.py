@@ -23,7 +23,8 @@ import sys
 
 import numpy as np
 
-from .channels import channel_from_dict, channel_shift, channel_symplectic
+from .channels import channel_from_dict, channel_shift, channel_symplectic, \
+    channel_to_dict
 from .core import complex_to_real, complex_to_real_matrix, l_matrix, \
     state_from_dict
 from .errors import DegenerateBudgetError, GaussQfiError, InvalidInputError, \
@@ -217,13 +218,18 @@ def cmd_sweep(config: dict, args) -> str:
     probe = _require(config, "probe")
     _require(config, "channel")
     kind = probe.get("kind") if isinstance(probe, dict) else None
-    if path.startswith("probe.") and kind in ("one-mode", "two-mode"):
-        # a typo would otherwise fail every row like a physics error
+    root, _, key = path.partition(".")
+    # a typo would otherwise fail every row like a physics error, or, in a
+    # channel key nothing reads, print the same row at every grid value
+    names = None
+    if root == "channel":
+        names = list(channel_to_dict(_parse_channel(config)))
+    elif kind in ("one-mode", "two-mode"):
         params = OneModeProbeParams if kind == "one-mode" else TwoModeProbeParams
         names = [f.name for f in dataclasses.fields(params)]
-        if path[len("probe."):] not in names:
-            raise ConfigError(f"sweep parameter {path!r} is not a field of a "
-                              f"{kind} probe; fields: {names}")
+    if names is not None and key not in names:
+        raise ConfigError(f"sweep parameter {path!r} is not a field of the "
+                          f"{root}; fields: {names}")
     rows = [_sweep_row(config, path, v) for v in grid]
     return SWEEP_HEADER + "\n" + "\n".join(rows) + "\n"
 

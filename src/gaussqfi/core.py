@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import _as_complex, _check_finite, _complex_form, _freeze
-from .errors import InvalidDimensionError, StructureError
+from .errors import InvalidDimensionError, InvalidInputError, \
+    NumericalInstabilityError, StructureError
 
 # Gate for accepting nearly-Hermitian / nearly-symmetric blocks at
 # construction (accepted blocks are symmetrized exactly) and for the
@@ -32,8 +33,8 @@ from .errors import InvalidDimensionError, StructureError
 # (see exceeds_structure_tol).
 STRUCTURE_ATOL = 1e-8
 # Symplectic eigenvalues >= 1 - PHYSICALITY_TOL count as physical (the
-# floor of validate_moments and of qfi.ProbeState); williamson refuses a
-# covariance whose conditioning cannot resolve it.
+# floor of validate_moments and of qfi.ProbeState); the symplectic spectrum
+# is refused where the covariance's conditioning cannot resolve it.
 PHYSICALITY_TOL = 1e-9
 
 
@@ -48,9 +49,7 @@ def exceeds_structure_tol(res: float, *arrays) -> bool:
 
 def k_matrix(modes: int) -> np.ndarray:
     """Commutation matrix ``K = diag(+1 x N, -1 x N)`` for N modes."""
-    if modes < 1:
-        raise InvalidDimensionError(f"modes must be >= 1, got {modes}")
-    return np.diag(k_signs(modes)).astype(float)
+    return np.diag(k_signs(modes))
 
 
 def k_signs(modes: int) -> np.ndarray:
@@ -159,22 +158,52 @@ def _structure_report(d: np.ndarray, sigma: np.ndarray, n: int) -> list:
     return report
 
 
+def _spectrum(sigma: np.ndarray):
+    """Symplectic spectrum, descending, and the K-normalised Williamson columns
+    of a complex-form covariance, from eigh of ``sigma^{1/2} K sigma^{1/2}``."""
+    sigma = np.asarray(sigma, dtype=complex)
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
+        raise InvalidDimensionError(f"covariance must be 2N x 2N, got {sigma.shape}")
+    n = sigma.shape[0] // 2
+    if exceeds_structure_tol(np.max(np.abs(sigma - sigma.conj().T)), sigma):
+        raise InvalidInputError("covariance must be Hermitian")
+    evals, evecs = np.linalg.eigh((sigma + sigma.conj().T) / 2)
+    # eps * cond(sigma) bounds the rounding; past it sigma may even look indefinite
+    lo, hi = np.min(np.abs(evals)), np.max(np.abs(evals))
+    if np.finfo(float).eps * hi > PHYSICALITY_TOL * lo:
+        raise NumericalInstabilityError(
+            f"covariance condition number {hi / lo if lo else np.inf:.2e} cannot "
+            f"resolve symplectic eigenvalues to {PHYSICALITY_TOL:.0e}")
+    if evals[0] <= 0:
+        raise InvalidInputError(
+            f"covariance must be positive-definite (min eigenvalue {evals[0]:.3e})")
+    root = (evecs * np.sqrt(evals)[None, :]) @ evecs.conj().T
+    t = root @ (k_signs(n)[:, None] * root)
+    t = (t + t.conj().T) / 2
+    tvals, tvecs = np.linalg.eigh(t)
+    # t has n positive and n negative eigenvalues, each at least evals[0] in
+    # size, so eigh's ascending order puts the positive half in its top n
+    lams = tvals[n:][::-1]
+    return lams, root @ tvecs[:, n:][:, ::-1] / np.sqrt(lams)[None, :]
+
+
 def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a complex-form covariance, sorted descending.
 
-    Computed from the positive half of the spectrum of ``K sigma``.
+    Raises what ``williamson`` raises: InvalidInputError unless ``sigma`` is
+    Hermitian and positive-definite, NumericalInstabilityError when its
+    conditioning cannot resolve the spectrum to ``PHYSICALITY_TOL`` (pure
+    one-mode squeezing r of about 3.84 and above).
     """
-    sigma = np.asarray(sigma, dtype=complex)
-    n = sigma.shape[0] // 2
-    vals = np.linalg.eigvals(k_signs(n)[:, None] * sigma)
-    pos = np.sort(vals.real[vals.real > 0])[::-1]
-    return pos[:n]
+    return _spectrum(sigma)[0]
 
 
 def validate_moments(displacement, covariance) -> list:
     """Validation report for raw full complex-form moments.
 
-    Returns a list of human-readable violations (empty when valid).
+    Returns a list of human-readable violations (empty when valid).  A
+    covariance whose Hermitian part is not positive-definite, or too
+    ill-conditioned to resolve the eigenvalue floor, is one report line.
     Raises InvalidDimensionError when the shapes are inconsistent.
     """
     d = np.atleast_1d(np.asarray(displacement, dtype=complex))
@@ -184,11 +213,12 @@ def validate_moments(displacement, covariance) -> list:
     if sigma.shape != (d.shape[0], d.shape[0]):
         raise InvalidDimensionError(
             f"covariance shape {sigma.shape} does not match displacement {d.shape}")
-    n = d.shape[0] // 2
-    report = _structure_report(d, sigma, n)
-    lams = symplectic_eigenvalues(sigma)
-    if lams.shape[0] < n or np.min(lams) < 1.0 - PHYSICALITY_TOL:
-        lam_min = float(np.min(lams)) if lams.size else float("nan")
+    report = _structure_report(d, sigma, d.shape[0] // 2)
+    try:
+        lam_min = _spectrum((sigma + sigma.conj().T) / 2)[0][-1]
+    except (InvalidInputError, NumericalInstabilityError) as exc:
+        return report + [str(exc)]
+    if lam_min < 1.0 - PHYSICALITY_TOL:
         report.append(
             f"physicality violated: smallest symplectic eigenvalue {lam_min:.12g} < 1")
     return report
@@ -244,9 +274,8 @@ def real_to_complex(displacement_re, covariance_re) -> GaussianState:
     if exceeds_structure_tol(np.max(np.abs(sig_re - sig_re.T)), sig_re):
         raise StructureError("real-form covariance must be symmetric")
     n = d_re.shape[0] // 2
-    el = l_matrix(n)
-    d = el.conj().T @ d_re
-    sigma = el.conj().T @ sig_re @ el
+    d = l_matrix(n).conj().T @ d_re
+    sigma = real_to_complex_matrix(sig_re)
     return GaussianState(d[:n], sigma[:n, :n], sigma[:n, n:])
 
 
@@ -272,9 +301,8 @@ def _unpairs(pairs, shape, name: str) -> np.ndarray:
 
 
 def state_to_dict(state: GaussianState) -> dict:
-    n = state.modes
     return {
-        "modes": n,
+        "modes": state.modes,
         "d_tilde": _pairs(state.d_tilde),
         "sigma_X": _pairs(state.cov_x),
         "sigma_Y": _pairs(state.cov_y),

@@ -304,9 +304,5 @@ def temperature_factors(lam_i: float, lam_j: float):
     """
     if lam_i < 1.0 or lam_j < 1.0:
         raise InvalidInputError("symplectic eigenvalues must be >= 1")
-    f1 = lam_i ** 2 / (1.0 + lam_i ** 2)
-    f2 = (lam_i + lam_j) ** 2 / (lam_i * lam_j + 1.0)
-    prod = lam_i * lam_j
-    f3 = 0.0 if prod - 1.0 < DEGENERACY_TOL else (lam_i - lam_j) ** 2 / (prod - 1.0)
-    f4 = 1.0 / lam_i
-    return f1, f2, f3, f4
+    f_minus, f_plus = _mode_factors(np.array([lam_i, lam_j], dtype=float))
+    return lam_i ** 2 / (1.0 + lam_i ** 2), f_plus[0, 1], f_minus[0, 1], 1.0 / lam_i

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from ._util import _as_complex, _check_finite, _complex_form, _freeze
-from .core import PHYSICALITY_TOL, STRUCTURE_ATOL, exceeds_structure_tol, k_signs
+from .core import STRUCTURE_ATOL, _spectrum, exceeds_structure_tol, k_signs
 from .errors import (
     DecompositionFailureError,
     InvalidDimensionError,
@@ -115,6 +115,7 @@ class GeneratorW:
     def __post_init__(self):
         x = np.atleast_2d(np.array(self.x_block, dtype=complex))
         n = x.shape[0]
+        x = _as_complex(x, (n, n), "x_block")
         y = _as_complex(self.y_block, (n, n), "y_block")
         g = self.gamma_tilde
         g = np.zeros(n, dtype=complex) if g is None else np.atleast_1d(np.asarray(g, dtype=complex))
@@ -226,40 +227,11 @@ class WilliamsonForm:
 def williamson(sigma: np.ndarray) -> WilliamsonForm:
     """Williamson decomposition of a valid complex-form covariance.
 
-    The symplectic spectrum is obtained from the Hermitian similarity
-    transform ``sigma^{1/2} K sigma^{1/2}`` of ``K sigma`` (same
-    eigenvalues, stable eigenvectors); the symplectic factor is rebuilt
-    from the positive-eigenvalue columns, K-normalized by construction.
-    Among equal eigenvalues the factor is fixed only up to a unitary, and
-    no gauge is chosen.  Raises NumericalInstabilityError when the
-    conditioning of ``sigma`` cannot resolve the spectrum to
-    ``PHYSICALITY_TOL`` (a pure one-mode squeezing r of about 3.84 and above).
+    Raises what ``core.symplectic_eigenvalues`` raises.  Among equal
+    eigenvalues the factor is fixed only up to a unitary; no gauge is chosen.
     """
-    sigma = np.asarray(sigma, dtype=complex)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
-        raise InvalidDimensionError(f"covariance must be 2N x 2N, got {sigma.shape}")
-    n = sigma.shape[0] // 2
-    if exceeds_structure_tol(np.max(np.abs(sigma - sigma.conj().T)), sigma):
-        raise InvalidInputError("covariance must be Hermitian")
-    evals, evecs = np.linalg.eigh((sigma + sigma.conj().T) / 2)
-    if evals[0] <= 0:
-        raise InvalidInputError(
-            f"covariance must be positive-definite (min eigenvalue {evals[0]:.3e})")
-    # the spectrum's rounding error is about eps * cond(sigma)
-    if np.finfo(float).eps * evals[-1] / evals[0] > PHYSICALITY_TOL:
-        raise NumericalInstabilityError(
-            f"covariance condition number {evals[-1] / evals[0]:.2e} cannot resolve "
-            f"symplectic eigenvalues to {PHYSICALITY_TOL:.0e}")
-    root = (evecs * np.sqrt(evals)[None, :]) @ evecs.conj().T
-    t = root @ (k_signs(n)[:, None] * root)
-    t = (t + t.conj().T) / 2
-    tvals, tvecs = np.linalg.eigh(t)
-    # t has n positive and n negative eigenvalues, each at least evals[0] in
-    # size, so under the conditioning gate above eigh's ascending order puts
-    # the positive half, reversed to descending, in its top n
-    lams = tvals[n:][::-1]
-    cols = root @ tvecs[:, n:][:, ::-1] / np.sqrt(lams)[None, :]
-    s = SymplecticMatrix(cols[:n, :], cols[n:, :].conj())
+    lams, cols = _spectrum(sigma)
+    s = SymplecticMatrix(cols[:lams.size], cols[lams.size:].conj())
     form = WilliamsonForm(s, lams)
     res = float(np.max(np.abs(form.covariance - sigma)))
     scale = float(np.max(np.abs(sigma)))

@@ -190,6 +190,12 @@ _SWEEP = {"probe": _ONE_MODE, "channel": _PHASE}
     ("closed-form", {"label": "eq21", "chi": "x", "probe": _ONE_MODE}),
     ("closed-form", {"label": "eq19", "omega_p": [1], "probe": _ONE_MODE}),
     ("closed-form", {"label": "eq21", "chi": float("nan"), "probe": _ONE_MODE}),
+    ("qfi", {"probe": _ONE_MODE,
+             "channel": {"kind": "custom", "custom_W": {"X": [1, 0, 0, 1], "Y": [[0, 0]]}}}),
+    ("qfi", {"probe": _ONE_MODE,
+             "channel": {"kind": "custom", "custom_W": {"X": [], "Y": [[0, 0]]}}}),
+    ("qfi", {"probe": _ONE_MODE,
+             "channel": {"kind": "custom", "custom_W": {"X": [[1, 0, 7]], "Y": [[0, 0]]}}}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     code, out = run_cli(tmp_path, capsys, command, {"schema": 1, **config})
@@ -221,6 +227,24 @@ def test_sweep_unknown_probe_field_exits_2(tmp_path, capsys, monkeypatch):
         assert code == 2
         assert out == ""
     assert calls == []
+
+
+def test_sweep_unknown_channel_key_exits_2(tmp_path, capsys, monkeypatch):
+    # a channel key that channel_to_dict does not write is read by nothing:
+    # it would print the same row at every grid value
+    calls = []
+    monkeypatch.setattr(cli, "_sweep_row", lambda *a: calls.append(a) or "")
+    for path in ("channel.chii", "channel.custom_W.X"):
+        config = {"schema": 1, "sweep": {"parameter": path, "grid": [0.1, 0.2]},
+                  "probe": _ONE_MODE, "channel": _PHASE}
+        code, out = run_cli(tmp_path, capsys, "sweep", config)
+        assert code == 2
+        assert out == ""
+    assert calls == []
+    config = {"schema": 1, "sweep": {"parameter": "channel.chi", "grid": [0.1, 0.2]},
+              "probe": _ONE_MODE, "channel": {"kind": "squeeze1-mode1"}}
+    assert run_cli(tmp_path, capsys, "sweep", config)[0] == 0
+    assert len(calls) == 2
 
 
 def test_scaling_one_mode_probe_on_one_mode_channel_exits_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 import gaussqfi as gq
 from gaussqfi._util import _complex_form
 from gaussqfi.core import STRUCTURE_ATOL, exceeds_structure_tol
-from gaussqfi.errors import InvalidDimensionError, InvalidInputError, StructureError
+from gaussqfi.errors import GaussQfiError, InvalidDimensionError, InvalidInputError, \
+    NumericalInstabilityError, StructureError
 from gaussqfi.qfi import PMatrix
-from conftest import random_state, random_symplectic
+from conftest import random_covariance, random_state, random_symplectic
 
 
 def test_k_matrix_one_mode():
@@ -186,11 +188,68 @@ def test_mean_photon_invariant_under_passive(rng):
 
 
 def test_symplectic_eigenvalues_sorted(rng):
-    from conftest import random_covariance
-
     sigma, lams = random_covariance(rng, 3)
     got = gq.symplectic_eigenvalues(sigma)
     assert np.allclose(got, np.sort(lams)[::-1], atol=1e-9)
+
+
+@pytest.mark.parametrize("r", [3.8, 3.9, 7.0, 9.0, 10.0])
+def test_squeezed_probe_verdicts_agree(r):
+    # validate_state, symplectic_eigenvalues and williamson read one spectrum:
+    # all accept r = 3.8, and past the conditioning limit (r about 3.84) all
+    # refuse the covariance as unresolvable, not as unphysical
+    state = gq.OneModeProbeParams(r=r, theta=0.3).to_probe_state().to_state()
+    report = gq.validate_state(state)
+    if r < 3.84:
+        assert report == []
+        assert gq.williamson(state.covariance).eigenvalues[0] == pytest.approx(1.0)
+        assert gq.symplectic_eigenvalues(state.covariance)[0] == pytest.approx(1.0)
+        return
+    assert len(report) == 1 and "cannot resolve" in report[0]
+    for entry in (gq.williamson, gq.symplectic_eigenvalues):
+        with pytest.raises(NumericalInstabilityError, match="cannot resolve"):
+            entry(state.covariance)
+
+
+@pytest.mark.parametrize("sigma", [-np.eye(2), -np.eye(4), np.zeros((2, 2))])
+def test_non_positive_covariance_is_one_report_line(sigma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = gq.validate_moments(np.zeros(sigma.shape[0]), sigma)
+    assert len(report) == 1 and "positive-definite" in report[0]
+
+
+def test_symplectic_eigenvalues_refuse_negated_vacuum():
+    # K sigma of -I has the positive eigenvalue 1 too; the spectrum is
+    # defined only for a positive-definite sigma
+    with pytest.raises(InvalidInputError, match="positive-definite"):
+        gq.symplectic_eigenvalues(-np.eye(2))
+
+
+@given(st.integers(min_value=1, max_value=3),
+       st.sampled_from(["physical", "scaled", "negated", "perturbed"]),
+       st.floats(min_value=0.3, max_value=1.2), st.floats(min_value=-12.0, max_value=-6.0),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_validate_moments_agrees_with_from_state(n, kind, scale, log_size, seed):
+    # the public check passes exactly the raw moments that probe
+    # construction accepts
+    rng = np.random.default_rng(seed)
+    sigma, _ = random_covariance(rng, n)
+    if kind == "scaled":
+        sigma = scale * sigma
+    elif kind == "negated":
+        sigma = -sigma
+    elif kind == "perturbed":
+        e = _random_block(rng, 2 * n) * 10.0 ** log_size
+        sigma = sigma + e + e.conj().T
+    d = np.zeros(2 * n)
+    try:
+        gq.ProbeState.from_state(gq.GaussianState.from_moments(d, sigma))
+        accepted = True
+    except GaussQfiError:
+        accepted = False
+    assert (gq.validate_moments(d, sigma) == []) == accepted
 
 
 def test_json_round_trip(rng):

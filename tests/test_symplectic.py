@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import gaussqfi as gq
 from gaussqfi.errors import (
+    InvalidDimensionError,
     InvalidInputError,
     NumericalInstabilityError,
     StructureError,
@@ -19,6 +20,11 @@ def random_generator(rng, n, gamma=False, norm=1.0):
     g = rng.normal(size=n) + 1j * rng.normal(size=n) if gamma else None
     w = gq.GeneratorW(x + x.conj().T, y + y.T, g)
     return w.scaled(norm / max(1.0, float(np.linalg.norm(w.matrix, 2))))
+
+
+def test_generator_rejects_non_square_x_block():
+    with pytest.raises(InvalidDimensionError, match="x_block"):
+        gq.GeneratorW(np.zeros((2, 3)), np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, -np.inf])
