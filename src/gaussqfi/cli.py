@@ -25,8 +25,8 @@ import numpy as np
 
 from .channels import channel_from_dict, channel_shift, channel_symplectic, \
     channel_to_dict
-from .core import complex_to_real, complex_to_real_matrix, l_matrix, \
-    state_from_dict
+from .core import GaussianState, complex_to_real, complex_to_real_matrix, \
+    l_matrix, state_from_dict, state_to_dict
 from .errors import DegenerateBudgetError, GaussQfiError, InvalidInputError, \
     NumericalInstabilityError
 from .optimizer import EnergyBudget, OptimizerConfig, optimize_probe, scaling_exponent
@@ -147,37 +147,24 @@ def _param(config: dict, key: str) -> float:
     return _number(config.get(key, 0.0), key)
 
 
-_CLOSED_FORMS = {
-    "eq19": ("one-mode", lambda p, c: formulas.qfi_one_mode_combined(
-        p, _param(c, "omega_p"), _param(c, "omega_s"), _param(c, "chi"))),
-    "eq20": ("one-mode", lambda p, c: formulas.qfi_phase(p)),
-    "eq21": ("one-mode", lambda p, c: formulas.qfi_squeeze1(p, _param(c, "chi"))),
-    "eq28": ("two-mode", lambda p, c: formulas.qfi_twomode_squeeze_separable(p, _param(c, "chi"))),
-    "eq30": ("two-mode", lambda p, c: formulas.qfi_twomode_squeeze_bs(p, _param(c, "chi"))),
-    "eq36": ("two-mode", lambda p, c: formulas.qfi_mix_separable(p, _param(c, "chi"))),
-    "eq38": ("two-mode", lambda p, c: formulas.qfi_mix_bs(p, _param(c, "chi"))),
-    "appC-st": ("two-mode", lambda p, c: formulas.qfi_twomode_squeeze_full(p, _param(c, "chi"))),
-    "appC-mix": ("two-mode", lambda p, c: formulas.qfi_mix_full(p, _param(c, "chi"))),
-}
-
-
 def cmd_closed_form(config: dict, args) -> str:
     label = _require(config, "label")
     if label == "universal-mix":
         value = formulas.universal_mix_probe_qfi(
             _param(config, "r"), _param(config, "d1_mag"), _param(config, "d2_mag"))
         return _dump_json({"label": label, "value": value})
-    if label not in _CLOSED_FORMS:
+    row = validate.CLOSED_FORMS.get(label) if isinstance(label, str) else None
+    if row is None:
         raise ConfigError(f"unknown closed-form label {label!r}; "
-                          f"known: {sorted(_CLOSED_FORMS)} and 'universal-mix'")
-    expected_kind, func = _CLOSED_FORMS[label]
+                          f"known: {sorted(validate.CLOSED_FORMS)} and 'universal-mix'")
     _, params = _parse_probe(config)
     if params is None:
         raise ConfigError("closed-form evaluation needs a parametric probe")
     actual = "one-mode" if isinstance(params, OneModeProbeParams) else "two-mode"
-    if actual != expected_kind:
-        raise ConfigError(f"label {label!r} needs a {expected_kind} probe")
-    return _dump_json({"label": label, "value": func(params, config)})
+    if actual != row.family:
+        raise ConfigError(f"label {label!r} needs a {row.family} probe")
+    value = row.value(params, *(_param(config, key) for key in row.params))
+    return _dump_json({"label": label, "value": value})
 
 
 SWEEP_HEADER = "value,r_term,q_term,eigen_term,disp_term,total"
@@ -227,6 +214,8 @@ def cmd_sweep(config: dict, args) -> str:
     elif kind in ("one-mode", "two-mode"):
         params = OneModeProbeParams if kind == "one-mode" else TwoModeProbeParams
         names = [f.name for f in dataclasses.fields(params)]
+    elif kind == "state":
+        names = list(state_to_dict(GaussianState.vacuum(1)))
     if names is not None and key not in names:
         raise ConfigError(f"sweep parameter {path!r} is not a field of the "
                           f"{root}; fields: {names}")

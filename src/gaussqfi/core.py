@@ -294,9 +294,14 @@ def _pairs(arr: np.ndarray) -> list:
 
 
 def _unpairs(pairs, shape, name: str) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
+    problem = f"field {name!r} must hold {int(np.prod(shape))} [re, im] pairs of numbers"
+    try:
+        arr = np.asarray(pairs, dtype=float)
+    except (TypeError, ValueError) as exc:
+        # an entry that is not a number, or rows of unequal length
+        raise StructureError(problem) from exc
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] != int(np.prod(shape)):
-        raise StructureError(f"field {name!r} must hold {int(np.prod(shape))} [re, im] pairs")
+        raise StructureError(problem)
     return (arr[:, 0] + 1j * arr[:, 1]).reshape(shape)
 
 

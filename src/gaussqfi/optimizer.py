@@ -96,6 +96,13 @@ class OptimizerConfig:
         if unknown:
             raise InvalidInputError(f"unknown optimizer settings {unknown}; "
                                     f"accepted: {accepted}")
+        for key, value in data.items():
+            # 4.0 is 4; 2.9, true, "7" and infinity are refused, not truncated
+            integral = isinstance(value, int) or (
+                isinstance(value, float) and value.is_integer())
+            if isinstance(value, bool) or not integral:
+                raise InvalidInputError(
+                    f"optimizer setting {key!r} must be an integer, got {value!r}")
         return cls(**{key: int(value) for key, value in data.items()})
 
 

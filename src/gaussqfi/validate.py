@@ -3,6 +3,7 @@ and the Fock-basis oracle vs the engine on a fixed small-parameter set."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,57 +55,54 @@ def _draw_two(rng, theta=None, psi=None) -> TwoModeProbeParams:
         phi_d1=float(rng.uniform(-np.pi, np.pi)), phi_d2=float(rng.uniform(-np.pi, np.pi)))
 
 
+# Each channel parameter's oracle-panel draw range.
+_PARAM_RANGES = {"omega_p": (-2, 2), "omega_s": (-2, 2), "chi": (-np.pi, np.pi)}
+_SEPARABLE, _BALANCED = {"theta": 0.0, "psi": 0.0}, {"theta": np.pi / 4}
+
+
+class ClosedForm(NamedTuple):
+    """``formulas.<formula>(probe, *args)`` is the QFI of a ``family`` probe,
+    with the angles in ``fixed`` held, under ``channel(*args)``, where
+    ``args`` are the values of the channel parameters named in ``params``."""
+
+    formula: str
+    channel: Callable
+    family: str = "two-mode"
+    fixed: dict = {}
+    params: tuple = ("chi",)
+
+    def value(self, probe, *args) -> float:
+        # looked up at call time, so a wrapped module attribute is the one called
+        return getattr(formulas, self.formula)(probe, *args)
+
+    def draw(self, rng):
+        """(closed_form_value, probe_params, channel), drawing the probe first
+        and then the parameters in ``params`` order."""
+        p = _draw_one(rng) if self.family == "one-mode" else _draw_two(rng, **self.fixed)
+        args = [rng.uniform(*_PARAM_RANGES[name]) for name in self.params]
+        return self.value(p, *args), p, self.channel(*args)
+
+
+# The paper's closed forms (eqs. 19-21, 28, 30, 36, 38 and appendix C), read
+# by the oracle panel and by ``gaussqfi closed-form``.
+CLOSED_FORMS = {
+    "eq19": ClosedForm("qfi_one_mode_combined", combined_channel, "one-mode",
+                       params=("omega_p", "omega_s", "chi")),
+    "eq20": ClosedForm("qfi_phase", phase_channel, "one-mode", params=()),
+    "eq21": ClosedForm("qfi_squeeze1", squeeze_channel, "one-mode"),
+    "eq28": ClosedForm("qfi_twomode_squeeze_separable", twomode_squeeze_channel, fixed=_SEPARABLE),
+    "eq30": ClosedForm("qfi_twomode_squeeze_bs", twomode_squeeze_channel, fixed=_BALANCED),
+    "eq36": ClosedForm("qfi_mix_separable", mix_channel, fixed=_SEPARABLE),
+    "eq38": ClosedForm("qfi_mix_bs", mix_channel, fixed=_BALANCED),
+    "appC-st": ClosedForm("qfi_twomode_squeeze_full", twomode_squeeze_channel),
+    "appC-mix": ClosedForm("qfi_mix_full", mix_channel),
+}
+
+
 def _oracle_families(rng):
-    """(name, draw) pairs returning (closed_form_value, probe_params, channel)."""
-
-    def eq19(r):
-        p = _draw_one(r)
-        wp, ws = r.uniform(-2, 2), r.uniform(-2, 2)
-        chi = r.uniform(-np.pi, np.pi)
-        return formulas.qfi_one_mode_combined(p, wp, ws, chi), p, combined_channel(wp, ws, chi)
-
-    def eq20(r):
-        p = _draw_one(r)
-        return formulas.qfi_phase(p), p, phase_channel()
-
-    def eq21(r):
-        p = _draw_one(r)
-        chi = r.uniform(-np.pi, np.pi)
-        return formulas.qfi_squeeze1(p, chi), p, squeeze_channel(chi)
-
-    def eq28(r):
-        p = _draw_two(r, theta=0.0, psi=0.0)
-        chi = r.uniform(-np.pi, np.pi)
-        return formulas.qfi_twomode_squeeze_separable(p, chi), p, twomode_squeeze_channel(chi)
-
-    def eq30(r):
-        p = _draw_two(r, theta=np.pi / 4)
-        chi = r.uniform(-np.pi, np.pi)
-        return formulas.qfi_twomode_squeeze_bs(p, chi), p, twomode_squeeze_channel(chi)
-
-    def eq36(r):
-        p = _draw_two(r, theta=0.0, psi=0.0)
-        chi = r.uniform(-np.pi, np.pi)
-        return formulas.qfi_mix_separable(p, chi), p, mix_channel(chi)
-
-    def eq38(r):
-        p = _draw_two(r, theta=np.pi / 4)
-        chi = r.uniform(-np.pi, np.pi)
-        return formulas.qfi_mix_bs(p, chi), p, mix_channel(chi)
-
-    def appc_st(r):
-        p = _draw_two(r)
-        chi = r.uniform(-np.pi, np.pi)
-        return formulas.qfi_twomode_squeeze_full(p, chi), p, twomode_squeeze_channel(chi)
-
-    def appc_mix(r):
-        p = _draw_two(r)
-        chi = r.uniform(-np.pi, np.pi)
-        return formulas.qfi_mix_full(p, chi), p, mix_channel(chi)
-
-    return [("eq19", eq19), ("eq20", eq20), ("eq21", eq21), ("eq28", eq28),
-            ("eq30", eq30), ("eq36", eq36), ("eq38", eq38),
-            ("appC-st", appc_st), ("appC-mix", appc_mix)]
+    """(name, draw) pairs, one per CLOSED_FORMS row, returning
+    (closed_form_value, probe_params, channel)."""
+    return [(label, row.draw) for label, row in CLOSED_FORMS.items()]
 
 
 def oracle_panel(seed: int = 20240, draws: int = 200) -> list:

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import gaussqfi as gq
-from gaussqfi import cli
+from gaussqfi import cli, validate
 from gaussqfi.errors import InvalidInputError
-from gaussqfi.optimizer import scaling_exponent
+from gaussqfi.optimizer import OptimizerConfig, scaling_exponent
+from gaussqfi.probes import probe_params_to_dict
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -135,6 +136,7 @@ def test_nan_probe_field_exits_2(tmp_path, capsys):
 
 _PHASE = {"kind": "phase"}
 _ONE_MODE = {"kind": "one-mode", "r": 0.5}
+_STATE = {"kind": "state", **gq.state_to_dict(gq.GaussianState.vacuum(1))}
 
 
 @pytest.mark.parametrize("command,config", [
@@ -196,6 +198,20 @@ _SWEEP = {"probe": _ONE_MODE, "channel": _PHASE}
              "channel": {"kind": "custom", "custom_W": {"X": [], "Y": [[0, 0]]}}}),
     ("qfi", {"probe": _ONE_MODE,
              "channel": {"kind": "custom", "custom_W": {"X": [[1, 0, 7]], "Y": [[0, 0]]}}}),
+    ("qfi", {"probe": {**_STATE, "sigma_X": "ab"}, "channel": _PHASE}),
+    ("qfi", {"probe": {**_STATE, "sigma_X": [["a", 0]]}, "channel": _PHASE}),
+    ("qfi", {"probe": {**_STATE, "sigma_X": [[1, 0], [1]]}, "channel": _PHASE}),
+    ("qfi", {"probe": {**_STATE, "sigma_Y": [["x", 0]]}, "channel": _PHASE}),
+    ("qfi", {"probe": {**_STATE, "d_tilde": [[{}, 0]]}, "channel": _PHASE}),
+    ("optimize", {"channel": _PHASE, "budget": {"n_total": 1.0},
+                  "optimizer": {"restarts": 2.9}}),
+    ("optimize", {"channel": _PHASE, "budget": {"n_total": 1.0},
+                  "optimizer": {"restarts": True}}),
+    ("optimize", {"channel": _PHASE, "budget": {"n_total": 1.0},
+                  "optimizer": {"seed": "7"}}),
+    ("optimize", {"channel": _PHASE, "budget": {"n_total": 1.0},
+                  "optimizer": {"restarts": float("inf")}}),
+    ("closed-form", {"label": ["eq19"], "probe": _ONE_MODE}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     code, out = run_cli(tmp_path, capsys, command, {"schema": 1, **config})
@@ -216,17 +232,32 @@ def test_unknown_optimizer_setting_names_accepted_keys(tmp_path, capsys):
     assert "'restarts'" in captured.err and "'seed'" in captured.err
 
 
+def test_optimizer_settings_take_integral_numbers():
+    assert OptimizerConfig.from_dict({"restarts": 4.0, "seed": 7}) == \
+        OptimizerConfig(restarts=4, seed=7)
+    for key, value in (("restarts", 2.9), ("restarts", True), ("seed", "7"),
+                       ("restarts", float("inf"))):
+        with pytest.raises(InvalidInputError, match=f"'{key}' must be an integer"):
+            OptimizerConfig.from_dict({key: value})
+
+
 def test_sweep_unknown_probe_field_exits_2(tmp_path, capsys, monkeypatch):
     # a field typo is a config error, caught before any row is computed
     calls = []
     monkeypatch.setattr(cli, "_sweep_row", lambda *a: calls.append(a) or "")
-    for probe in (_ONE_MODE, {"kind": "two-mode"}):
-        config = {"schema": 1, "sweep": {"parameter": "probe.rr", "grid": [0.1, 0.2]},
+    for probe, path in ((_ONE_MODE, "probe.rr"), ({"kind": "two-mode"}, "probe.rr"),
+                        (_STATE, "probe.sigmaX")):
+        config = {"schema": 1, "sweep": {"parameter": path, "grid": [0.1, 0.2]},
                   "probe": probe, "channel": _PHASE}
         code, out = run_cli(tmp_path, capsys, "sweep", config)
         assert code == 2
         assert out == ""
     assert calls == []
+    # a key that state_to_dict writes passes the check
+    config = {"schema": 1, "sweep": {"parameter": "probe.sigma_X", "grid": [0.1, 0.2]},
+              "probe": _STATE, "channel": _PHASE}
+    assert run_cli(tmp_path, capsys, "sweep", config)[0] == 0
+    assert len(calls) == 2
 
 
 def test_sweep_unknown_channel_key_exits_2(tmp_path, capsys, monkeypatch):
@@ -414,6 +445,37 @@ def test_closed_form_labels(tmp_path, capsys):
     p = gq.TwoModeProbeParams(r1=0.4, r2=0.2, theta=0.5, psi=0.1, phi1=0.2)
     want = gq.formulas.qfi_mix_full(p, 0.3)
     assert abs(json.loads(out)["value"] - want) < 1e-12 * max(1.0, want)
+
+
+_PANEL = dict(validate._oracle_families(None))
+
+
+@pytest.mark.parametrize("label", list(_PANEL))
+def test_closed_form_cli_matches_panel(tmp_path, capsys, label):
+    # on a probe and channel the oracle panel draws, the CLI prints the
+    # panel's closed form to its 15 digits
+    rng = np.random.default_rng(sum(map(ord, label)))
+    for _ in range(3):
+        closed, params, channel = _PANEL[label](rng)
+        config = {"schema": 1, "label": label,
+                  "probe": probe_params_to_dict(params), "chi": channel.chi,
+                  "omega_p": channel.omega_p, "omega_s": channel.omega_s}
+        code, out = run_cli(tmp_path, capsys, "closed-form", config)
+        assert code == 0
+        assert json.loads(out) == {"label": label, "value": float(f"{closed:.15g}")}
+
+
+@pytest.mark.parametrize("label,probe,needs", [
+    ("eq28", _ONE_MODE, "needs a two-mode probe"),
+    ("eq21", {"kind": "two-mode", "r1": 0.5}, "needs a one-mode probe"),
+])
+def test_closed_form_wrong_probe_family_exits_2(tmp_path, capsys, label, probe, needs):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema": 1, "label": label, "probe": probe}))
+    assert cli.main(["closed-form", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert needs in captured.err
 
 
 def test_closed_form_unknown_label_exits_2(tmp_path, capsys):
