@@ -17,6 +17,12 @@ def _check_finite(name: str, *arrays):
         raise InvalidInputError(f"{name} entries must be finite")
 
 
+def _is_integral(value) -> bool:
+    """4 and 4.0 are integers; 2.9, true, "7" and infinity are not."""
+    return not isinstance(value, bool) and (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer()))
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr

@@ -29,9 +29,9 @@ from .core import GaussianState, complex_to_real, complex_to_real_matrix, \
     l_matrix, state_from_dict, state_to_dict
 from .errors import DegenerateBudgetError, GaussQfiError, InvalidInputError, \
     NumericalInstabilityError
-from .optimizer import EnergyBudget, OptimizerConfig, optimize_probe, scaling_exponent
-from .probes import OneModeProbeParams, TwoModeProbeParams, \
-    probe_params_from_dict, probe_params_to_dict
+from .optimizer import ONE_MODE, TWO_MODE, EnergyBudget, OptimizerConfig, \
+    optimize_probe, scaling_exponent
+from .probes import FAMILIES, probe_params_from_dict, probe_params_to_dict
 from .qfi import ProbeState, qfi_unitary
 from . import formulas, validate
 
@@ -116,9 +116,9 @@ def _parse_probe(config: dict):
     """Returns (ProbeState, params-or-None). Parse errors raise
     ConfigError; physics violations raise GaussQfiError (exit 3)."""
     raw = _require(config, "probe")
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise ConfigError("probe must be an object with a 'kind' field")
-    if raw["kind"] in ("one-mode", "two-mode"):
+    if not isinstance(raw, dict) or not isinstance(raw.get("kind"), str):
+        raise ConfigError("probe must be an object with a string 'kind' field")
+    if raw["kind"] in FAMILIES:
         try:
             params = probe_params_from_dict(raw)
         except GaussQfiError as exc:
@@ -160,8 +160,7 @@ def cmd_closed_form(config: dict, args) -> str:
     _, params = _parse_probe(config)
     if params is None:
         raise ConfigError("closed-form evaluation needs a parametric probe")
-    actual = "one-mode" if isinstance(params, OneModeProbeParams) else "two-mode"
-    if actual != row.family:
+    if params.kind != row.family:
         raise ConfigError(f"label {label!r} needs a {row.family} probe")
     value = row.value(params, *(_param(config, key) for key in row.params))
     return _dump_json({"label": label, "value": value})
@@ -205,15 +204,15 @@ def cmd_sweep(config: dict, args) -> str:
     probe = _require(config, "probe")
     _require(config, "channel")
     kind = probe.get("kind") if isinstance(probe, dict) else None
+    family = FAMILIES.get(kind) if isinstance(kind, str) else None
     root, _, key = path.partition(".")
     # a typo would otherwise fail every row like a physics error, or, in a
     # channel key nothing reads, print the same row at every grid value
     names = None
     if root == "channel":
         names = list(channel_to_dict(_parse_channel(config)))
-    elif kind in ("one-mode", "two-mode"):
-        params = OneModeProbeParams if kind == "one-mode" else TwoModeProbeParams
-        names = [f.name for f in dataclasses.fields(params)]
+    elif family is not None:
+        names = [f.name for f in dataclasses.fields(family)]
     elif kind == "state":
         names = list(state_to_dict(GaussianState.vacuum(1)))
     if names is not None and key not in names:
@@ -225,25 +224,11 @@ def cmd_sweep(config: dict, args) -> str:
 
 def cmd_optimize(config: dict, args) -> str:
     channel = _parse_channel(config)
-    family = config.get("family", "one-mode" if channel.modes == 1
-                        else "two-mode-restricted")
-    if family not in ("one-mode", "two-mode-restricted"):
-        raise ConfigError(f"unknown probe family {family!r}")
-    if channel.modes != (1 if family == "one-mode" else 2):
-        raise ConfigError(f"family {family!r} does not match a "
-                          f"{channel.modes}-mode channel")
-    constraint = config.get("constraint")
-    if constraint not in (None, "coherent-only", "squeezing-only"):
-        raise ConfigError(f"unknown constraint {constraint!r}")
+    family = config.get("family", ONE_MODE if channel.modes == 1 else TWO_MODE)
     budget_raw = _require(config, "budget")
     if not isinstance(budget_raw, dict) or "n_total" not in budget_raw:
         raise ConfigError("budget must be an object with 'n_total'")
     n_total = _number(budget_raw["n_total"], "budget n_total")
-    modes = 1 if family == "one-mode" else 2
-    try:
-        budget = EnergyBudget(n_total, tuple(((0.0, 0.0),) * modes))
-    except GaussQfiError as exc:
-        raise ConfigError(f"bad budget: {exc}") from exc
     try:
         opt_config = OptimizerConfig.from_dict(config.get("optimizer", {}))
     except (AttributeError, TypeError, ValueError, GaussQfiError) as exc:
@@ -251,8 +236,14 @@ def cmd_optimize(config: dict, args) -> str:
         raise ConfigError(f"bad optimizer settings: {exc}") from exc
     if args.seed is not None:
         opt_config = dataclasses.replace(opt_config, seed=args.seed)
-    result = optimize_probe(channel, family, budget, opt_config,
-                            constraint=constraint)
+    # both reject only their inputs: the budget, the family, the constraint
+    # and the family's mode count on this channel
+    try:
+        budget = EnergyBudget(n_total, ((0.0, 0.0),) * channel.modes)
+        result = optimize_probe(channel, family, budget, opt_config,
+                                constraint=config.get("constraint"))
+    except InvalidInputError as exc:
+        raise ConfigError(str(exc)) from exc
     payload = {
         "best_qfi": result.best_qfi,
         "best_params": {

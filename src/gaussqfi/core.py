@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _as_complex, _check_finite, _complex_form, _freeze
+from ._util import _as_complex, _check_finite, _complex_form, _freeze, _is_integral
 from .errors import InvalidDimensionError, InvalidInputError, \
     NumericalInstabilityError, StructureError
 
@@ -315,16 +315,16 @@ def state_to_dict(state: GaussianState) -> dict:
 
 
 def state_from_dict(data: dict) -> GaussianState:
-    try:
-        n = int(data["modes"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructureError("state JSON needs an integer 'modes' field") from exc
+    if not _is_integral(data.get("modes")):
+        raise StructureError(f"state JSON needs an integer 'modes', got {data.get('modes')!r}")
+    n = int(data["modes"])
     if n < 1:
         raise InvalidDimensionError(f"modes must be >= 1, got {n}")
     if "sigma_X" not in data:
         raise StructureError("state JSON needs a 'sigma_X' field")
-    d = _unpairs(data.get("d_tilde", [[0.0, 0.0]] * n), (n,), "d_tilde")
+    # sigma_X first: its shape check bounds n before any default is built
     x = _unpairs(data["sigma_X"], (n, n), "sigma_X")
+    d = _unpairs(data.get("d_tilde", [[0.0, 0.0]] * n), (n,), "d_tilde")
     y = _unpairs(data.get("sigma_Y", [[0.0, 0.0]] * (n * n)), (n, n), "sigma_Y")
     return GaussianState(d, x, y)
 

@@ -219,17 +219,15 @@ def apply_generator(channel: ChannelSpec, cutoff: int, vecs: np.ndarray) -> np.n
 
 
 def _check_modes(params, channel: ChannelSpec):
-    expected = 1 if isinstance(params, OneModeProbeParams) else 2
-    if channel.modes != expected:
+    if channel.modes != len(params.ENERGY):
         raise InvalidInputError("probe and channel mode counts differ")
 
 
 def ladder_state(params) -> FockDensity:
     """Probe state at the smallest cutoff on the doubling ladder that
     passes the leak rule (8, 16, ... one mode; 10, 20, 40, 80 two modes)."""
-    one_mode = isinstance(params, OneModeProbeParams)
-    cutoff = 8 if one_mode else 10
-    limit = MAX_CUTOFF_ONE_MODE if one_mode else MAX_CUTOFF_TWO_MODE
+    cutoff, limit = ((8, MAX_CUTOFF_ONE_MODE) if len(params.ENERGY) == 1
+                     else (10, MAX_CUTOFF_TWO_MODE))
     last_err = None
     while cutoff <= limit:
         try:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from ._util import _is_integral
 from .channels import (
     BEAMSPLIT,
     COMBINED,
@@ -26,7 +27,7 @@ from .channels import (
     TWOMODE_SQUEEZE,
     ChannelSpec,
 )
-from .errors import DegenerateBudgetError, InvalidInputError
+from .errors import DegenerateBudgetError, InvalidInputError, NumericalInstabilityError
 from .probes import OneModeProbeParams, TwoModeProbeParams
 from .qfi import finite_terms, qfi_kernel, qfi_unitary
 
@@ -39,6 +40,9 @@ _PARAMS = {ONE_MODE: OneModeProbeParams, TWO_MODE: TwoModeProbeParams}
 
 # logistic(-SATURATION) ~ 9e-14: numerically "all energy into squeezing"
 SATURATION = 30.0
+# a two-mode objective call at this many restarts (22,528 points, the
+# gradient batch) peaks at about 88 MB of RSS, 25 MB above the idle process
+MAX_RESTARTS = 1024
 
 
 @dataclass(frozen=True)
@@ -80,14 +84,16 @@ class EnergyBudget:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Number of search starts and the seed that places them."""
+    """Number of search starts, 1 to ``MAX_RESTARTS`` (1024), and the seed
+    that places them."""
 
     restarts: int = 32
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise InvalidInputError(f"restarts must be >= 1, got {self.restarts}")
+        if not 1 <= self.restarts <= MAX_RESTARTS:
+            raise InvalidInputError(
+                f"restarts must be in [1, {MAX_RESTARTS}], got {self.restarts}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "OptimizerConfig":
@@ -97,10 +103,7 @@ class OptimizerConfig:
             raise InvalidInputError(f"unknown optimizer settings {unknown}; "
                                     f"accepted: {accepted}")
         for key, value in data.items():
-            # 4.0 is 4; 2.9, true, "7" and infinity are refused, not truncated
-            integral = isinstance(value, int) or (
-                isinstance(value, float) and value.is_integer())
-            if isinstance(value, bool) or not integral:
+            if not _is_integral(value):
                 raise InvalidInputError(
                     f"optimizer setting {key!r} must be an integer, got {value!r}")
         return cls(**{key: int(value) for key, value in data.items()})
@@ -133,17 +136,19 @@ def _logit(p: float) -> float:
 def _energy_fractions(x: np.ndarray, family: str, constraint: str):
     """Energy coordinates of search vectors ``x`` (B, dim).
 
-    Returns ``(f_d, f_th, g)``, each (B, modes): the displacement and
-    thermal fractions of each mode's energy, and each mode's share of the
-    budget.  Squeezing takes the rest of a mode's share.
+    A row is the family's ``ANGLES``, a share coordinate for each mode
+    after the first, then (unconstrained) each mode's displacement and
+    thermal coordinates.  Returns ``(f_d, f_th, g)``, each (B, modes): the
+    displacement and thermal fractions of each mode's energy, and each
+    mode's share of the budget.  Squeezing takes the rest of a mode's share.
     """
-    b = x.shape[0]
-    if family == ONE_MODE:
-        modes, offset = 1, 2
+    b, cls = x.shape[0], _PARAMS[family]
+    modes, start = len(cls.ENERGY), len(cls.ANGLES)
+    offset = start + modes - 1
+    if modes == 1:
         g = np.ones((b, 1))
-    else:
-        modes, offset = 2, 7
-        g1 = _logistic(x[:, 6])
+    else:  # every family has one or two modes: the second takes the rest
+        g1 = _logistic(x[:, start])
         g = np.stack([g1, 1.0 - g1], axis=1)
     if constraint == "coherent-only":
         return np.ones((b, modes)), np.zeros((b, modes)), g
@@ -165,13 +170,12 @@ def _columns(x: np.ndarray, family: str, n_total: float, constraint: str):
     lams = 1.0 + 2.0 * n_th
     r = np.arcsinh(np.sqrt(np.maximum(n_k - n_d - n_th, 0.0) / lams))
     d_mag = np.sqrt(n_d)
-    angles = np.mod(x[:, :2 if family == ONE_MODE else 6] + np.pi, 2 * np.pi) - np.pi
-    if family == ONE_MODE:
-        columns = (lams[:, 0], r[:, 0], angles[:, 0], d_mag[:, 0], angles[:, 1])
-    else:
-        columns = (lams[:, 0], lams[:, 1], r[:, 0], r[:, 1], *angles[:, :4].T,
-                   d_mag[:, 0], d_mag[:, 1], angles[:, 4], angles[:, 5])
-    return columns, (f_d, f_th, g)
+    cls = _PARAMS[family]
+    angles = np.mod(x[:, :len(cls.ANGLES)] + np.pi, 2 * np.pi) - np.pi
+    named = dict(zip(cls.ANGLES, angles.T))
+    for k, names in enumerate(cls.ENERGY):
+        named.update(zip(names, (lams[:, k], r[:, k], d_mag[:, k])))
+    return tuple(named[name] for name in cls.__dataclass_fields__), (f_d, f_th, g)
 
 
 def _objective(x, family, n_total, constraint, ikw, gamma) -> np.ndarray:
@@ -208,21 +212,21 @@ _SPLIT_LATTICE = ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.3, 0.3))
 
 
 def _start_points(family: str, constraint: str, config: OptimizerConfig):
-    """``config.restarts`` search vectors (restarts, dim): Halton angles
-    and mode share, energy fractions from a fixed lattice."""
-    n_angles = 2 if family == ONE_MODE else 6
+    """``config.restarts`` search vectors (restarts, dim) in the layout of
+    ``_energy_fractions``: Halton angles and mode share, energy fractions
+    from a fixed lattice."""
+    cls = _PARAMS[family]
     starts = []
     for i in range(config.restarts):
         idx = config.seed * 1000 + i + 1
-        x = [2 * np.pi * (_halton(idx, _HALTON_BASES[j % 6]) - 0.5)
-             for j in range(n_angles)]
-        if family == TWO_MODE:
-            x.append(_logit(0.25 + 0.5 * _halton(idx, 17)))
+        x = [2 * np.pi * (_halton(idx, _HALTON_BASES[j % len(_HALTON_BASES)]) - 0.5)
+             for j in range(len(cls.ANGLES))]
+        x += [_logit(0.25 + 0.5 * _halton(idx, 17))] * (len(cls.ENERGY) - 1)
         if not constraint:
             fd, ft = _SPLIT_LATTICE[i % len(_SPLIT_LATTICE)]
             us = [_logit(fd) if fd else -SATURATION,
                   _logit(ft) if ft else -SATURATION]
-            x += us * (1 if family == ONE_MODE else 2)
+            x += us * len(cls.ENERGY)
         starts.append(x)
     return np.array(starts)
 
@@ -342,11 +346,11 @@ def optimize_probe(channel: ChannelSpec, family: str, budget: EnergyBudget,
         constraint: None, "coherent-only" (all energy displaced) or
             "squeezing-only".
     """
-    if family not in (ONE_MODE, TWO_MODE):
-        raise InvalidInputError(f"unknown probe family {family!r}")
+    if not isinstance(family, str) or family not in _PARAMS:
+        raise InvalidInputError(f"unknown probe family {family!r}; known: {list(_PARAMS)}")
     if constraint not in (None, "coherent-only", "squeezing-only"):
         raise InvalidInputError(f"unknown constraint {constraint!r}")
-    expected_modes = 1 if family == ONE_MODE else 2
+    expected_modes = len(_PARAMS[family].ENERGY)
     if channel.modes != expected_modes:
         raise InvalidInputError(
             f"family {family} needs a {expected_modes}-mode channel")
@@ -364,7 +368,7 @@ def optimize_probe(channel: ChannelSpec, family: str, budget: EnergyBudget,
     for idx in np.flatnonzero(aborted):
         log.warning("optimizer start %d aborted (non-finite objective)", idx)
     if aborted.all():
-        raise InvalidInputError("all optimizer starts aborted")
+        raise NumericalInstabilityError("all optimizer starts aborted")
     trace = [(int(idx), float(values[idx])) for idx in np.flatnonzero(~aborted)]
 
     best = int(np.argmax(values))
@@ -372,7 +376,7 @@ def optimize_probe(channel: ChannelSpec, family: str, budget: EnergyBudget,
     params, bud = _decode(res.x[best], family, budget.n_total, constraint)
     engine_value = qfi_unitary(params.to_probe_state(), channel).total
     if abs(engine_value - value) > 1e-9 * max(1.0, abs(value)):
-        raise InvalidInputError(
+        raise NumericalInstabilityError(
             f"search objective ({value:.12g}) and engine ({engine_value:.12g}) "
             "disagree on the optimum")
     best_params = {"family": family, "probe": params, "splits": bud.splits,

@@ -17,16 +17,10 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from ._util import _complex_form
+from .core import mean_photon_number
 from .errors import InvalidInputError, StructureError
 from .qfi import ProbeState
 from .symplectic import SymplecticMatrix, WilliamsonForm
-
-
-def _check_finite(params):
-    # NaN slips through every range check below, since nan < 1.0 is false
-    for name, value in vars(params).items():
-        if not math.isfinite(value):
-            raise InvalidInputError(f"{name} must be finite, got {value}")
 
 
 def _squeezed(u: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -43,22 +37,42 @@ def _probe_state(params) -> ProbeState:
     return ProbeState(WilliamsonForm(s, lams[:, 0]), d_tilde[:, 0])
 
 
+class _Family:
+    """The checks and the energy shared by the parametric families.  Each
+    family states its layout once, for every caller to read: ``kind``, its
+    JSON kind; ``ENERGY``, the ``(lambda, r, d_mag)`` field names of each
+    mode, the fields that spend energy; ``ANGLES``, the other fields in
+    field order."""
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            # NaN slips through every range check below, since nan < 1.0 is false
+            if not math.isfinite(value):
+                raise InvalidInputError(f"{name} must be finite, got {value}")
+        for lam, _, d_mag in self.ENERGY:
+            for name, floor in ((lam, 1.0), (d_mag, 0.0)):
+                value = getattr(self, name)
+                if value < floor:
+                    raise InvalidInputError(f"{name} must be >= {floor:g}, got {value}")
+
+    def mean_photon(self) -> float:
+        """Mean total particle number of the state the family builds."""
+        return mean_photon_number(self.to_probe_state().to_state())
+
+
 @dataclass(frozen=True)
-class OneModeProbeParams:
+class OneModeProbeParams(_Family):
     """General one-mode Gaussian probe parameters."""
+
+    kind = "one-mode"
+    ENERGY = (("lambda1", "r", "d_mag"),)
+    ANGLES = ("theta", "phi_d")
 
     lambda1: float = 1.0
     r: float = 0.0
     theta: float = 0.0
     d_mag: float = 0.0
     phi_d: float = 0.0
-
-    def __post_init__(self):
-        _check_finite(self)
-        if self.lambda1 < 1.0:
-            raise InvalidInputError(f"lambda1 must be >= 1, got {self.lambda1}")
-        if self.d_mag < 0.0:
-            raise InvalidInputError("d_mag must be >= 0")
 
     @staticmethod
     def arrays(lambda1, r, theta, d_mag, phi_d):
@@ -72,14 +86,14 @@ class OneModeProbeParams:
     def to_probe_state(self) -> ProbeState:
         return _probe_state(self)
 
-    def mean_photon(self) -> float:
-        n_th = (self.lambda1 - 1.0) / 2.0
-        return self.d_mag ** 2 + n_th + (1.0 + 2.0 * n_th) * np.sinh(self.r) ** 2
-
 
 @dataclass(frozen=True)
-class TwoModeProbeParams:
+class TwoModeProbeParams(_Family):
     """Restricted two-mode probe family (covers all two-mode pure states)."""
+
+    kind = "two-mode"
+    ENERGY = (("lambda1", "r1", "d1_mag"), ("lambda2", "r2", "d2_mag"))
+    ANGLES = ("theta", "psi", "phi1", "phi2", "phi_d1", "phi_d2")
 
     lambda1: float = 1.0
     lambda2: float = 1.0
@@ -93,13 +107,6 @@ class TwoModeProbeParams:
     d2_mag: float = 0.0
     phi_d1: float = 0.0
     phi_d2: float = 0.0
-
-    def __post_init__(self):
-        _check_finite(self)
-        if self.lambda1 < 1.0 or self.lambda2 < 1.0:
-            raise InvalidInputError("lambda1, lambda2 must be >= 1")
-        if self.d1_mag < 0.0 or self.d2_mag < 0.0:
-            raise InvalidInputError("displacement magnitudes must be >= 0")
 
     @staticmethod
     def arrays(lambda1, lambda2, r1, r2, theta, psi, phi1, phi2,
@@ -121,12 +128,8 @@ class TwoModeProbeParams:
     def to_probe_state(self) -> ProbeState:
         return _probe_state(self)
 
-    def mean_photon(self) -> float:
-        total = 0.0
-        for lam, r, d in ((self.lambda1, self.r1, self.d1_mag),
-                          (self.lambda2, self.r2, self.d2_mag)):
-            total += d ** 2 + (lam - 1.0) / 2.0 + lam * np.sinh(r) ** 2
-        return total
+
+FAMILIES = {cls.kind: cls for cls in (OneModeProbeParams, TwoModeProbeParams)}
 
 
 def one_mode_probe_on_two(lambda1: float, r1: float, phi1: float = 0.0,
@@ -153,21 +156,18 @@ def squeezing_from_energy(n: float, n_d: float, n_th: float) -> float:
 # JSON interchange for probe configurations
 
 def probe_params_to_dict(params) -> dict:
-    if isinstance(params, OneModeProbeParams):
-        return {"kind": "one-mode", **asdict(params)}
-    if isinstance(params, TwoModeProbeParams):
-        return {"kind": "two-mode", **asdict(params)}
-    raise InvalidInputError(f"unsupported probe parameter type {type(params)!r}")
+    if not isinstance(params, _Family):
+        raise InvalidInputError(f"unsupported probe parameter type {type(params)!r}")
+    return {"kind": params.kind, **asdict(params)}
 
 
 def probe_params_from_dict(data: dict):
     kind = data.get("kind")
     fields = {k: float(v) for k, v in data.items() if k != "kind"}
+    family = FAMILIES.get(kind) if isinstance(kind, str) else None
+    if family is None:
+        raise StructureError(f"unknown probe kind {kind!r}")
     try:
-        if kind == "one-mode":
-            return OneModeProbeParams(**fields)
-        if kind == "two-mode":
-            return TwoModeProbeParams(**fields)
+        return family(**fields)
     except TypeError as exc:
         raise StructureError(f"bad probe parameters: {exc}") from exc
-    raise StructureError(f"unknown probe kind {kind!r}")

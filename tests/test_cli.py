@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import gaussqfi as gq
-from gaussqfi import cli, validate
+from gaussqfi import cli, optimizer, validate
 from gaussqfi.errors import InvalidInputError
-from gaussqfi.optimizer import OptimizerConfig, scaling_exponent
+from gaussqfi.optimizer import MAX_RESTARTS, OptimizerConfig, scaling_exponent
 from gaussqfi.probes import probe_params_to_dict
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -212,6 +212,23 @@ _SWEEP = {"probe": _ONE_MODE, "channel": _PHASE}
     ("optimize", {"channel": _PHASE, "budget": {"n_total": 1.0},
                   "optimizer": {"restarts": float("inf")}}),
     ("closed-form", {"label": ["eq19"], "probe": _ONE_MODE}),
+    # refused by OptimizerConfig before any start is placed
+    ("optimize", {"channel": _PHASE, "budget": {"n_total": 1.0},
+                  "optimizer": {"restarts": 1e300}}),
+    ("optimize", {"channel": _PHASE, "budget": {"n_total": 1.0},
+                  "optimizer": {"restarts": MAX_RESTARTS + 1}}),
+    ("qfi", {"probe": {**_STATE, "modes": 1.9}, "channel": _PHASE}),
+    ("qfi", {"probe": {**_STATE, "modes": True}, "channel": _PHASE}),
+    ("qfi", {"probe": {**_STATE, "modes": "1"}, "channel": _PHASE}),
+    # integral, so refused by sigma_X's shape, before a default is built
+    ("qfi", {"probe": {**_STATE, "modes": 1e300}, "channel": _PHASE}),
+    # refused by optimize_probe, the one check of an optimize request
+    ("optimize", {"channel": _PHASE, "budget": {"n_total": 1.0},
+                  "family": "three-mode"}),
+    ("optimize", {"channel": _PHASE, "budget": {"n_total": 1.0},
+                  "family": ["one-mode"]}),
+    ("optimize", {"channel": _PHASE, "budget": {"n_total": 1.0},
+                  "family": "two-mode-restricted"}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     code, out = run_cli(tmp_path, capsys, command, {"schema": 1, **config})
@@ -511,6 +528,30 @@ def test_optimize_angles_wrapped(tmp_path, capsys, channel, family):
               if k in ("theta", "psi") or k.startswith("phi")]
     assert len(angles) == (2 if family == "one-mode" else 6)
     assert all(-np.pi <= a < np.pi for a in angles)
+
+
+def test_optimize_squeezing_only(tmp_path, capsys):
+    config = {"schema": 1, "channel": {"kind": "two-mode-squeeze"},
+              "constraint": "squeezing-only", "budget": {"n_total": 1.0},
+              "optimizer": {"restarts": 8}}
+    code, out = run_cli(tmp_path, capsys, "optimize", config)
+    assert code == 0
+    data = json.loads(out)
+    assert abs(data["best_qfi"] - 20.0) <= 1e-9 * 20.0
+    assert data["best_params"]["splits"] == [[0.0, 0.0], [0.0, 0.0]]
+
+
+def test_optimize_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # a search whose every start is aborted is a numerical failure, not a
+    # config error
+    monkeypatch.setattr(optimizer, "_objective",
+                        lambda x, *args: np.full(len(x), np.inf))
+    config = {"schema": 1, "channel": {"kind": "phase"},
+              "budget": {"n_total": 1.0}, "optimizer": {"restarts": 2}}
+    with np.errstate(invalid="ignore"):
+        code, out = run_cli(tmp_path, capsys, "optimize", config)
+    assert code == 3
+    assert out == ""
 
 
 def test_optimize_degenerate_budget_exits_4(tmp_path, capsys):

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 import gaussqfi as gq
-from gaussqfi.errors import DegenerateBudgetError, InvalidInputError
+from gaussqfi import optimizer
+from gaussqfi.errors import DegenerateBudgetError, InvalidInputError, \
+    NumericalInstabilityError
 from gaussqfi.optimizer import (
     FAMILY_COHERENT,
     FAMILY_ONE_MODE_PROBE,
     FAMILY_OPTIMAL,
+    MAX_RESTARTS,
     ONE_MODE,
     TWO_MODE,
     EnergyBudget,
@@ -161,6 +164,42 @@ def test_determinism():
     assert a.best_qfi == b.best_qfi
     assert a.trace == b.trace
     assert a.best_params["probe"] == b.best_params["probe"]
+
+
+@pytest.mark.parametrize("channel,family,target", [
+    (gq.phase_channel(), ONE_MODE, 16.0),
+    (gq.mix_channel(), TWO_MODE, 16.0),
+    (gq.twomode_squeeze_channel(), TWO_MODE, 20.0)])
+def test_squeezing_only_reaches_free_optimum(channel, family, target):
+    # at n = 1 the free optima spend nothing on displacement or temperature,
+    # so the squeezing-only search reaches them with every split (0, 0)
+    splits = ((0.0, 0.0),) * channel.modes
+    result = optimize_probe(channel, family, EnergyBudget(1.0, splits),
+                            OptimizerConfig(restarts=8), constraint="squeezing-only")
+    assert abs(result.best_qfi - target) <= 1e-9 * target
+    assert result.best_params["splits"] == splits
+    assert result.converged
+
+
+def test_numerical_failures_raise_numerical_instability(monkeypatch):
+    # every start aborted
+    with monkeypatch.context() as m, np.errstate(invalid="ignore"):
+        m.setattr(optimizer, "_objective", lambda x, *args: np.full(len(x), np.inf))
+        with pytest.raises(NumericalInstabilityError, match="aborted"):
+            optimize_probe(gq.phase_channel(), ONE_MODE, EnergyBudget(1.0), QUICK)
+    # the engine disagrees with the search objective at the optimum
+    breakdown = optimizer.qfi_unitary(gq.OneModeProbeParams().to_probe_state(),
+                                      gq.phase_channel())
+    monkeypatch.setattr(optimizer, "qfi_unitary", lambda *args: breakdown)
+    with pytest.raises(NumericalInstabilityError, match="disagree"):
+        optimize_probe(gq.phase_channel(), ONE_MODE, EnergyBudget(1.0), QUICK)
+
+
+def test_restarts_bounded():
+    assert OptimizerConfig(restarts=MAX_RESTARTS).restarts == MAX_RESTARTS
+    for restarts in (0, MAX_RESTARTS + 1):
+        with pytest.raises(InvalidInputError, match="restarts"):
+            OptimizerConfig(restarts=restarts)
 
 
 def test_degenerate_budget():

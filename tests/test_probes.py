@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,14 @@ from hypothesis import strategies as st
 import gaussqfi as gq
 from gaussqfi.channels import mix_matrix, phase_matrix, squeeze_matrix
 from gaussqfi.errors import InvalidInputError
-from gaussqfi.probes import probe_params_from_dict, probe_params_to_dict
+from gaussqfi.probes import FAMILIES, probe_params_from_dict, probe_params_to_dict
+
+
+def _paper_energy(*modes):
+    # the mean-energy relation |d|^2 + (lambda - 1)/2 + lambda sinh^2 r,
+    # summed over the (lambda, r, |d|) of each mode
+    return sum(d ** 2 + (lam - 1.0) / 2.0 + lam * np.sinh(r) ** 2
+               for lam, r, d in modes)
 
 
 def test_one_mode_energy_matches_state(rng):
@@ -15,8 +24,8 @@ def test_one_mode_energy_matches_state(rng):
             lambda1=rng.uniform(1, 4), r=rng.uniform(-1.5, 1.5),
             theta=rng.uniform(-np.pi, np.pi), d_mag=rng.uniform(0, 2),
             phi_d=rng.uniform(-np.pi, np.pi))
-        n_state = gq.mean_photon_number(p.to_probe_state().to_state())
-        assert abs(n_state - p.mean_photon()) < 1e-10 * max(1.0, p.mean_photon())
+        n_paper = _paper_energy((p.lambda1, p.r, p.d_mag))
+        assert abs(n_paper - p.mean_photon()) < 1e-10 * max(1.0, n_paper)
 
 
 def test_two_mode_energy_matches_state(rng):
@@ -28,8 +37,22 @@ def test_two_mode_energy_matches_state(rng):
             phi1=rng.uniform(-np.pi, np.pi), phi2=rng.uniform(-np.pi, np.pi),
             d1_mag=rng.uniform(0, 2), d2_mag=rng.uniform(0, 2),
             phi_d1=rng.uniform(-np.pi, np.pi), phi_d2=rng.uniform(-np.pi, np.pi))
-        n_state = gq.mean_photon_number(p.to_probe_state().to_state())
-        assert abs(n_state - p.mean_photon()) < 1e-10 * max(1.0, p.mean_photon())
+        n_paper = _paper_energy((p.lambda1, p.r1, p.d1_mag), (p.lambda2, p.r2, p.d2_mag))
+        assert abs(n_paper - p.mean_photon()) < 1e-10 * max(1.0, n_paper)
+
+
+@pytest.mark.parametrize("cls", [gq.OneModeProbeParams, gq.TwoModeProbeParams])
+def test_family_description_partitions_fields(cls):
+    # ANGLES and the ENERGY names are the dataclass fields, each once, with
+    # ANGLES in field order; the JSON kind maps back to the class
+    names = [f.name for f in dataclasses.fields(cls)]
+    energy = [name for mode in cls.ENERGY for name in mode]
+    assert sorted(energy + list(cls.ANGLES)) == sorted(names)
+    assert list(cls.ANGLES) == [n for n in names if n in cls.ANGLES]
+    assert all(lam.startswith("lambda") and r.startswith("r") and d.endswith("mag")
+               for lam, r, d in cls.ENERGY)
+    assert FAMILIES[cls.kind] is cls
+    assert "kind" not in cls.__dataclass_fields__
 
 
 @given(st.floats(min_value=0.01, max_value=20.0),
