@@ -6,8 +6,9 @@ deterministic given the config and seed.  Numbers are printed with 15
 significant digits; CSV uses ``,`` delimiters, ``.`` decimals and always
 carries a header.
 
-``sweep`` runs its grid points one after another in this process,
-copying only the swept ``probe`` or ``channel`` object for each point.
+``sweep`` parses and checks each grid point on its own and evaluates all
+of them with one batched ``qfi_kernel`` call, one column per point (one
+call per ``SWEEP_CHUNK`` points on a longer grid).
 
 Exit codes: 0 ok, 1 validation-panel failure, 2 config parse error
 (malformed or missing fields and unknown names included), 3 physics
@@ -31,8 +32,9 @@ from .errors import DegenerateBudgetError, GaussQfiError, InvalidInputError, \
     NumericalInstabilityError
 from .optimizer import ONE_MODE, TWO_MODE, EnergyBudget, OptimizerConfig, \
     optimize_probe, scaling_exponent
-from .probes import FAMILIES, probe_params_from_dict, probe_params_to_dict
-from .qfi import ProbeState, qfi_unitary
+from .probes import FAMILIES, column_state, probe_arrays, probe_params_from_dict, \
+    probe_params_to_dict
+from .qfi import ProbeState, QfiBreakdown, kernel_terms, qfi_unitary
 from . import formulas, validate
 
 EXIT_OK = 0
@@ -167,27 +169,65 @@ def cmd_closed_form(config: dict, args) -> str:
 
 
 SWEEP_HEADER = "value,r_term,q_term,eigen_term,disp_term,total"
+# grid points per batched kernel call: a point holds about 4 KB while its
+# batch is built, so a chunk keeps a long grid's memory near a short one's
+SWEEP_CHUNK = 1024
 
 
-def _sweep_row(config: dict, path: str, value: float) -> str:
-    root, *keys = path.split(".")
-    # only the swept object is copied; the rest of the config is shared
-    patched = {**config, root: json.loads(json.dumps(config[root]))}
-    target = patched[root]
+def _number_keys(data: dict) -> list:
+    return [k for k, v in data.items() if isinstance(v, (int, float))]
+
+
+def _or_none(parse, *args):
+    """``parse(*args)``, or None where the point prints an error row."""
     try:
-        for key in keys[:-1]:
-            target = target[key]
-        target[keys[-1]] = value
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"sweep parameter {path!r} names no config field") from exc
-    try:
-        probe, _ = _parse_probe(patched)
-        channel = _parse_channel(patched)
-        b = qfi_unitary(probe, channel)
+        return parse(*args)
     except (GaussQfiError, ConfigError):
-        return f"{_fmt(value)},error,error,error,error,error"
-    return ",".join([_fmt(value), _fmt(b.r_term), _fmt(b.q_term),
-                     _fmt(b.eigen_term), _fmt(b.disp_term), _fmt(b.total)])
+        return None
+
+
+def _probes_at(config: dict, key: str, grid: list) -> list:
+    """The probe at each grid value, or None where ``qfi`` refuses it.  A
+    parametric family builds all its points with one ``arrays`` call."""
+    raws = [{**config["probe"], key: value} for value in grid]
+    if config["probe"]["kind"] == "state":
+        return [_or_none(lambda raw: _parse_probe({"probe": raw})[0], raw) for raw in raws]
+    params = [_or_none(probe_params_from_dict, raw) for raw in raws]
+    built = [p for p in params if p is not None]
+    arrays = probe_arrays(built) if built else None
+    j = iter(range(len(built)))
+    return [None if p is None else _or_none(column_state, *arrays, next(j)) for p in params]
+
+
+def _sweep_rows(config: dict, root: str, key: str, grid: list) -> list:
+    """One CSV row per grid value.  Each point is parsed and checked as
+    ``qfi`` checks it, and a point that fails prints an error row; one
+    ``qfi_kernel`` call evaluates the others, one batch column each, so
+    every row is the number ``qfi`` prints for its point.  The side the
+    grid does not vary is parsed once."""
+    if root == "probe":
+        probes = _probes_at(config, key, grid)
+        channels = [_or_none(_parse_channel, config)] * len(grid)
+    else:
+        probes = [_or_none(lambda c: _parse_probe(c)[0], config)] * len(grid)
+        channels = [_or_none(_parse_channel, {"channel": {**config["channel"], key: value}})
+                    for value in grid]
+    cols = [i for i, (p, c) in enumerate(zip(probes, channels))
+            if p is not None and c is not None and p.modes == c.modes]
+    rows = [f"{_fmt(value)},error,error,error,error,error" for value in grid]
+    if not cols:
+        return rows
+    terms, finite = kernel_terms(*(np.stack(a, axis=-1) for a in zip(*(
+        (probes[i].williamson.s.matrix, probes[i].williamson.eigenvalues,
+         probes[i].d_tilde, channels[i].generator.ikw(), channels[i].generator.gamma)
+        for i in cols))))
+    for j, i in enumerate(cols):
+        if finite[j]:
+            b = QfiBreakdown(float(terms[0, j]), float(terms[1, j]), 0.0,
+                             float(terms[2, j]))
+            rows[i] = ",".join([_fmt(grid[i]), _fmt(b.r_term), _fmt(b.q_term),
+                                _fmt(b.eigen_term), _fmt(b.disp_term), _fmt(b.total)])
+    return rows
 
 
 def cmd_sweep(config: dict, args) -> str:
@@ -206,19 +246,24 @@ def cmd_sweep(config: dict, args) -> str:
     kind = probe.get("kind") if isinstance(probe, dict) else None
     family = FAMILIES.get(kind) if isinstance(kind, str) else None
     root, _, key = path.partition(".")
-    # a typo would otherwise fail every row like a physics error, or, in a
-    # channel key nothing reads, print the same row at every grid value
-    names = None
+    # only a number field can be swept: a typo, or a field that holds a
+    # string, list or object, would otherwise fail every row like a physics
+    # error, or, in a channel key nothing reads, print the same row at every
+    # grid value
     if root == "channel":
-        names = list(channel_to_dict(_parse_channel(config)))
+        names = _number_keys(channel_to_dict(_parse_channel(config)))
     elif family is not None:
-        names = [f.name for f in dataclasses.fields(family)]
+        names = list(family.__dataclass_fields__)
     elif kind == "state":
-        names = list(state_to_dict(GaussianState.vacuum(1)))
-    if names is not None and key not in names:
-        raise ConfigError(f"sweep parameter {path!r} is not a field of the "
-                          f"{root}; fields: {names}")
-    rows = [_sweep_row(config, path, v) for v in grid]
+        names = _number_keys(state_to_dict(GaussianState.vacuum(1)))
+    else:
+        raise ConfigError(f"sweep parameter {path!r} needs a probe of kind "
+                          f"'state' or {sorted(FAMILIES)}, got {kind!r}")
+    if key not in names:
+        raise ConfigError(f"sweep parameter {path!r} is not a number field of "
+                          f"the {root}; number fields: {names}")
+    rows = [row for start in range(0, len(grid), SWEEP_CHUNK)
+            for row in _sweep_rows(config, root, key, grid[start:start + SWEEP_CHUNK])]
     return SWEEP_HEADER + "\n" + "\n".join(rows) + "\n"
 
 

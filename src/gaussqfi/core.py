@@ -293,8 +293,11 @@ def _pairs(arr: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
-def _unpairs(pairs, shape, name: str) -> np.ndarray:
-    problem = f"field {name!r} must hold {int(np.prod(shape))} [re, im] pairs of numbers"
+def _unpairs(pairs, shape, name: str, size: str = None) -> np.ndarray:
+    """``[re, im]`` rows as a complex array of ``shape``; ``size`` states
+    the expected row count in the error message (default: the count)."""
+    size = size or int(np.prod(shape))
+    problem = f"field {name!r} must hold {size} [re, im] pairs of numbers"
     try:
         arr = np.asarray(pairs, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -315,15 +318,17 @@ def state_to_dict(state: GaussianState) -> dict:
 
 
 def state_from_dict(data: dict) -> GaussianState:
-    if not _is_integral(data.get("modes")):
-        raise StructureError(f"state JSON needs an integer 'modes', got {data.get('modes')!r}")
-    n = int(data["modes"])
+    # messages print modes as given: 1e300, not the 601 digits of its square
+    modes = data.get("modes")
+    if not _is_integral(modes):
+        raise StructureError(f"state JSON needs an integer 'modes', got {modes!r}")
+    n = int(modes)
     if n < 1:
-        raise InvalidDimensionError(f"modes must be >= 1, got {n}")
+        raise InvalidDimensionError(f"modes must be >= 1, got {modes!r}")
     if "sigma_X" not in data:
         raise StructureError("state JSON needs a 'sigma_X' field")
     # sigma_X first: its shape check bounds n before any default is built
-    x = _unpairs(data["sigma_X"], (n, n), "sigma_X")
+    x = _unpairs(data["sigma_X"], (n, n), "sigma_X", f"modes**2 (modes = {modes!r})")
     d = _unpairs(data.get("d_tilde", [[0.0, 0.0]] * n), (n,), "d_tilde")
     y = _unpairs(data.get("sigma_Y", [[0.0, 0.0]] * (n * n)), (n, n), "sigma_Y")
     return GaussianState(d, x, y)

@@ -28,7 +28,7 @@ from .channels import (
     ChannelSpec,
 )
 from .errors import DegenerateBudgetError, InvalidInputError, NumericalInstabilityError
-from .probes import OneModeProbeParams, TwoModeProbeParams
+from .probes import OneModeProbeParams, TwoModeProbeParams, probe_arrays
 from .qfi import finite_terms, qfi_kernel, qfi_unitary
 
 log = logging.getLogger(__name__)
@@ -91,9 +91,18 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # messages print values as given: 1e300, not its 301 digits
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _is_integral(value):
+                raise InvalidInputError(
+                    f"optimizer setting {f.name!r} must be an integer, got {value!r}")
         if not 1 <= self.restarts <= MAX_RESTARTS:
             raise InvalidInputError(
-                f"restarts must be in [1, {MAX_RESTARTS}], got {self.restarts}")
+                f"restarts must be in [1, {MAX_RESTARTS}], got {self.restarts!r}")
+        # integral floats such as 4.0 are kept as ints
+        object.__setattr__(self, "restarts", int(self.restarts))
+        object.__setattr__(self, "seed", int(self.seed))
 
     @classmethod
     def from_dict(cls, data: dict) -> "OptimizerConfig":
@@ -102,11 +111,7 @@ class OptimizerConfig:
         if unknown:
             raise InvalidInputError(f"unknown optimizer settings {unknown}; "
                                     f"accepted: {accepted}")
-        for key, value in data.items():
-            if not _is_integral(value):
-                raise InvalidInputError(
-                    f"optimizer setting {key!r} must be an integer, got {value!r}")
-        return cls(**{key: int(value) for key, value in data.items()})
+        return cls(**data)
 
 
 @dataclass
@@ -362,13 +367,16 @@ def optimize_probe(channel: ChannelSpec, family: str, budget: EnergyBudget,
     def objective(x):
         return _objective(x, family, budget.n_total, constraint, ikw, gamma)
 
-    res = minimize(objective, _start_points(family, constraint, config))
+    # an overflowing start is reported once, as an aborted start, not as
+    # numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = minimize(objective, _start_points(family, constraint, config))
     values = -res.fun
     aborted = ~np.isfinite(values)
-    for idx in np.flatnonzero(aborted):
-        log.warning("optimizer start %d aborted (non-finite objective)", idx)
     if aborted.all():
         raise NumericalInstabilityError("all optimizer starts aborted")
+    for idx in np.flatnonzero(aborted):
+        log.warning("optimizer start %d aborted (non-finite objective)", idx)
     trace = [(int(idx), float(values[idx])) for idx in np.flatnonzero(~aborted)]
 
     best = int(np.argmax(values))
@@ -452,8 +460,7 @@ def scaling_exponent(channel: ChannelSpec, family: str, n_grid) -> ScalingFit:
     if grid[0] <= 0 or grid[-1] / grid[0] < 10.0:
         raise InvalidInputError("n_grid must be positive and span >= one decade")
     probes = [_strategy_probe(channel, family, n) for n in grid]
-    columns = np.array([list(vars(p).values()) for p in probes]).T
-    r_term, q_term, disp_term = finite_terms(*type(probes[0]).arrays(*columns), channel)
+    r_term, q_term, disp_term = finite_terms(*probe_arrays(probes), channel)
     values = r_term + q_term + disp_term
     if np.any(values <= 0):
         raise InvalidInputError("family yields non-positive QFI on the grid")

@@ -6,8 +6,9 @@ restricted two-mode family applies local rotations, a beam splitter, an
 asymmetric rotation and local squeezers to a two-mode thermal core:
 ``S_0 = R_1(phi1) R_2(phi2) B(theta) R_as(psi) S_1(r1) S_2(r2)``.
 Each class's static ``arrays`` builds this data for a batch of field
-values, with the batch on the trailing axis of every array; ``to_probe_state``
-and the optimizer's objective both use it.
+values, with the batch on the trailing axis of every array; the optimizer's
+objective calls it on raw columns, and ``probe_arrays`` on a list of
+probes, for ``to_probe_state``, ``scaling_exponent`` and ``gaussqfi sweep``.
 """
 from __future__ import annotations
 
@@ -29,12 +30,19 @@ def _squeezed(u: np.ndarray, r: np.ndarray) -> np.ndarray:
     return _complex_form(u * np.cosh(r)[None], -u * np.sinh(r)[None])
 
 
-def _probe_state(params) -> ProbeState:
+def probe_arrays(params: list):
+    """``arrays`` of probes of one family: ``(s0, lams, d_tilde)``, the
+    probe inputs of ``qfi.qfi_kernel``, one batch column per probe."""
+    return type(params[0]).arrays(*np.array([list(vars(p).values()) for p in params]).T)
+
+
+def column_state(s0: np.ndarray, lams: np.ndarray, d_tilde: np.ndarray,
+                 j: int = 0) -> ProbeState:
+    """Batch column ``j`` of ``probe_arrays`` as a ProbeState."""
     # one symplectic check, on the finished S_0
-    s0, lams, d_tilde = params.arrays(*np.array([list(vars(params).values())]).T)
     n = lams.shape[0]
-    s = SymplecticMatrix(s0[:n, :n, 0], s0[:n, n:, 0])
-    return ProbeState(WilliamsonForm(s, lams[:, 0]), d_tilde[:, 0])
+    s = SymplecticMatrix(s0[:n, :n, j], s0[:n, n:, j])
+    return ProbeState(WilliamsonForm(s, lams[:, j]), d_tilde[:, j])
 
 
 class _Family:
@@ -84,7 +92,7 @@ class OneModeProbeParams(_Family):
                 (d_mag * np.exp(1j * phi_d))[None])
 
     def to_probe_state(self) -> ProbeState:
-        return _probe_state(self)
+        return column_state(*probe_arrays([self]))
 
 
 @dataclass(frozen=True)
@@ -126,7 +134,7 @@ class TwoModeProbeParams(_Family):
                 np.stack([lambda1, lambda2]), d_tilde)
 
     def to_probe_state(self) -> ProbeState:
-        return _probe_state(self)
+        return column_state(*probe_arrays([self]))
 
 
 FAMILIES = {cls.kind: cls for cls in (OneModeProbeParams, TwoModeProbeParams)}

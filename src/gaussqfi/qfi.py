@@ -7,10 +7,10 @@ Two evaluation paths are provided:
   generator; the result needs no channel parameter value because the QFI
   of a one-parameter group is the same at every point.  It validates its
   inputs and calls ``qfi_kernel``, the raw-array form of the same formula
-  with the probe batch on the trailing axis of every array; the optimizer
-  evaluates whole batches of candidate probes through that kernel, whose
-  small 2N axes are contracted as elementwise products of length-B
-  vectors.
+  with the batch on the trailing axis of every array; the optimizer
+  evaluates whole batches of candidate probes, and ``gaussqfi sweep`` a
+  whole grid of probes or of channels, through that kernel, whose small
+  2N axes are contracted as elementwise products of length-B vectors.
 * ``qfi_general`` - the raw formula with caller-supplied derivatives of
   the Williamson data, used as a finite-difference cross-check and for
   encodings outside the group framework.
@@ -170,11 +170,15 @@ def qfi_kernel(s0: np.ndarray, lams: np.ndarray, d_tilde: np.ndarray,
         s0: Williamson factors ``S_0``, shape ``(2N, 2N, ...)``.
         lams: symplectic eigenvalues, shape ``(N, ...)``.
         d_tilde: first half of the complex-form displacement, ``(N, ...)``.
-        ikw: the channel generator's ``iKW`` (``2N x 2N``).
-        gamma: the generator's linear part (length ``2N``).
+        ikw: the channel generator's ``iKW``, ``(2N, 2N)`` or
+            ``(2N, 2N, ...)`` with one generator per batch column.
+        gamma: the generator's linear part, ``(2N,)`` or ``(2N, ...)``.
 
-    Returns ``(r_term, q_term, disp_term)``, each of shape ``(...)``.  No
-    input is checked: ``qfi_unitary`` is the validated entry point.
+    A generator with batch axes needs probe arrays with as many (a single
+    probe carries a trailing axis of length 1); the two broadcast against
+    each other.  Returns ``(r_term, q_term, disp_term)``, each of the
+    broadcast batch shape.  No input is checked: ``qfi_unitary`` is the
+    validated entry point.
 
     Only the top N rows of ``P = S_0^{-1} iKW S_0`` and of
     ``u = S_0^{-1} v`` are formed.  ``S_0``, ``iKW`` and their products
@@ -193,7 +197,7 @@ def qfi_kernel(s0: np.ndarray, lams: np.ndarray, d_tilde: np.ndarray,
     s0inv_top = np.concatenate([np.conj(s0[:n, :n].swapaxes(0, 1)),
                                 -s0[:n, n:].swapaxes(0, 1)], axis=1)
     ext = np.concatenate([ikw, gamma[:, None]], axis=1)
-    t = _contract(s0inv_top, ext.reshape(ext.shape + (1,) * (s0.ndim - 2)))
+    t = _contract(s0inv_top, ext.reshape(ext.shape + (1,) * (s0.ndim - ext.ndim)))
     t_ikw = t[:, :2 * n]
     p_top = _contract(t_ikw, s0)
     d0 = np.concatenate([d_tilde, np.conj(d_tilde)])
@@ -214,7 +218,7 @@ def qfi_unitary(probe: ProbeState, channel: ChannelSpec) -> QfiBreakdown:
     eigenvalue term vanishes identically; the displacement term evaluates
     ``2 v^dag sigma_0^{-1} v`` with ``v = iKW d_0 + gamma`` through the
     Williamson factors of the probe.  Raises NumericalInstabilityError
-    when a term overflows (see ``finite_terms``).
+    when the QFI overflows (see ``finite_terms``).
     """
     if probe.modes != channel.modes:
         raise InvalidInputError(
@@ -225,21 +229,32 @@ def qfi_unitary(probe: ProbeState, channel: ChannelSpec) -> QfiBreakdown:
     return QfiBreakdown(r_term, q_term, 0.0, disp_term)
 
 
+def kernel_terms(s0: np.ndarray, lams: np.ndarray, d_tilde: np.ndarray,
+                 ikw: np.ndarray, gamma: np.ndarray):
+    """``qfi_kernel`` as a ``(3, B)`` array of ``(r_term, q_term,
+    disp_term)`` rows, and the ``(B,)`` mask of the columns whose QFI
+    ``r_term + q_term + disp_term`` is finite (a sum of floats is finite
+    only when each term is).  An overflow raises no warning: the mask
+    reports it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.reshape(qfi_kernel(s0, lams, d_tilde, ikw, gamma), (3, -1))
+        finite = np.isfinite(terms[0] + terms[1] + terms[2])
+    return terms, finite
+
+
 def finite_terms(s0: np.ndarray, lams: np.ndarray, d_tilde: np.ndarray,
                  channel: ChannelSpec) -> np.ndarray:
-    """``qfi_kernel`` on a batch of probes (or one) as a ``(3, B)`` array
-    of ``(r_term, q_term, disp_term)`` rows.  Raises
-    NumericalInstabilityError naming the terms of the first probe whose
-    terms are not finite (for example at eigenvalues near 1e300)."""
-    # an overflow is reported once, as the error below, not as warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.reshape(qfi_kernel(s0, lams, d_tilde, channel.generator.ikw(),
-                                      channel.generator.gamma), (3, -1))
-    bad = np.flatnonzero(~np.isfinite(terms).all(axis=0))
+    """``kernel_terms`` of a batch of probes (or one) on ``channel``.
+    Raises NumericalInstabilityError naming the terms of the first probe
+    whose QFI is not finite (for example at eigenvalues near 1e300, or
+    with finite terms whose sum overflows)."""
+    terms, finite = kernel_terms(s0, lams, d_tilde, channel.generator.ikw(),
+                                 channel.generator.gamma)
+    bad = np.flatnonzero(~finite)
     if bad.size:
         r_term, q_term, disp_term = map(float, terms[:, bad[0]])
         raise NumericalInstabilityError(
-            f"QFI terms are not finite: r_term={r_term}, q_term={q_term}, "
+            f"QFI is not finite: r_term={r_term}, q_term={q_term}, "
             f"disp_term={disp_term}")
     return terms
 

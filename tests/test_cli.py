@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import gaussqfi as gq
-from gaussqfi import cli, optimizer, validate
+from gaussqfi import cli, optimizer, qfi, validate
 from gaussqfi.errors import InvalidInputError
 from gaussqfi.optimizer import MAX_RESTARTS, OptimizerConfig, scaling_exponent
 from gaussqfi.probes import probe_params_to_dict
@@ -258,20 +258,33 @@ def test_optimizer_settings_take_integral_numbers():
             OptimizerConfig.from_dict({key: value})
 
 
-def test_sweep_unknown_probe_field_exits_2(tmp_path, capsys, monkeypatch):
-    # a field typo is a config error, caught before any row is computed
+def _record_sweep_points(monkeypatch):
+    """Replace the evaluation of a sweep's points with a recorder."""
     calls = []
-    monkeypatch.setattr(cli, "_sweep_row", lambda *a: calls.append(a) or "")
+    monkeypatch.setattr(cli, "_sweep_rows",
+                        lambda config, root, key, grid: calls.extend(grid) or [""] * len(grid))
+    return calls
+
+
+_CUSTOM = {"kind": "custom", "custom_W": {"X": [[0.5, 0.0]], "Y": [[0.0, 0.0]]}}
+
+
+def test_sweep_unknown_probe_field_exits_2(tmp_path, capsys, monkeypatch):
+    # a field typo, or a field that is not a number, is a config error,
+    # caught before any point is evaluated
+    calls = _record_sweep_points(monkeypatch)
     for probe, path in ((_ONE_MODE, "probe.rr"), ({"kind": "two-mode"}, "probe.rr"),
-                        (_STATE, "probe.sigmaX")):
+                        (_STATE, "probe.sigmaX"), (_STATE, "probe.sigma_X"),
+                        (_STATE, "probe.sigma_Y"), (_STATE, "probe.d_tilde"),
+                        (_ONE_MODE, "probe.kind"), ({"kind": "warp"}, "probe.r")):
         config = {"schema": 1, "sweep": {"parameter": path, "grid": [0.1, 0.2]},
                   "probe": probe, "channel": _PHASE}
         code, out = run_cli(tmp_path, capsys, "sweep", config)
-        assert code == 2
+        assert code == 2, path
         assert out == ""
     assert calls == []
-    # a key that state_to_dict writes passes the check
-    config = {"schema": 1, "sweep": {"parameter": "probe.sigma_X", "grid": [0.1, 0.2]},
+    # the number key that state_to_dict writes passes the check
+    config = {"schema": 1, "sweep": {"parameter": "probe.modes", "grid": [0.1, 0.2]},
               "probe": _STATE, "channel": _PHASE}
     assert run_cli(tmp_path, capsys, "sweep", config)[0] == 0
     assert len(calls) == 2
@@ -279,14 +292,15 @@ def test_sweep_unknown_probe_field_exits_2(tmp_path, capsys, monkeypatch):
 
 def test_sweep_unknown_channel_key_exits_2(tmp_path, capsys, monkeypatch):
     # a channel key that channel_to_dict does not write is read by nothing:
-    # it would print the same row at every grid value
-    calls = []
-    monkeypatch.setattr(cli, "_sweep_row", lambda *a: calls.append(a) or "")
-    for path in ("channel.chii", "channel.custom_W.X"):
+    # it would print the same row at every grid value; kind and custom_W
+    # are not numbers
+    calls = _record_sweep_points(monkeypatch)
+    for channel, path in ((_PHASE, "channel.chii"), (_PHASE, "channel.custom_W.X"),
+                          (_PHASE, "channel.kind"), (_CUSTOM, "channel.custom_W")):
         config = {"schema": 1, "sweep": {"parameter": path, "grid": [0.1, 0.2]},
-                  "probe": _ONE_MODE, "channel": _PHASE}
+                  "probe": _ONE_MODE, "channel": channel}
         code, out = run_cli(tmp_path, capsys, "sweep", config)
-        assert code == 2
+        assert code == 2, path
         assert out == ""
     assert calls == []
     config = {"schema": 1, "sweep": {"parameter": "channel.chi", "grid": [0.1, 0.2]},
@@ -448,6 +462,105 @@ def test_sweep_error_rows_do_not_abort(tmp_path, capsys):
     assert not lines[2].endswith("error")
 
 
+_TWO_MODE = {"kind": "two-mode", "lambda1": 1.5, "lambda2": 1.2, "r1": 0.3,
+             "r2": -0.2, "theta": 0.7, "psi": 0.1, "phi1": 0.3, "phi2": -0.4,
+             "d1_mag": 0.5, "d2_mag": 0.2, "phi_d1": 0.3, "phi_d2": 1.1}
+_DRIVEN = {"kind": "custom", "custom_W": {"X": [[0.3, 0.0]], "Y": [[0.1, 0.2]],
+                                          "gamma": [[0.5, -0.3]]}}
+# on the two-mode-squeeze channel the terms are finite up to r1 = 355, but
+# at 355 their sum overflows; from 355.5 S_0 itself overflows
+_OVERFLOW_PROBE = {"kind": "two-mode", "lambda1": 2.0, "theta": 0.4, "r1": 355.0}
+_STATE_TWO = {"kind": "state", **gq.state_to_dict(
+    gq.TwoModeProbeParams(lambda1=1.5, r1=0.3, theta=0.7, d1_mag=0.5).to_probe_state().to_state())}
+
+_SWEEPS = [
+    (fig2_config(d_mag=0.4)["probe"], _PHASE, "probe.lambda1", [0.5, 1.0, 2.0, 0.999, 5.0]),
+    (_TWO_MODE, {"kind": "beamsplit", "chi": 0.2}, "probe.psi", [-7.0, 0.0, 0.5, 3.0]),
+    (_OVERFLOW_PROBE, {"kind": "two-mode-squeeze"}, "probe.r1", [354.5, 355.0, 355.5]),
+    (_STATE_TWO, {"kind": "beamsplit"}, "probe.modes", [0, 1, 2, 2.5, 3]),
+    (_ONE_MODE, _DRIVEN, "probe.phi_d", [0.1, 3.0]),
+    (_TWO_MODE, {"kind": "two-mode-squeeze"}, "channel.chi", [-3.0, 0.0, 0.4, 2.5]),
+    (_ONE_MODE, {"kind": "combined-one-mode", "omega_p": 0.7, "chi": 0.4},
+     "channel.omega_s", [-2.0, 0.0, 0.3, 1e300]),
+    (_ONE_MODE, _DRIVEN, "channel.chi", [0.1, 0.2]),
+    (_ONE_MODE, {"kind": "beamsplit"}, "probe.r", [0.1, 0.2]),
+    (_ONE_MODE, {"kind": "beamsplit"}, "channel.chi", [0.1, 0.2]),
+    (_ONE_MODE, {"kind": "warp"}, "probe.r", [0.1, 0.2]),
+]
+
+
+@pytest.mark.parametrize("probe,channel,path,grid", _SWEEPS)
+def test_sweep_rows_match_qfi_on_each_point(tmp_path, capsys, probe, channel, path, grid):
+    # each row is what qfi prints for its point; an error row is a point
+    # that qfi refuses
+    config = {"schema": 1, "probe": probe, "channel": channel,
+              "sweep": {"parameter": path, "grid": grid}}
+    code, out = run_cli(tmp_path, capsys, "sweep", config)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == cli.SWEEP_HEADER and len(lines) == len(grid) + 1
+    root, _, key = path.partition(".")
+    for value, line in zip(grid, lines[1:]):
+        point = {"schema": 1, "probe": probe, "channel": channel,
+                 root: {**config[root], key: value}}
+        code, out = run_cli(tmp_path, capsys, "qfi", point)
+        if line.endswith("error"):
+            assert code != 0 and out == "", line
+            continue
+        assert code == 0, line
+        doc = json.loads(out)
+        want = [value] + [doc[k] for k in ("r_term", "q_term", "eigen_term",
+                                           "disp_term", "total")]
+        assert line == ",".join(cli._fmt(x) for x in want)
+
+
+@pytest.mark.parametrize("probe,channel,path,grid,calls", [
+    (_ONE_MODE, _PHASE, "probe.lambda1", [1.0, 2.0, 0.5], 1),
+    (_STATE_TWO, {"kind": "beamsplit"}, "probe.modes", [1, 2], 1),
+    (_ONE_MODE, {"kind": "squeeze1-mode1"}, "channel.chi", [0.1, 0.2, 0.3], 1),
+    (_ONE_MODE, _PHASE, "probe.lambda1", [0.5, 0.9], 0),
+    (_ONE_MODE, {"kind": "warp"}, "probe.r", [0.1, 0.2], 0),
+    (_ONE_MODE, {"kind": "beamsplit"}, "channel.chi", [0.1, 0.2], 0),
+])
+def test_sweep_makes_one_kernel_call(tmp_path, capsys, monkeypatch, probe, channel,
+                                     path, grid, calls):
+    # every point that parses is a column of one batched kernel call; none
+    # is made when every point is an error row
+    counted = []
+    kernel = qfi.qfi_kernel
+    monkeypatch.setattr(qfi, "qfi_kernel", lambda *a: counted.append(a) or kernel(*a))
+    config = {"schema": 1, "probe": probe, "channel": channel,
+              "sweep": {"parameter": path, "grid": grid}}
+    assert run_cli(tmp_path, capsys, "sweep", config)[0] == 0
+    assert len(counted) == calls
+
+
+def test_long_sweep_is_chunked(tmp_path, capsys, monkeypatch):
+    # a grid longer than SWEEP_CHUNK makes one kernel call per chunk and
+    # prints the rows of one unchunked call
+    config = {"schema": 1, "probe": _ONE_MODE, "channel": _PHASE,
+              "sweep": {"parameter": "probe.lambda1", "grid": [1.0, 2.0, 0.5, 3.0, 4.0]}}
+    code, whole = run_cli(tmp_path, capsys, "sweep", config)
+    assert code == 0
+    counted = []
+    kernel = qfi.qfi_kernel
+    monkeypatch.setattr(qfi, "qfi_kernel", lambda *a: counted.append(a) or kernel(*a))
+    monkeypatch.setattr(cli, "SWEEP_CHUNK", 2)
+    assert run_cli(tmp_path, capsys, "sweep", config) == (0, whole)
+    assert len(counted) == 3
+
+
+def test_overflowing_qfi_is_an_error(tmp_path, capsys):
+    config = {"schema": 1, "probe": _OVERFLOW_PROBE, "channel": {"kind": "two-mode-squeeze"}}
+    assert_exits_3_with_one_error_line(tmp_path, capsys, "qfi", config)
+    config["sweep"] = {"parameter": "probe.r1", "grid": [354.5, 355.0]}
+    code, out = run_cli(tmp_path, capsys, "sweep", config)
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert not rows[0].endswith("error")
+    assert rows[1] == "355,error,error,error,error,error"
+
+
 def test_closed_form_labels(tmp_path, capsys):
     config = {"schema": 1, "label": "eq20",
               "probe": {"kind": "one-mode", "r": -0.88}}
@@ -552,6 +665,29 @@ def test_optimize_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
         code, out = run_cli(tmp_path, capsys, "optimize", config)
     assert code == 3
     assert out == ""
+
+
+def test_optimize_overflowing_budget_leaves_one_error_line(tmp_path, capsys, caplog):
+    # every start overflows: one error, no numpy warnings and no log line
+    # per aborted start
+    config = {"schema": 1, "channel": {"kind": "phase"}, "budget": {"n_total": 1e300}}
+    with caplog.at_level("WARNING"):
+        assert_exits_3_with_one_error_line(tmp_path, capsys, "optimize", config)
+    assert caplog.records == []
+
+
+@pytest.mark.parametrize("command,config", [
+    ("optimize", {"channel": _PHASE, "budget": {"n_total": 1.0},
+                  "optimizer": {"restarts": 1e300}}),
+    ("qfi", {"probe": {**_STATE, "modes": 1e300}, "channel": _PHASE}),
+    ("qfi", {"probe": {**_STATE, "modes": -1e300}, "channel": _PHASE}),
+])
+def test_huge_integral_inputs_print_as_given(tmp_path, capsys, command, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema": 1, **config}))
+    assert cli.main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "1e+300" in err and len(err) < 200
 
 
 def test_optimize_degenerate_budget_exits_4(tmp_path, capsys):

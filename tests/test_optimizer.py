@@ -197,9 +197,11 @@ def test_numerical_failures_raise_numerical_instability(monkeypatch):
 
 def test_restarts_bounded():
     assert OptimizerConfig(restarts=MAX_RESTARTS).restarts == MAX_RESTARTS
-    for restarts in (0, MAX_RESTARTS + 1):
+    for restarts in (0, MAX_RESTARTS + 1, 2.5):
         with pytest.raises(InvalidInputError, match="restarts"):
             OptimizerConfig(restarts=restarts)
+    with pytest.raises(InvalidInputError, match="seed"):
+        OptimizerConfig(seed=0.7)
 
 
 def test_degenerate_budget():

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaussqfi as gq
-from gaussqfi.errors import DegenerateInputError, InvalidInputError
+from gaussqfi.errors import DegenerateInputError, InvalidInputError, \
+    NumericalInstabilityError
 from gaussqfi import formulas
 from gaussqfi.qfi import qfi_general, qfi_kernel
 from gaussqfi.symplectic import GeneratorW, SymplecticMatrix, WilliamsonForm
@@ -396,6 +397,53 @@ def test_kernel_columns_independent_of_batch(rng, source):
                               w.ikw(), w.gamma)
             for t, o, u in zip(together, one, bare):
                 assert t[b] == o[0] == u
+
+
+def _generator_columns(rng, n, batch):
+    """``batch`` generators on ``n`` modes: a custom one with a nonzero
+    drive (gamma) in every third column, catalog ones (up to two modes) in
+    the others."""
+    out = []
+    for b in range(batch):
+        if b % 3 == 0 or n > 2:
+            out.append(_random_generator(rng, n))
+        else:
+            out.append(random_channel(rng, n).generator)
+    assert any(np.any(w.gamma) for w in out)
+    return out
+
+
+@pytest.mark.parametrize("source", ["one-mode", "two-mode", "general"])
+def test_kernel_per_column_generators_match_single_calls(rng, source):
+    # a generator per batch column, as a channel sweep passes them, gives
+    # each column the numbers of its own single call, bit for bit
+    for _ in range(5):
+        s0, lams, d_tilde = _batch_of_seven(rng, source)
+        gens = _generator_columns(rng, lams.shape[0], 7)
+        ikw = np.stack([w.ikw() for w in gens], axis=-1)
+        gamma = np.stack([w.gamma for w in gens], axis=-1)
+        together = qfi_kernel(s0, lams, d_tilde, ikw, gamma)
+        # one probe on a trailing axis of length 1, against every generator
+        spread = qfi_kernel(s0[..., :1], lams[:, :1], d_tilde[:, :1], ikw, gamma)
+        for b, w in enumerate(gens):
+            one = qfi_kernel(s0[..., b:b + 1], lams[:, b:b + 1], d_tilde[:, b:b + 1],
+                             w.ikw(), w.gamma)
+            first = qfi_kernel(s0[..., :1], lams[:, :1], d_tilde[:, :1], w.ikw(), w.gamma)
+            for t, o, sp, f in zip(together, one, spread, first):
+                assert t[b] == o[0]
+                assert sp[b] == f[0]
+
+
+def test_overflowing_total_raises():
+    # every term is finite, but their sum overflows
+    probe = gq.TwoModeProbeParams(lambda1=2.0, theta=0.4, r1=355.0).to_probe_state()
+    channel = gq.twomode_squeeze_channel()
+    r_term, q_term, disp_term = qfi_kernel(
+        probe.williamson.s.matrix, probe.williamson.eigenvalues, probe.d_tilde,
+        channel.generator.ikw(), channel.generator.gamma)
+    assert np.isfinite([r_term, q_term, disp_term]).all()
+    with pytest.raises(NumericalInstabilityError, match="QFI is not finite"):
+        gq.qfi_unitary(probe, channel)
 
 
 # --- continuity across the pure-pure switch in _mode_factors ---------------
