@@ -4,9 +4,14 @@ Every cataloged channel is a one-parameter group ``S(eps) = exp(iKW eps)``
 with a purely quadratic generator (gamma = 0), and every kind, cataloged or
 custom, is evaluated by the one generator exponential.  The closed-form
 matrices below are references that the test suite checks it against.
+
+``CATALOG`` maps each cataloged kind to its constructor and the parameters
+it reads, in constructor order: the kind's JSON keys, the channel keys a
+sweep can vary and the channel parameters of a closed-form row.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,8 +28,6 @@ BEAMSPLIT = "beamsplit"
 TWOMODE_SQUEEZE = "two-mode-squeeze"
 COMBINED = "combined-one-mode"
 CUSTOM = "custom"
-
-CATALOG = (PHASE, SQUEEZE1_MODE1, SQUEEZE1_MODE2, BEAMSPLIT, TWOMODE_SQUEEZE, COMBINED)
 
 
 # ---------------------------------------------------------------------------
@@ -62,44 +65,12 @@ def twomode_squeeze_matrix(r: float, chi: float = 0.0) -> SymplecticMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Generators (per unit channel parameter)
+# Channel specifications; each constructor builds its generator per unit
+# channel parameter
 
 def _zeros(n):
     return np.zeros((n, n), dtype=complex)
 
-
-def phase_generator(mode: int = 0, modes: int = 1) -> GeneratorW:
-    x = _zeros(modes)
-    x[mode, mode] = -1.0
-    return GeneratorW(x, _zeros(modes))
-
-
-def squeeze_generator(chi: float = 0.0, mode: int = 0, modes: int = 1) -> GeneratorW:
-    y = _zeros(modes)
-    y[mode, mode] = 1j * np.exp(1j * chi)
-    return GeneratorW(_zeros(modes), y)
-
-
-def mix_generator(chi: float = 0.0) -> GeneratorW:
-    x = np.array([[0.0, -1j * np.exp(1j * chi)],
-                  [1j * np.exp(-1j * chi), 0.0]], dtype=complex)
-    return GeneratorW(x, _zeros(2))
-
-
-def twomode_squeeze_generator(chi: float = 0.0) -> GeneratorW:
-    y = np.array([[0.0, 1j * np.exp(1j * chi)],
-                  [1j * np.exp(1j * chi), 0.0]], dtype=complex)
-    return GeneratorW(_zeros(2), y)
-
-
-def combined_generator(omega_p: float, omega_s: float, chi: float = 0.0) -> GeneratorW:
-    x = np.array([[-omega_p]], dtype=complex)
-    y = np.array([[1j * omega_s * np.exp(1j * chi)]], dtype=complex)
-    return GeneratorW(x, y)
-
-
-# ---------------------------------------------------------------------------
-# Channel specifications
 
 @dataclass(frozen=True)
 class ChannelSpec:
@@ -117,35 +88,50 @@ class ChannelSpec:
 
 
 def phase_channel() -> ChannelSpec:
-    return ChannelSpec(PHASE, phase_generator(), omega_p=1.0)
+    return ChannelSpec(PHASE, GeneratorW(-np.eye(1), _zeros(1)), omega_p=1.0)
 
 
 def squeeze_channel(chi: float = 0.0, mode: int = 0, modes: int = 1) -> ChannelSpec:
-    if (mode, modes) not in ((0, 1), (0, 2), (1, 2)):
-        raise InvalidInputError("one-mode squeezing channel supports 1 or 2 modes")
+    if (mode, modes) not in ((0, 1), (1, 2)):
+        raise InvalidInputError("one-mode squeezing acts on mode 0 of one or mode 1 of two")
+    y = _zeros(modes)
+    y[mode, mode] = 1j * np.exp(1j * chi)
     kind = SQUEEZE1_MODE2 if mode == 1 else SQUEEZE1_MODE1
-    return ChannelSpec(kind, squeeze_generator(chi, mode, modes), chi=chi, omega_s=1.0)
+    return ChannelSpec(kind, GeneratorW(_zeros(modes), y), chi=chi, omega_s=1.0)
 
 
 def mix_channel(chi: float = 0.0) -> ChannelSpec:
-    return ChannelSpec(BEAMSPLIT, mix_generator(chi), chi=chi)
+    x = np.array([[0.0, -1j * np.exp(1j * chi)],
+                  [1j * np.exp(-1j * chi), 0.0]], dtype=complex)
+    return ChannelSpec(BEAMSPLIT, GeneratorW(x, _zeros(2)), chi=chi)
 
 
 def twomode_squeeze_channel(chi: float = 0.0) -> ChannelSpec:
-    return ChannelSpec(TWOMODE_SQUEEZE, twomode_squeeze_generator(chi), chi=chi)
+    y = np.array([[0.0, 1j * np.exp(1j * chi)],
+                  [1j * np.exp(1j * chi), 0.0]], dtype=complex)
+    return ChannelSpec(TWOMODE_SQUEEZE, GeneratorW(_zeros(2), y), chi=chi)
 
 
 def combined_channel(omega_p: float, omega_s: float, chi: float = 0.0) -> ChannelSpec:
     """Channel combining phase change (rate omega_p) and squeezing (rate
     omega_s) in direction chi."""
-    if not (np.isfinite(omega_p) and np.isfinite(omega_s) and np.isfinite(chi)):
-        raise InvalidInputError("channel parameters must be finite")
-    return ChannelSpec(COMBINED, combined_generator(omega_p, omega_s, chi),
-                       chi=chi, omega_p=omega_p, omega_s=omega_s)
+    w = GeneratorW(np.array([[-omega_p]], dtype=complex),
+                   np.array([[1j * omega_s * np.exp(1j * chi)]], dtype=complex))
+    return ChannelSpec(COMBINED, w, chi=chi, omega_p=omega_p, omega_s=omega_s)
 
 
 def custom_channel(generator: GeneratorW) -> ChannelSpec:
     return ChannelSpec(CUSTOM, generator)
+
+
+CATALOG = {
+    PHASE: (phase_channel, ()),
+    SQUEEZE1_MODE1: (squeeze_channel, ("chi",)),
+    SQUEEZE1_MODE2: (functools.partial(squeeze_channel, mode=1, modes=2), ("chi",)),
+    BEAMSPLIT: (mix_channel, ("chi",)),
+    TWOMODE_SQUEEZE: (twomode_squeeze_channel, ("chi",)),
+    COMBINED: (combined_channel, ("omega_p", "omega_s", "chi")),
+}
 
 
 def channel_symplectic(spec: ChannelSpec, eps: float) -> SymplecticMatrix:
@@ -164,40 +150,37 @@ def channel_shift(spec: ChannelSpec, eps: float) -> np.ndarray:
 # JSON interchange
 
 def channel_to_dict(spec: ChannelSpec) -> dict:
-    data = {"kind": spec.kind, "chi": spec.chi,
-            "omega_p": spec.omega_p, "omega_s": spec.omega_s}
+    """``kind`` and the parameters the kind reads (``custom_W`` for custom)."""
     if spec.kind == CUSTOM:
         w = spec.generator
-        data["custom_W"] = {"X": _pairs(w.x_block), "Y": _pairs(w.y_block),
-                            "gamma": _pairs(w.gamma_tilde)}
-    return data
+        return {"kind": CUSTOM, "custom_W": {"X": _pairs(w.x_block), "Y": _pairs(w.y_block),
+                                             "gamma": _pairs(w.gamma_tilde)}}
+    return {"kind": spec.kind, **{name: getattr(spec, name) for name in CATALOG[spec.kind][1]}}
 
 
 def channel_from_dict(data: dict) -> ChannelSpec:
+    """Inverse of ``channel_to_dict``: an absent parameter is 0, an unread key an error."""
     kind = data.get("kind")
-    chi = float(data.get("chi", 0.0))
-    if kind == PHASE:
-        return phase_channel()
-    if kind == SQUEEZE1_MODE1:
-        return squeeze_channel(chi)
-    if kind == SQUEEZE1_MODE2:
-        return squeeze_channel(chi, mode=1, modes=2)
-    if kind == BEAMSPLIT:
-        return mix_channel(chi)
-    if kind == TWOMODE_SQUEEZE:
-        return twomode_squeeze_channel(chi)
-    if kind == COMBINED:
-        return combined_channel(float(data.get("omega_p", 0.0)),
-                                float(data.get("omega_s", 0.0)), chi)
     if kind == CUSTOM:
-        raw = data.get("custom_W")
-        if not isinstance(raw, dict) or not {"X", "Y"} <= raw.keys():
-            raise StructureError(
-                "custom channel needs a 'custom_W' object with 'X' and 'Y'")
-        n = math.isqrt(len(raw["X"]))
-        if n * n != len(raw["X"]):
-            raise StructureError("custom_W blocks must be square row-major arrays")
-        w = GeneratorW(_unpairs(raw["X"], (n, n), "X"), _unpairs(raw["Y"], (n, n), "Y"),
-                       _unpairs(raw["gamma"], (n,), "gamma") if "gamma" in raw else None)
-        return custom_channel(w)
-    raise StructureError(f"unknown channel kind {kind!r}")
+        names = ("custom_W",)
+    elif isinstance(kind, str) and kind in CATALOG:
+        constructor, names = CATALOG[kind]
+    else:
+        raise StructureError(f"unknown channel kind {kind!r}")
+    unread = [key for key in data if key != "kind" and key not in names]
+    if unread:
+        raise StructureError(f"channel kind {kind!r} reads only {list(names)}, got {unread}")
+    if kind != CUSTOM:
+        values = [float(data.get(name, 0.0)) for name in names]
+        if not all(map(math.isfinite, values)):
+            raise InvalidInputError(f"channel parameters must be finite, got {values}")
+        return constructor(*values)
+    raw = data.get("custom_W")
+    if not isinstance(raw, dict) or not {"X", "Y"} <= raw.keys():
+        raise StructureError("custom channel needs a 'custom_W' object with 'X' and 'Y'")
+    n = math.isqrt(len(raw["X"]))
+    if n * n != len(raw["X"]):
+        raise StructureError("custom_W blocks must be square row-major arrays")
+    w = GeneratorW(_unpairs(raw["X"], (n, n), "X"), _unpairs(raw["Y"], (n, n), "Y"),
+                   _unpairs(raw["gamma"], (n,), "gamma") if "gamma" in raw else None)
+    return custom_channel(w)

@@ -24,8 +24,8 @@ import sys
 
 import numpy as np
 
-from .channels import channel_from_dict, channel_shift, channel_symplectic, \
-    channel_to_dict
+from .channels import CATALOG, channel_from_dict, channel_shift, \
+    channel_symplectic, channel_to_dict
 from .core import GaussianState, complex_to_real, complex_to_real_matrix, \
     l_matrix, state_from_dict, state_to_dict
 from .errors import DegenerateBudgetError, GaussQfiError, InvalidInputError, \
@@ -164,7 +164,7 @@ def cmd_closed_form(config: dict, args) -> str:
         raise ConfigError("closed-form evaluation needs a parametric probe")
     if params.kind != row.family:
         raise ConfigError(f"label {label!r} needs a {row.family} probe")
-    value = row.value(params, *(_param(config, key) for key in row.params))
+    value = row.value(params, *(_param(config, key) for key in CATALOG[row.kind][1]))
     return _dump_json({"label": label, "value": value})
 
 
@@ -248,8 +248,7 @@ def cmd_sweep(config: dict, args) -> str:
     root, _, key = path.partition(".")
     # only a number field can be swept: a typo, or a field that holds a
     # string, list or object, would otherwise fail every row like a physics
-    # error, or, in a channel key nothing reads, print the same row at every
-    # grid value
+    # error; a channel's number fields are the parameters its kind reads
     if root == "channel":
         names = _number_keys(channel_to_dict(_parse_channel(config)))
     elif family is not None:

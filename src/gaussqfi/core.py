@@ -96,8 +96,8 @@ class GaussianState:
         if exceeds_structure_tol(np.max(np.abs(y - y.T)), x, y):
             raise StructureError("cov_y block must be symmetric")
         object.__setattr__(self, "d_tilde", _freeze(d))
-        object.__setattr__(self, "cov_x", _freeze((x + x.conj().T) / 2))
-        object.__setattr__(self, "cov_y", _freeze((y + y.T) / 2))
+        object.__setattr__(self, "cov_x", _freeze(x / 2 + x.conj().T / 2))
+        object.__setattr__(self, "cov_y", _freeze(y / 2 + y.T / 2))
 
     @property
     def modes(self) -> int:
@@ -167,7 +167,7 @@ def _spectrum(sigma: np.ndarray):
     n = sigma.shape[0] // 2
     if exceeds_structure_tol(np.max(np.abs(sigma - sigma.conj().T)), sigma):
         raise InvalidInputError("covariance must be Hermitian")
-    evals, evecs = np.linalg.eigh((sigma + sigma.conj().T) / 2)
+    evals, evecs = np.linalg.eigh(sigma / 2 + sigma.conj().T / 2)
     # eps * cond(sigma) bounds the rounding; past it sigma may even look indefinite
     lo, hi = np.min(np.abs(evals)), np.max(np.abs(evals))
     if np.finfo(float).eps * hi > PHYSICALITY_TOL * lo:
@@ -179,7 +179,7 @@ def _spectrum(sigma: np.ndarray):
             f"covariance must be positive-definite (min eigenvalue {evals[0]:.3e})")
     root = (evecs * np.sqrt(evals)[None, :]) @ evecs.conj().T
     t = root @ (k_signs(n)[:, None] * root)
-    t = (t + t.conj().T) / 2
+    t = t / 2 + t.conj().T / 2
     tvals, tvecs = np.linalg.eigh(t)
     # t has n positive and n negative eigenvalues, each at least evals[0] in
     # size, so eigh's ascending order puts the positive half in its top n
@@ -215,7 +215,7 @@ def validate_moments(displacement, covariance) -> list:
             f"covariance shape {sigma.shape} does not match displacement {d.shape}")
     report = _structure_report(d, sigma, d.shape[0] // 2)
     try:
-        lam_min = _spectrum((sigma + sigma.conj().T) / 2)[0][-1]
+        lam_min = _spectrum(sigma / 2 + sigma.conj().T / 2)[0][-1]
     except (InvalidInputError, NumericalInstabilityError) as exc:
         return report + [str(exc)]
     if lam_min < 1.0 - PHYSICALITY_TOL:

@@ -126,8 +126,8 @@ class GeneratorW:
             raise StructureError("X block must be Hermitian")
         if exceeds_structure_tol(np.max(np.abs(y - y.T)), x, y):
             raise StructureError("Y block must be symmetric")
-        object.__setattr__(self, "x_block", _freeze((x + x.conj().T) / 2))
-        object.__setattr__(self, "y_block", _freeze((y + y.T) / 2))
+        object.__setattr__(self, "x_block", _freeze(x / 2 + x.conj().T / 2))
+        object.__setattr__(self, "y_block", _freeze(y / 2 + y.T / 2))
         object.__setattr__(self, "gamma_tilde", _freeze(g))
 
     @property

@@ -3,13 +3,14 @@ and the Fock-basis oracle vs the engine on a fixed small-parameter set."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import formulas
-from .channels import combined_channel, mix_channel, phase_channel, \
-    squeeze_channel, twomode_squeeze_channel
+from .channels import BEAMSPLIT, CATALOG, COMBINED, PHASE, SQUEEZE1_MODE1, \
+    TWOMODE_SQUEEZE, combined_channel, mix_channel, phase_channel, squeeze_channel, \
+    twomode_squeeze_channel
 from .fock import ladder_state, state_qfi
 from .probes import OneModeProbeParams, TwoModeProbeParams, one_mode_probe_on_two
 from .qfi import qfi_unitary
@@ -62,14 +63,14 @@ _SEPARABLE, _BALANCED = {"theta": 0.0, "psi": 0.0}, {"theta": np.pi / 4}
 
 class ClosedForm(NamedTuple):
     """``formulas.<formula>(probe, *args)`` is the QFI of a ``family`` probe,
-    with the angles in ``fixed`` held, under ``channel(*args)``, where
-    ``args`` are the values of the channel parameters named in ``params``."""
+    with the angles in ``fixed`` held, under the channel of kind ``kind``
+    built from ``args``, the values of the parameters ``channels.CATALOG``
+    names for that kind, in its order."""
 
     formula: str
-    channel: Callable
+    kind: str
     family: str = "two-mode"
     fixed: dict = {}
-    params: tuple = ("chi",)
 
     def value(self, probe, *args) -> float:
         # looked up at call time, so a wrapped module attribute is the one called
@@ -77,25 +78,25 @@ class ClosedForm(NamedTuple):
 
     def draw(self, rng):
         """(closed_form_value, probe_params, channel), drawing the probe first
-        and then the parameters in ``params`` order."""
+        and then the kind's parameters in catalog order."""
         p = _draw_one(rng) if self.family == "one-mode" else _draw_two(rng, **self.fixed)
-        args = [rng.uniform(*_PARAM_RANGES[name]) for name in self.params]
-        return self.value(p, *args), p, self.channel(*args)
+        constructor, names = CATALOG[self.kind]
+        args = [rng.uniform(*_PARAM_RANGES[name]) for name in names]
+        return self.value(p, *args), p, constructor(*args)
 
 
 # The paper's closed forms (eqs. 19-21, 28, 30, 36, 38 and appendix C), read
 # by the oracle panel and by ``gaussqfi closed-form``.
 CLOSED_FORMS = {
-    "eq19": ClosedForm("qfi_one_mode_combined", combined_channel, "one-mode",
-                       params=("omega_p", "omega_s", "chi")),
-    "eq20": ClosedForm("qfi_phase", phase_channel, "one-mode", params=()),
-    "eq21": ClosedForm("qfi_squeeze1", squeeze_channel, "one-mode"),
-    "eq28": ClosedForm("qfi_twomode_squeeze_separable", twomode_squeeze_channel, fixed=_SEPARABLE),
-    "eq30": ClosedForm("qfi_twomode_squeeze_bs", twomode_squeeze_channel, fixed=_BALANCED),
-    "eq36": ClosedForm("qfi_mix_separable", mix_channel, fixed=_SEPARABLE),
-    "eq38": ClosedForm("qfi_mix_bs", mix_channel, fixed=_BALANCED),
-    "appC-st": ClosedForm("qfi_twomode_squeeze_full", twomode_squeeze_channel),
-    "appC-mix": ClosedForm("qfi_mix_full", mix_channel),
+    "eq19": ClosedForm("qfi_one_mode_combined", COMBINED, "one-mode"),
+    "eq20": ClosedForm("qfi_phase", PHASE, "one-mode"),
+    "eq21": ClosedForm("qfi_squeeze1", SQUEEZE1_MODE1, "one-mode"),
+    "eq28": ClosedForm("qfi_twomode_squeeze_separable", TWOMODE_SQUEEZE, fixed=_SEPARABLE),
+    "eq30": ClosedForm("qfi_twomode_squeeze_bs", TWOMODE_SQUEEZE, fixed=_BALANCED),
+    "eq36": ClosedForm("qfi_mix_separable", BEAMSPLIT, fixed=_SEPARABLE),
+    "eq38": ClosedForm("qfi_mix_bs", BEAMSPLIT, fixed=_BALANCED),
+    "appC-st": ClosedForm("qfi_twomode_squeeze_full", TWOMODE_SQUEEZE),
+    "appC-mix": ClosedForm("qfi_mix_full", BEAMSPLIT),
 }
 
 

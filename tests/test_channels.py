@@ -11,7 +11,7 @@ from gaussqfi.channels import (
     squeeze_matrix,
     twomode_squeeze_matrix,
 )
-from gaussqfi.errors import StructureError
+from gaussqfi.errors import InvalidInputError, StructureError
 from gaussqfi.symplectic import GeneratorW
 
 
@@ -168,12 +168,19 @@ def test_channel_shift_custom_gamma():
 
 
 def test_channel_json_round_trip(rng):
-    for spec in catalog_channels(rng):
-        back = channel_from_dict(channel_to_dict(spec))
+    specs = catalog_channels(rng)
+    assert sorted(spec.kind for spec in specs) == sorted(CATALOG)
+    for spec in specs:
+        data = channel_to_dict(spec)
+        # exactly the kind and the parameters the kind reads
+        assert list(data) == ["kind", *CATALOG[spec.kind][1]]
+        back = channel_from_dict(data)
         assert back.kind == spec.kind
+        assert back.modes == spec.modes
         assert np.allclose(back.generator.matrix, spec.generator.matrix, atol=1e-15)
     w = GeneratorW(np.array([[0.3]]), np.array([[0.2j]]), np.array([1.0 - 0.5j]))
     spec = gq.custom_channel(w)
+    assert list(channel_to_dict(spec)) == ["kind", "custom_W"]
     back = channel_from_dict(channel_to_dict(spec))
     assert np.allclose(back.generator.matrix, w.matrix, atol=1e-15)
     assert np.allclose(back.generator.gamma, w.gamma, atol=1e-15)
@@ -182,3 +189,9 @@ def test_channel_json_round_trip(rng):
 def test_channel_from_dict_rejects_unknown():
     with pytest.raises(StructureError):
         channel_from_dict({"kind": "nonsense"})
+
+
+def test_squeeze_channel_refuses_mode_0_of_two():
+    # no kind names it, so its JSON round trip would lose the second mode
+    with pytest.raises(InvalidInputError):
+        gq.squeeze_channel(0.3, mode=0, modes=2)

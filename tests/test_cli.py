@@ -96,7 +96,7 @@ def test_qfi_ill_conditioned_state_probe_exits_3(tmp_path, capsys):
     # symplectic spectrum no digits at the eigenvalue floor; a QFI computed
     # from it comes out 23% low
     _, config = _state_probe_config(9.0)
-    assert_exits_3_with_one_error_line(tmp_path, capsys, "qfi", config)
+    assert_exits_with_one_error_line(tmp_path, capsys, "qfi", config)
 
 
 def test_qfi_state_probe_matches_parametric(tmp_path, capsys):
@@ -137,6 +137,10 @@ def test_nan_probe_field_exits_2(tmp_path, capsys):
 _PHASE = {"kind": "phase"}
 _ONE_MODE = {"kind": "one-mode", "r": 0.5}
 _STATE = {"kind": "state", **gq.state_to_dict(gq.GaussianState.vacuum(1))}
+_TWO_MODE = {"kind": "two-mode", "lambda1": 1.5, "lambda2": 1.2, "r1": 0.3,
+             "r2": -0.2, "theta": 0.7, "psi": 0.1, "phi1": 0.3, "phi2": -0.4,
+             "d1_mag": 0.5, "d2_mag": 0.2, "phi_d1": 0.3, "phi_d2": 1.1}
+_CUSTOM = {"kind": "custom", "custom_W": {"X": [[0.5, 0.0]], "Y": [[0.0, 0.0]]}}
 
 
 @pytest.mark.parametrize("command,config", [
@@ -229,11 +233,20 @@ _SWEEP = {"probe": _ONE_MODE, "channel": _PHASE}
                   "family": ["one-mode"]}),
     ("optimize", {"channel": _PHASE, "budget": {"n_total": 1.0},
                   "family": "two-mode-restricted"}),
+    # a non-finite channel parameter is refused before any generator is built
+    ("qfi", {"probe": _ONE_MODE, "channel": {"kind": "squeeze1-mode1", "chi": float("inf")}}),
+    ("qfi", {"probe": _ONE_MODE, "channel": {"kind": "squeeze1-mode1", "chi": float("nan")}}),
+    ("qfi", {"probe": _TWO_MODE, "channel": {"kind": "beamsplit", "chi": float("inf")}}),
+    ("qfi", {"probe": _TWO_MODE, "channel": {"kind": "two-mode-squeeze", "chi": float("nan")}}),
+    ("qfi", {"probe": _ONE_MODE, "channel": {"kind": "combined-one-mode",
+                                             "omega_p": float("-inf")}}),
+    # a key the kind does not read
+    ("qfi", {"probe": _ONE_MODE, "channel": {"kind": "phase", "omega_p": 3}}),
+    ("qfi", {"probe": _ONE_MODE, "channel": {"kind": "squeeze1-mode1", "omega_s": 2}}),
+    ("qfi", {"probe": _ONE_MODE, "channel": {**_CUSTOM, "chi": 0.0}}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
-    code, out = run_cli(tmp_path, capsys, command, {"schema": 1, **config})
-    assert code == 2
-    assert out == ""
+    assert_exits_with_one_error_line(tmp_path, capsys, command, {"schema": 1, **config}, 2)
 
 
 def test_unknown_optimizer_setting_names_accepted_keys(tmp_path, capsys):
@@ -266,9 +279,6 @@ def _record_sweep_points(monkeypatch):
     return calls
 
 
-_CUSTOM = {"kind": "custom", "custom_W": {"X": [[0.5, 0.0]], "Y": [[0.0, 0.0]]}}
-
-
 def test_sweep_unknown_probe_field_exits_2(tmp_path, capsys, monkeypatch):
     # a field typo, or a field that is not a number, is a config error,
     # caught before any point is evaluated
@@ -291,12 +301,13 @@ def test_sweep_unknown_probe_field_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_sweep_unknown_channel_key_exits_2(tmp_path, capsys, monkeypatch):
-    # a channel key that channel_to_dict does not write is read by nothing:
-    # it would print the same row at every grid value; kind and custom_W
-    # are not numbers
+    # a channel key that the kind does not read would print the same row at
+    # every grid value; kind and custom_W are not numbers
     calls = _record_sweep_points(monkeypatch)
     for channel, path in ((_PHASE, "channel.chii"), (_PHASE, "channel.custom_W.X"),
-                          (_PHASE, "channel.kind"), (_CUSTOM, "channel.custom_W")):
+                          (_PHASE, "channel.kind"), (_CUSTOM, "channel.custom_W"),
+                          (_CUSTOM, "channel.chi"), (_PHASE, "channel.omega_p"),
+                          (_PHASE, "channel.chi"), ({"kind": "beamsplit"}, "channel.omega_s")):
         config = {"schema": 1, "sweep": {"parameter": path, "grid": [0.1, 0.2]},
                   "probe": _ONE_MODE, "channel": channel}
         code, out = run_cli(tmp_path, capsys, "sweep", config)
@@ -350,7 +361,17 @@ def test_nan_custom_generator_exits_2(tmp_path, capsys):
 def test_non_finite_result_exits_3(tmp_path, capsys):
     # the f_plus factor overflows to inf / inf; the output must stay JSON,
     # and the error line is the only thing written to stderr
-    assert_exits_3_with_one_error_line(tmp_path, capsys, "qfi", fig2_config(lambda1=1e300))
+    assert_exits_with_one_error_line(tmp_path, capsys, "qfi", fig2_config(lambda1=1e300))
+
+
+@pytest.mark.parametrize("config", [
+    {"probe": _ONE_MODE, "channel": {"kind": "combined-one-mode", "omega_s": 1.7e308}},
+    {"probe": {**_STATE, "sigma_X": [[1.7e308, 0]]}, "channel": _PHASE},
+])
+def test_huge_input_exits_3_without_warnings(tmp_path, capsys, config):
+    # the generator and state symmetrizations halve before they add, so an
+    # entry near the float maximum does not overflow them
+    assert_exits_with_one_error_line(tmp_path, capsys, "qfi", {"schema": 1, **config})
 
 
 @pytest.mark.parametrize("epsilon", [400.0, 800.0])
@@ -359,7 +380,7 @@ def test_ellipse_overflow_exits_3(tmp_path, capsys, epsilon):
     # the exponential itself
     config = {"schema": 1, "epsilon": epsilon, "probe": {"kind": "one-mode", "r": 0.3},
               "channel": {"kind": "squeeze1-mode1"}}
-    assert_exits_3_with_one_error_line(tmp_path, capsys, "ellipse", config)
+    assert_exits_with_one_error_line(tmp_path, capsys, "ellipse", config)
 
 
 def _ellipse_rows(out, size):
@@ -404,17 +425,17 @@ def test_ellipse_custom_drive_overflow_exits_3(tmp_path, capsys):
         "X": [[0.0, 0.0]], "Y": [[0.0, 0.5]], "gamma": [[0.5, -0.2]]}}
     config = {"schema": 1, "epsilon": 2000.0, "probe": {"kind": "one-mode", "r": 0.3},
               "channel": channel}
-    assert_exits_3_with_one_error_line(tmp_path, capsys, "ellipse", config)
+    assert_exits_with_one_error_line(tmp_path, capsys, "ellipse", config)
 
 
-def assert_exits_3_with_one_error_line(tmp_path, capsys, command, config):
+def assert_exits_with_one_error_line(tmp_path, capsys, command, config, code=3):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = cli.main([command, "--config", str(path)])
+        got = cli.main([command, "--config", str(path)])
     captured = capsys.readouterr()
-    assert code == 3
+    assert got == code
     assert captured.out == ""
     assert caught == []
     lines = captured.err.splitlines()
@@ -462,9 +483,6 @@ def test_sweep_error_rows_do_not_abort(tmp_path, capsys):
     assert not lines[2].endswith("error")
 
 
-_TWO_MODE = {"kind": "two-mode", "lambda1": 1.5, "lambda2": 1.2, "r1": 0.3,
-             "r2": -0.2, "theta": 0.7, "psi": 0.1, "phi1": 0.3, "phi2": -0.4,
-             "d1_mag": 0.5, "d2_mag": 0.2, "phi_d1": 0.3, "phi_d2": 1.1}
 _DRIVEN = {"kind": "custom", "custom_W": {"X": [[0.3, 0.0]], "Y": [[0.1, 0.2]],
                                           "gamma": [[0.5, -0.3]]}}
 # on the two-mode-squeeze channel the terms are finite up to r1 = 355, but
@@ -482,7 +500,7 @@ _SWEEPS = [
     (_TWO_MODE, {"kind": "two-mode-squeeze"}, "channel.chi", [-3.0, 0.0, 0.4, 2.5]),
     (_ONE_MODE, {"kind": "combined-one-mode", "omega_p": 0.7, "chi": 0.4},
      "channel.omega_s", [-2.0, 0.0, 0.3, 1e300]),
-    (_ONE_MODE, _DRIVEN, "channel.chi", [0.1, 0.2]),
+    (_ONE_MODE, {"kind": "squeeze1-mode1", "chi": 0.3}, "channel.chi", [-1.0, 0.0, 2.5]),
     (_ONE_MODE, {"kind": "beamsplit"}, "probe.r", [0.1, 0.2]),
     (_ONE_MODE, {"kind": "beamsplit"}, "channel.chi", [0.1, 0.2]),
     (_ONE_MODE, {"kind": "warp"}, "probe.r", [0.1, 0.2]),
@@ -552,7 +570,7 @@ def test_long_sweep_is_chunked(tmp_path, capsys, monkeypatch):
 
 def test_overflowing_qfi_is_an_error(tmp_path, capsys):
     config = {"schema": 1, "probe": _OVERFLOW_PROBE, "channel": {"kind": "two-mode-squeeze"}}
-    assert_exits_3_with_one_error_line(tmp_path, capsys, "qfi", config)
+    assert_exits_with_one_error_line(tmp_path, capsys, "qfi", config)
     config["sweep"] = {"parameter": "probe.r1", "grid": [354.5, 355.0]}
     code, out = run_cli(tmp_path, capsys, "sweep", config)
     assert code == 0
@@ -672,7 +690,7 @@ def test_optimize_overflowing_budget_leaves_one_error_line(tmp_path, capsys, cap
     # per aborted start
     config = {"schema": 1, "channel": {"kind": "phase"}, "budget": {"n_total": 1e300}}
     with caplog.at_level("WARNING"):
-        assert_exits_3_with_one_error_line(tmp_path, capsys, "optimize", config)
+        assert_exits_with_one_error_line(tmp_path, capsys, "optimize", config)
     assert caplog.records == []
 
 
@@ -836,7 +854,7 @@ def test_scaling_overflow_exits_3(tmp_path, capsys):
     # the batched fit overflows like the per-probe one did: one error line
     config = {"schema": 1, "channel": {"kind": "phase"}, "family": "optimal-squeezing",
               "n_grid": [1e300, 1e301, 1e302, 1e303]}
-    assert_exits_3_with_one_error_line(tmp_path, capsys, "scaling", config)
+    assert_exits_with_one_error_line(tmp_path, capsys, "scaling", config)
 
 
 def _fresh_process(argv, cwd):
