@@ -1,4 +1,7 @@
 """Small shared helpers for array normalization in typed containers."""
+import math
+import numbers
+
 import numpy as np
 
 from .errors import InvalidDimensionError, InvalidInputError
@@ -21,6 +24,18 @@ def _is_integral(value) -> bool:
     """4 and 4.0 are integers; 2.9, true, "7" and infinity are not."""
     return not isinstance(value, bool) and (
         isinstance(value, int) or (isinstance(value, float) and value.is_integer()))
+
+
+def _finite_number(value):
+    """``value`` as a float if it is a finite number, else None: true, "0.4",
+    infinity and an integer too large for a float are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        x = float(value)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

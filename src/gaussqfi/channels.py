@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import _finite_number
 from .core import _pairs, _unpairs
 from .errors import InvalidInputError, StructureError
 from .symplectic import GeneratorW, SymplecticMatrix, displacement_shift, exp_generator
@@ -171,9 +172,10 @@ def channel_from_dict(data: dict) -> ChannelSpec:
     if unread:
         raise StructureError(f"channel kind {kind!r} reads only {list(names)}, got {unread}")
     if kind != CUSTOM:
-        values = [float(data.get(name, 0.0)) for name in names]
-        if not all(map(math.isfinite, values)):
-            raise InvalidInputError(f"channel parameters must be finite, got {values}")
+        given = [data.get(name, 0.0) for name in names]
+        values = [_finite_number(v) for v in given]
+        if None in values:
+            raise InvalidInputError(f"channel parameters must be finite numbers, got {given}")
         return constructor(*values)
     raw = data.get("custom_W")
     if not isinstance(raw, dict) or not {"X", "Y"} <= raw.keys():

@@ -24,6 +24,7 @@ import sys
 
 import numpy as np
 
+from ._util import _finite_number
 from .channels import CATALOG, channel_from_dict, channel_shift, \
     channel_symplectic, channel_to_dict
 from .core import GaussianState, complex_to_real, complex_to_real_matrix, \
@@ -88,12 +89,9 @@ def _load_config(path: str) -> dict:
 
 
 def _number(value, what: str) -> float:
-    try:
-        x = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
-    if not np.isfinite(x):
-        raise ConfigError(f"{what} must be finite, got {value!r}")
+    x = _finite_number(value)
+    if x is None:
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
     return x
 
 
@@ -110,7 +108,7 @@ def _parse_channel(config: dict):
     try:
         return channel_from_dict(raw)
     except (GaussQfiError, TypeError, ValueError) as exc:
-        # TypeError and ValueError: a field that is not a number
+        # TypeError and ValueError: a custom_W block that is not a list
         raise ConfigError(f"bad channel: {exc}") from exc
 
 

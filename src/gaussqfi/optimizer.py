@@ -6,8 +6,10 @@ every active start in one batched ``qfi.qfi_kernel`` call and the
 central-difference gradients at the accepted points in a second, and a
 start stops once a step gains almost nothing.  Every iterate is exactly on
 the energy budget: the per-mode displacement and thermal fractions are
-logistic-squashed and squeezing absorbs the rest.  Angles are wrapped into
-[-pi, pi) when decoded.
+logistic-squashed and squeezing absorbs the rest.  A batch of search
+vectors is decoded as one transposed (dim, B) block, with its angles
+wrapped into [-pi, pi) together, into the columns that the family's
+``arrays`` turns into kernel inputs.
 """
 from __future__ import annotations
 
@@ -138,48 +140,51 @@ def _logit(p: float) -> float:
     return float(np.log(p / (1 - p)))
 
 
-def _energy_fractions(x: np.ndarray, family: str, constraint: str):
-    """Energy coordinates of search vectors ``x`` (B, dim).
+def _energy_fractions(xt: np.ndarray, family: str, constraint: str):
+    """Energy coordinates of search vectors, one per column of ``xt``
+    (dim, B).
 
-    A row is the family's ``ANGLES``, a share coordinate for each mode
-    after the first, then (unconstrained) each mode's displacement and
-    thermal coordinates.  Returns ``(f_d, f_th, g)``, each (B, modes): the
+    A search vector is the family's ``ANGLES``, a share coordinate for each
+    mode after the first, then (unconstrained) each mode's displacement and
+    thermal coordinates.  Returns ``(f_d, f_th, g)``, each (modes, B): the
     displacement and thermal fractions of each mode's energy, and each
     mode's share of the budget.  Squeezing takes the rest of a mode's share.
     """
-    b, cls = x.shape[0], _PARAMS[family]
-    modes, start = len(cls.ENERGY), len(cls.ANGLES)
-    offset = start + modes - 1
-    if modes == 1:
-        g = np.ones((b, 1))
-    else:  # every family has one or two modes: the second takes the rest
-        g1 = _logistic(x[:, start])
-        g = np.stack([g1, 1.0 - g1], axis=1)
+    b, cls = xt.shape[1], _PARAMS[family]
+    modes = len(cls.ENERGY)
+    # the share and energy rows, squashed in one call
+    u = _logistic(xt[len(cls.ANGLES):])
+    # every family has one or two modes: the second takes the rest
+    g = np.ones((1, b)) if modes == 1 else np.array([u[0], 1.0 - u[0]])
     if constraint == "coherent-only":
-        return np.ones((b, modes)), np.zeros((b, modes)), g
+        return np.ones((modes, b)), np.zeros((modes, b)), g
     if constraint == "squeezing-only":
-        return np.zeros((b, modes)), np.zeros((b, modes)), g
-    u = _logistic(x[:, offset:offset + 2 * modes])
-    f_d = u[:, 0::2]
-    return f_d, (1.0 - f_d) * u[:, 1::2], g
+        return np.zeros((modes, b)), np.zeros((modes, b)), g
+    f_d = u[modes - 1::2]
+    return f_d, (1.0 - f_d) * u[modes::2], g
 
 
 def _columns(x: np.ndarray, family: str, n_total: float, constraint: str):
     """Search vectors ``x`` (B, dim) as the family's parameter fields, one
     (B,) column per field in field order, and the ``_energy_fractions``
-    they came from.  Squeezing takes the rest of each mode's energy, and
-    the angles are wrapped into [-pi, pi)."""
-    f_d, f_th, g = _energy_fractions(x, family, constraint)
+    they came from.  The batch is decoded as one transposed (dim, B) block:
+    squeezing takes the rest of each mode's energy, and the angle rows are
+    wrapped into [-pi, pi) together."""
+    xt = np.ascontiguousarray(x.T)
+    f_d, f_th, g = _energy_fractions(xt, family, constraint)
     n_k = g * n_total
     n_d, n_th = f_d * n_k, f_th * n_k
     lams = 1.0 + 2.0 * n_th
     r = np.arcsinh(np.sqrt(np.maximum(n_k - n_d - n_th, 0.0) / lams))
     d_mag = np.sqrt(n_d)
     cls = _PARAMS[family]
-    angles = np.mod(x[:, :len(cls.ANGLES)] + np.pi, 2 * np.pi) - np.pi
-    named = dict(zip(cls.ANGLES, angles.T))
+    # np.mod(a + pi, 2 pi) - pi, bit for bit, without np.mod's slower loop
+    angles = np.fmod(xt[:len(cls.ANGLES)] + np.pi, 2 * np.pi)
+    angles += np.where(angles < 0, 2 * np.pi, 0.0)
+    angles -= np.pi
+    named = dict(zip(cls.ANGLES, angles))
     for k, names in enumerate(cls.ENERGY):
-        named.update(zip(names, (lams[:, k], r[:, k], d_mag[:, k])))
+        named.update(zip(names, (lams[k], r[k], d_mag[k])))
     return tuple(named[name] for name in cls.__dataclass_fields__), (f_d, f_th, g)
 
 
@@ -198,7 +203,7 @@ def _decode(x: np.ndarray, family: str, n_total: float, constraint: str):
     and the energy budget they spend."""
     columns, fractions = _columns(np.asarray(x, dtype=float)[None], family,
                                   n_total, constraint)
-    f_d, f_th, g = (a[0] for a in fractions)
+    f_d, f_th, g = (a[:, 0] for a in fractions)
     params = _PARAMS[family](*(float(c[0]) for c in columns))
     return params, EnergyBudget(n_total, tuple(zip(f_d, f_th)), tuple(g))
 
@@ -259,13 +264,16 @@ class LockstepResult:
         return bool(self.converged.all())
 
 
-def _gradient(fun, x: np.ndarray) -> np.ndarray:
-    """Central-difference gradient of ``fun`` at every row of ``x``
-    (B, dim), from one call on the ``2 dim`` offset points of each row."""
-    b, n = x.shape
-    offsets = _DIFF_STEP * np.concatenate([np.eye(n), -np.eye(n)])
-    f = fun((x[:, None, :] + offsets).reshape(-1, n)).reshape(b, 2 * n)
+def _gradient(f: np.ndarray, n: int) -> np.ndarray:
+    """Central-difference gradients (B, n) from the values ``f`` at the
+    ``_offset_points``."""
+    f = f.reshape(-1, 2 * n)
     return (f[:, :n] - f[:, n:]) / (2 * _DIFF_STEP)
+
+
+def _offset_points(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The ``2 dim`` central-difference points of every row of ``x`` (B, dim)."""
+    return (x[:, None, :] + offsets).reshape(-1, x.shape[1])
 
 
 def minimize(fun, x0: np.ndarray) -> LockstepResult:
@@ -276,42 +284,56 @@ def minimize(fun, x0: np.ndarray) -> LockstepResult:
     each active restart's quasi-Newton direction (steepest descent where
     that does not descend), of which the lowest passing the Armijo test
     is taken, then the central-difference gradients there (the value there
-    is the accepted trial's, each row being computed alone).  A restart
-    converges when its step gains at most ``TOL * max(1, |f|)`` or no step
-    passes; it stops unconverged on a non-finite gradient or at ``MAX_ITER``.
+    is the accepted trial's, each row being computed alone).  The start
+    values and gradients come from one call.  A restart converges when its
+    step gains at most ``TOL * max(1, |f|)`` or no step passes; it stops
+    unconverged on a non-finite gradient or at ``MAX_ITER``.
     """
     x = np.array(x0, dtype=float)
     b, n = x.shape
     eye = np.eye(n)
-    f, g = fun(x), _gradient(fun, x)
-    nfev = b * (2 * n + 1)
+    offsets = _DIFF_STEP * np.concatenate([eye, -eye])
+    fg = fun(np.concatenate([x, _offset_points(x, offsets)]))
+    f, g = fg[:b], _gradient(fg[b:], n)
+    nfev = fg.size
     hess = np.repeat(eye[None], b, axis=0)  # inverse Hessian estimates
+    # which estimates are the identity, still to be scaled (N&W eq. 6.20)
+    unscaled = np.ones(b, dtype=bool)
     active = np.isfinite(g).all(axis=1)
     converged = np.zeros(b, dtype=bool)
     for _ in range(MAX_ITER):
         rows = np.flatnonzero(active)
         if not rows.size:
             break
-        p = -(hess[rows] @ g[rows, :, None])[:, :, 0]
-        reset = ~(np.sum(g[rows] * p, axis=1) < 0)
-        hess[rows[reset]], p[reset] = eye, -g[rows[reset]]
-        slope = np.sum(g[rows] * p, axis=1)
-        trial = x[rows, None, :] + _TRIAL_STEPS[:, None] * p[:, None, :]
-        ft = fun(trial.reshape(-1, n)).reshape(len(rows), -1)
+        gr = g[rows]
+        p = -(hess[rows] @ gr[:, :, None])[:, :, 0]
+        slope = np.sum(gr * p, axis=1)
+        reset = ~(slope < 0)
+        if reset.any():
+            hess[rows[reset]], p[reset] = eye, -gr[reset]
+            unscaled[rows[reset]] = True
+            slope = np.sum(gr * p, axis=1)
+        # trial[j, i] and ft[j, i]: step j along row i's direction
+        trial = np.multiply.outer(_TRIAL_STEPS, p)
+        trial += x[rows]
+        ft = fun(trial.reshape(-1, n)).reshape(-1, len(rows))
         nfev += ft.size
-        ft[~(ft <= f[rows, None] + _ARMIJO * _TRIAL_STEPS * slope[:, None])] = np.inf
-        k = np.argmin(ft, axis=1)
-        f_new = ft[np.arange(len(rows)), k]
+        fr = f[rows]
+        ft[~(ft <= fr + _ARMIJO * _TRIAL_STEPS[:, None] * slope)] = np.inf
+        k = np.argmin(ft, axis=0)
+        f_new = ft[k, np.arange(len(rows))]
         took = np.isfinite(f_new)
-        done = ~took | (f[rows] - f_new <= TOL * np.maximum(1.0, np.abs(f_new)))
+        done = ~took | (fr - f_new <= TOL * np.maximum(1.0, np.abs(f_new)))
         converged[rows[done]], active[rows[done]] = True, False
-        x[rows[took]], f[rows[took]] = trial[took, k[took]], f_new[took]
-        rows, s = rows[~done], _TRIAL_STEPS[k[~done], None] * p[~done]
+        x[rows[took]], f[rows[took]] = trial[k[took], took], f_new[took]
+        go = ~done
+        rows, s = rows[go], _TRIAL_STEPS[k[go], None] * p[go]
         if not rows.size:
             break
         # the value at the accepted point is the trial value already taken
-        g_new = _gradient(fun, x[rows])
-        nfev += len(rows) * 2 * n
+        ff = fun(_offset_points(x[rows], offsets))
+        nfev += ff.size
+        g_new = _gradient(ff, n)
         y, g[rows] = g_new - g[rows], g_new
         active[rows] = np.isfinite(g_new).all(axis=1)
         sy = np.sum(s * y, axis=1)
@@ -319,9 +341,10 @@ def minimize(fun, x0: np.ndarray) -> LockstepResult:
         keep = active[rows] & (sy > 0)
         rows, s, y, sy = rows[keep], s[keep], y[keep], sy[keep]
         h = hess[rows]
-        # scale an identity estimate before its first update (N&W eq. 6.20)
-        first = (h == eye).all(axis=(1, 2))
-        h[first] *= (sy / np.sum(y * y, axis=1))[first, None, None]
+        first = unscaled[rows]
+        if first.any():
+            h[first] *= (sy / np.sum(y * y, axis=1))[first, None, None]
+            unscaled[rows] = False
         v = eye - s[:, :, None] * y[:, None, :] / sy[:, None, None]
         hess[rows] = (v @ h @ np.swapaxes(v, 1, 2)
                       + s[:, :, None] * s[:, None, :] / sy[:, None, None])

@@ -6,9 +6,11 @@ restricted two-mode family applies local rotations, a beam splitter, an
 asymmetric rotation and local squeezers to a two-mode thermal core:
 ``S_0 = R_1(phi1) R_2(phi2) B(theta) R_as(psi) S_1(r1) S_2(r2)``.
 Each class's static ``arrays`` builds this data for a batch of field
-values, with the batch on the trailing axis of every array; the optimizer's
-objective calls it on raw columns, and ``probe_arrays`` on a list of
-probes, for ``to_probe_state``, ``scaling_exponent`` and ``gaussqfi sweep``.
+values, with the batch on the trailing axis of every array: one ``cos`` and
+one ``sin`` call on the stacked angle rows give every phase, and ``S_0`` is
+written into one preallocated array.  The optimizer's objective calls it on
+raw columns, and ``probe_arrays`` on a list of probes, for
+``to_probe_state``, ``scaling_exponent`` and ``gaussqfi sweep``.
 """
 from __future__ import annotations
 
@@ -17,17 +19,35 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from ._util import _complex_form
 from .core import mean_photon_number
 from .errors import InvalidInputError, StructureError
 from .qfi import ProbeState
 from .symplectic import SymplecticMatrix, WilliamsonForm
 
 
-def _squeezed(u: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """``S_0 = blkdiag(u, conj u) S(r)`` from passive unitaries ``u``
-    (N, N, B) and squeezing parameters ``r`` (N, B)."""
-    return _complex_form(u * np.cosh(r)[None], -u * np.sinh(r)[None])
+def _phases(angles: np.ndarray):
+    """``exp(-1j a)``, ``exp(1j a)`` and ``sin a`` of stacked angle rows
+    ``a`` from one ``cos`` and one ``sin`` call, bit for bit the values of
+    ``np.exp``; ``cos a`` is the real part of the first."""
+    minus = np.empty(angles.shape, dtype=complex)
+    np.cos(angles, out=minus.real)
+    s = np.sin(angles)
+    np.negative(s, out=minus.imag)
+    # + 0.0: at a = -0.0, np.exp(1j * a) is 1 + 0j, not the conjugate's 1 - 0j
+    return minus, np.conj(minus) + 0.0, s
+
+
+def _squeeze(s0: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Finish ``S_0 = blkdiag(u, conj u) S(r)`` in place: ``s0`` (2N, 2N, B)
+    holds the passive unitary ``u`` in its top-left block, ``r`` is (N, B)."""
+    n = len(r)
+    a, b = s0[:n, :n], s0[:n, n:]
+    np.negative(a, out=b)
+    b *= np.sinh(r)
+    a *= np.cosh(r)
+    np.conj(b, out=s0[n:, :n])
+    np.conj(a, out=s0[n:, n:])
+    return s0
 
 
 def probe_arrays(params: list):
@@ -87,9 +107,10 @@ class OneModeProbeParams(_Family):
         """Raw Williamson data of a batch of probes, one (B,) array per
         field: ``s0`` (2, 2, B), ``lams`` (1, B) and ``d_tilde`` (1, B),
         the inputs of ``qfi.qfi_kernel``.  Nothing is checked."""
-        u = np.exp(-1j * theta)[None, None]
-        return (_squeezed(u, r[None]), lambda1[None],
-                (d_mag * np.exp(1j * phi_d))[None])
+        minus, plus, _ = _phases(np.array([theta, phi_d]))
+        s0 = np.empty((2, 2) + minus.shape[1:], dtype=complex)
+        s0[0, 0] = minus[0]
+        return _squeeze(s0, r[None]), lambda1[None], (d_mag * plus[1])[None]
 
     def to_probe_state(self) -> ProbeState:
         return column_state(*probe_arrays([self]))
@@ -122,16 +143,17 @@ class TwoModeProbeParams(_Family):
         """Raw Williamson data of a batch of probes, one (B,) array per
         field: ``s0`` (4, 4, B), ``lams`` (2, B) and ``d_tilde`` (2, B),
         the inputs of ``qfi.qfi_kernel``.  Nothing is checked."""
+        minus, plus, s = _phases(np.array([theta, psi, phi1, phi2, phi_d1, phi_d2]))
+        ct, st = minus[0].real, s[0]
+        ep, em, e1, e2 = minus[1], plus[1], minus[2], minus[3]
         # the passive part R_1(phi1) R_2(phi2) B(theta) R_as(psi)
-        ct, st = np.cos(theta), np.sin(theta)
-        e1, e2 = np.exp(-1j * phi1), np.exp(-1j * phi2)
-        ep, em = np.exp(-1j * psi), np.exp(1j * psi)
-        u = np.array([[e1 * ct * ep, e1 * st * em],
-                      [-e2 * st * ep, e2 * ct * em]])
-        d_tilde = np.stack([d1_mag * np.exp(1j * phi_d1),
-                            d2_mag * np.exp(1j * phi_d2)])
-        return (_squeezed(u, np.stack([r1, r2])),
-                np.stack([lambda1, lambda2]), d_tilde)
+        s0 = np.empty((4, 4) + ct.shape, dtype=complex)
+        np.multiply(e1 * ct, ep, out=s0[0, 0])
+        np.multiply(e1 * st, em, out=s0[0, 1])
+        np.multiply(-e2 * st, ep, out=s0[1, 0])
+        np.multiply(e2 * ct, em, out=s0[1, 1])
+        return (_squeeze(s0, np.array([r1, r2])), np.array([lambda1, lambda2]),
+                np.array([d1_mag, d2_mag]) * plus[4:])
 
     def to_probe_state(self) -> ProbeState:
         return column_state(*probe_arrays([self]))

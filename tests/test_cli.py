@@ -244,6 +244,28 @@ _SWEEP = {"probe": _ONE_MODE, "channel": _PHASE}
     ("qfi", {"probe": _ONE_MODE, "channel": {"kind": "phase", "omega_p": 3}}),
     ("qfi", {"probe": _ONE_MODE, "channel": {"kind": "squeeze1-mode1", "omega_s": 2}}),
     ("qfi", {"probe": _ONE_MODE, "channel": {**_CUSTOM, "chi": 0.0}}),
+    # a string or a boolean is not a number, even where float() reads it,
+    # and neither is an integer too large for a float
+    ("qfi", {"probe": _ONE_MODE, "channel": {"kind": "squeeze1-mode1", "chi": "0.4"}}),
+    ("qfi", {"probe": _ONE_MODE, "channel": {"kind": "squeeze1-mode1", "chi": True}}),
+    ("qfi", {"probe": _ONE_MODE, "channel": {"kind": "squeeze1-mode1", "chi": 10 ** 400}}),
+    ("qfi", {"probe": _ONE_MODE, "channel": {"kind": "combined-one-mode",
+                                             "omega_p": False, "omega_s": 1.0}}),
+    ("ellipse", {"epsilon": "0.1", "probe": _ONE_MODE, "channel": _PHASE}),
+    ("ellipse", {"epsilon": True, "probe": _ONE_MODE, "channel": _PHASE}),
+    ("ellipse", {"epsilon": 10 ** 400, "probe": _ONE_MODE, "channel": _PHASE}),
+    ("sweep", {"sweep": {"parameter": "channel.chi", "grid": [0.1, "0.2"]},
+               "probe": _ONE_MODE, "channel": {"kind": "squeeze1-mode1"}}),
+    ("sweep", {"sweep": {"parameter": "probe.r", "grid": [0.1, True]},
+               "probe": _ONE_MODE, "channel": _PHASE}),
+    ("optimize", {"channel": _PHASE, "budget": {"n_total": "1.0"}}),
+    ("optimize", {"channel": _PHASE, "budget": {"n_total": True}}),
+    ("scaling", {"channel": _PHASE, "family": "optimal-squeezing",
+                 "n_grid": [1, 2, 4, True, 16, 32, 64]}),
+    ("closed-form", {"label": "eq21", "chi": "0.4", "probe": _ONE_MODE}),
+    ("closed-form", {"label": "universal-mix", "r": True}),
+    ("limits", {"n": [1.0, "2"]}),
+    ("limits", {"n": [1.0, True]}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     assert_exits_with_one_error_line(tmp_path, capsys, command, {"schema": 1, **config}, 2)

@@ -22,6 +22,7 @@ from gaussqfi.optimizer import (
     optimize_probe,
     scaling_exponent,
 )
+from gaussqfi.qfi import qfi_kernel
 
 QUICK = OptimizerConfig(restarts=6, seed=11)
 
@@ -69,6 +70,113 @@ def test_batched_objective_matches_engine(rng):
             assert abs(got - n_total) < 1e-8
 
 
+def _reference_arrays(family, f):
+    """``arrays`` of the field columns ``f`` (name -> (B,)), written out with
+    ``np.exp`` phases and ``np.array``/``np.stack`` assembly of ``S_0``."""
+    if family == ONE_MODE:
+        u = np.exp(-1j * f["theta"])[None, None]
+        r, lams = f["r"][None], f["lambda1"][None]
+        d_tilde = (f["d_mag"] * np.exp(1j * f["phi_d"]))[None]
+    else:
+        ct, st = np.cos(f["theta"]), np.sin(f["theta"])
+        e1, e2 = np.exp(-1j * f["phi1"]), np.exp(-1j * f["phi2"])
+        ep, em = np.exp(-1j * f["psi"]), np.exp(1j * f["psi"])
+        u = np.array([[e1 * ct * ep, e1 * st * em],
+                      [-e2 * st * ep, e2 * ct * em]])
+        r, lams = np.stack([f["r1"], f["r2"]]), np.stack([f["lambda1"], f["lambda2"]])
+        d_tilde = np.stack([f["d1_mag"] * np.exp(1j * f["phi_d1"]),
+                            f["d2_mag"] * np.exp(1j * f["phi_d2"])])
+    top, right = u * np.cosh(r)[None], -u * np.sinh(r)[None]
+    s0 = np.concatenate([np.concatenate([top, right], axis=1),
+                         np.concatenate([right.conj(), top.conj()], axis=1)])
+    return s0, lams, d_tilde
+
+
+def _reference_decode(x, family, n_total, constraint):
+    """Field columns and energy fractions of search vectors ``x`` (B, dim),
+    decoded one column at a time, with ``np.mod`` angles."""
+    cls = optimizer._PARAMS[family]
+    b, na, modes = len(x), len(cls.ANGLES), len(cls.ENERGY)
+    if modes == 1:
+        g = np.ones((b, 1))
+    else:
+        g1 = optimizer._logistic(x[:, na])
+        g = np.stack([g1, 1.0 - g1], axis=1)
+    if constraint == "coherent-only":
+        f_d, f_th = np.ones((b, modes)), np.zeros((b, modes))
+    elif constraint == "squeezing-only":
+        f_d, f_th = np.zeros((b, modes)), np.zeros((b, modes))
+    else:
+        u = optimizer._logistic(x[:, na + modes - 1:na + 3 * modes - 1])
+        f_d = u[:, 0::2]
+        f_th = (1.0 - f_d) * u[:, 1::2]
+    n_k = g * n_total
+    n_d, n_th = f_d * n_k, f_th * n_k
+    lams = 1.0 + 2.0 * n_th
+    r = np.arcsinh(np.sqrt(np.maximum(n_k - n_d - n_th, 0.0) / lams))
+    d_mag = np.sqrt(n_d)
+    fields = dict(zip(cls.ANGLES, (np.mod(x[:, :na] + np.pi, 2 * np.pi) - np.pi).T))
+    for k, names in enumerate(cls.ENERGY):
+        fields.update(zip(names, (lams[:, k], r[:, k], d_mag[:, k])))
+    return fields, (f_d, f_th, g)
+
+
+_SPECIAL_ANGLES = np.array([np.pi, -np.pi, -0.0, 0.0, 3 * np.pi, -7 * np.pi, 1e3, -250.0])
+
+
+def _assert_same_bits(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("family,channel", [
+    (ONE_MODE, gq.combined_channel(0.7, 1.2, 0.4)),
+    (TWO_MODE, gq.twomode_squeeze_channel(0.9)),
+])
+@pytest.mark.parametrize("constraint", [None, "coherent-only", "squeezing-only"])
+def test_block_decode_matches_column_decode_bit_for_bit(rng, family, channel, constraint):
+    # the decode of a whole batch as one block gives the bits of a column
+    # by column decode, for angles far outside [-pi, pi), at +-pi and at -0
+    cls = optimizer._PARAMS[family]
+    na, modes = len(cls.ANGLES), len(cls.ENERGY)
+    dim = na + modes - 1 + (0 if constraint else 2 * modes)
+    x = rng.normal(size=(64, dim)) * 3.0
+    x[:32, :na] = rng.choice(_SPECIAL_ANGLES, size=(32, na))
+    x[32:48, :na] *= 40.0
+    x[48:, na:] *= 15.0  # saturated energy coordinates
+    n_total = 1.3
+    fields, fractions = _reference_decode(x, family, n_total, constraint)
+    want = _reference_arrays(family, fields)
+    columns, got_fractions = optimizer._columns(x, family, n_total, constraint)
+    _assert_same_bits(cls.arrays(*columns), want)
+    _assert_same_bits(got_fractions, [f.T for f in fractions])
+    ikw, gamma = channel.generator.ikw(), channel.generator.gamma
+    value = -sum(qfi_kernel(*want, ikw, gamma))
+    value = np.where(np.isfinite(value), value, np.inf)
+    assert np.all(_objective(x, family, n_total, constraint, ikw, gamma) == value)
+    for b in range(0, len(x), 7):
+        assert _objective(x[b:b + 1], family, n_total, constraint, ikw, gamma)[0] == value[b]
+
+
+@pytest.mark.parametrize("family", [ONE_MODE, TWO_MODE])
+def test_arrays_match_np_exp_bit_for_bit(rng, family):
+    # unwrapped field values, as probe_arrays passes them, at B = 1 and in a batch
+    cls = optimizer._PARAMS[family]
+    fields = {}
+    for name in cls.__dataclass_fields__:
+        if name in cls.ANGLES:
+            fields[name] = np.concatenate([rng.choice(_SPECIAL_ANGLES, 24),
+                                           rng.uniform(-60.0, 60.0, 24)])
+        else:
+            fields[name] = rng.uniform(1.0 if name.startswith("lambda") else -1.5, 2.0, 48)
+    want = _reference_arrays(family, fields)
+    _assert_same_bits(cls.arrays(*fields.values()), want)
+    for b in range(0, 48, 5):
+        one = cls.arrays(*(v[b:b + 1] for v in fields.values()))
+        _assert_same_bits(one, (w[..., b:b + 1] for w in want))
+
+
 _SEARCH_CASES = [(gq.combined_channel(0.7, 1.2, 0.4), ONE_MODE, 1.0, None),
              (gq.squeeze_channel(0.6), ONE_MODE, 2.0, "coherent-only"),
              # a coherent probe's phase QFI is 4 n at every angle: all ties
@@ -110,9 +218,11 @@ def test_minimize_converges_on_search_objectives(channel, family, n_total, const
     assert np.all(res.fun <= fun(starts))
 
 
-def test_restart_independent_of_batch():
+@pytest.mark.parametrize("channel,family,n_total,constraint",
+                         [_SEARCH_CASES[0], _SEARCH_CASES[4]],
+                         ids=["one-mode-combined", "two-mode-squeeze"])
+def test_restart_independent_of_batch(channel, family, n_total, constraint):
     # a start's result does not depend on the batch it runs in
-    channel, family, n_total, constraint = _SEARCH_CASES[0]
     fun = _search_objective(channel, family, n_total, constraint)
     starts = _start_points(family, constraint, OptimizerConfig(restarts=4, seed=3))
     together = minimize(fun, starts)
