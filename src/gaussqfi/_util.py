@@ -21,9 +21,11 @@ def _check_finite(name: str, *arrays):
 
 
 def _is_integral(value) -> bool:
-    """4 and 4.0 are integers; 2.9, true, "7" and infinity are not."""
+    """4, numpy's int64(4) and 4.0 are integers; 2.9, true, "7" and
+    infinity are not."""
     return not isinstance(value, bool) and (
-        isinstance(value, int) or (isinstance(value, float) and value.is_integer()))
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, float) and value.is_integer()))
 
 
 def _finite_number(value):

@@ -7,10 +7,16 @@ as ``sqrt(p_k) e_k`` for each weight of the thermal diagonal above
 Conjugating rho by a truncated unitary multiplies ``B`` from the left:
 one-mode factors act on their own mode axis of the row index, rotations
 are elementwise phases, and the beam splitter, which conserves
-``n1 + n2``, is exponentiated one block of constant total number at a
-time and applied to that block's rows.  ``B B^dag`` is positive
-semidefinite by construction, and every truncated exponential of an
-anti-Hermitian generator is unitary, so the columns of ``B`` stay
+``n1 + n2``, acts one block of constant total number at a time on that
+block's rows.  Every other generator is anti-Hermitian and tridiagonal:
+the displacement, each beam-splitter block, and the squeezer, which
+couples ``n`` to ``n +- 2`` and so splits into an even-level and an
+odd-level block.  Each such exponential is applied in factored form from
+one real symmetric tridiagonal eigendecomposition (``_expm_tridiag``),
+with no dense matrix exponential, and a factor that is the identity
+(``r = 0``, ``gamma = 0``, ``theta = 0``) is skipped.  ``B B^dag`` is
+positive semidefinite by construction, and every truncated exponential
+of an anti-Hermitian generator is unitary, so the columns of ``B`` stay
 orthogonal with squared norms equal to the kept weights: they are rho's
 support eigenvectors and eigenvalues, with no eigendecomposition.  The
 channel ``U = exp(eps G)`` with anti-Hermitian ``G`` is differentiated
@@ -28,15 +34,20 @@ from dataclasses import dataclass
 from functools import partial, reduce
 
 import numpy as np
+# scipy.linalg is not called here; it stays bound because perfbench's
+# tracer swaps fock.scipy.linalg.expm until the next change to the
+# benchmark (ROADMAP items 4-5)
 import scipy.linalg
+from scipy.linalg.lapack import dstevd
 
+from ._util import _is_integral
 from .channels import ChannelSpec
 from .errors import CutoffTooSmallError, InvalidInputError
 from .probes import OneModeProbeParams, TwoModeProbeParams
 
 # Trace loss allowed after every truncated conjugation (cumulative).
 LEAK_TOL = 1e-8
-MAX_CUTOFF_ONE_MODE = 128
+MAX_CUTOFF_ONE_MODE = 512
 MAX_CUTOFF_TWO_MODE = 80
 # Eigenvalue pairs with p_j + p_k below this are outside the support.
 SUPPORT_TOL = 1e-12
@@ -76,16 +87,53 @@ def _rotation_phases(theta: float, cutoff: int) -> np.ndarray:
     return np.exp(-1j * theta * np.arange(cutoff))
 
 
-def _squeeze_op(r: float, chi: float, cutoff: int) -> np.ndarray:
-    a = ladder(cutoff)
-    adag = a.conj().T
-    gen = -(r / 2.0) * (np.exp(1j * chi) * adag @ adag - np.exp(-1j * chi) * a @ a)
-    return scipy.linalg.expm(gen)
+def _real_left(v: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``v @ z`` for real ``v`` and C-contiguous complex ``z``, as one
+    real product on ``z``'s float view."""
+    return (v @ z.view(float)).view(complex)
 
 
-def _displacement_op(gamma: complex, cutoff: int) -> np.ndarray:
-    a = ladder(cutoff)
-    return scipy.linalg.expm(gamma * a.conj().T - np.conjugate(gamma) * a)
+def _expm_tridiag(hop: np.ndarray, alpha: float, mat: np.ndarray) -> np.ndarray:
+    """``exp(T) @ mat`` along axis -2 of ``mat`` (other axes broadcast) for
+    the anti-Hermitian tridiagonal ``T`` with subdiagonal
+    ``hop e^{i alpha}`` and superdiagonal ``-hop e^{-i alpha}``, ``hop``
+    real, on at least two levels.
+
+    ``T = D (iJ) D^-1`` with ``D = diag(e^{i (alpha - pi/2) k})`` and ``J``
+    the real symmetric tridiagonal matrix with off-diagonal ``hop``, so
+    ``J = V diag(w) V^T`` gives ``exp(T) = D V e^{i w} V^T D^-1``, unitary
+    to rounding (the eigenvector method for normal matrices).
+    """
+    k = np.arange(hop.size + 1)
+    w, v, info = dstevd(np.zeros(k.size), hop)
+    if info:
+        raise np.linalg.LinAlgError(f"dstevd failed with info {info}")
+    d = np.exp(1j * (alpha - np.pi / 2) * k)[:, None]
+    inner = _real_left(v.T, d.conj() * mat)
+    return d * _real_left(v, np.exp(1j * w)[:, None] * inner)
+
+
+def _squeeze(r: float, mat: np.ndarray) -> np.ndarray:
+    """Truncated ``exp(-(r/2) (a^dag^2 - a^2)) @ mat`` along axis -2.
+
+    The generator couples ``n`` to ``n +- 2``: one tridiagonal block on
+    the even levels and one on the odd levels.
+    """
+    cutoff = mat.shape[-2]
+    out = np.empty(mat.shape, dtype=complex)
+    for parity in (0, 1):
+        n = np.arange(parity, cutoff - 2, 2)
+        # a^dag^2 |n> = sqrt((n + 1) (n + 2)) |n + 2>
+        hop = -0.5 * r * np.sqrt((n + 1.0) * (n + 2.0))
+        out[..., parity::2, :] = _expm_tridiag(hop, 0.0, mat[..., parity::2, :])
+    return out
+
+
+def _displace(gamma: complex, mat: np.ndarray) -> np.ndarray:
+    """Truncated ``exp(gamma a^dag - gamma^* a) @ mat`` along axis -2."""
+    # a^dag |n> = sqrt(n + 1) |n + 1>
+    hop = abs(gamma) * np.sqrt(np.arange(1.0, mat.shape[-2]))
+    return _expm_tridiag(hop, float(np.angle(gamma)), mat)
 
 
 def _beamsplit(theta: float, chi: float, cutoff: int, mat: np.ndarray) -> np.ndarray:
@@ -94,27 +142,29 @@ def _beamsplit(theta: float, chi: float, cutoff: int, mat: np.ndarray) -> np.nda
 
     The generator conserves ``n1 + n2``, so it is block diagonal with one
     block of at most ``cutoff`` levels per total; each block is
-    tridiagonal in ``n1`` and is exponentiated and applied on its own.
+    tridiagonal in ``n1`` and is applied to its own rows.  The one-level
+    blocks (totals 0 and ``2 cutoff - 2``) have a zero generator and keep
+    their rows.
     """
-    out = np.empty_like(mat, dtype=complex)
-    for total in range(2 * cutoff - 1):
+    out = np.array(mat, dtype=complex)
+    for total in range(1, 2 * cutoff - 2):
         n1 = np.arange(max(0, total - cutoff + 1), min(total, cutoff - 1) + 1)
         # a1^dag a2 |n1, total - n1> = sqrt((n1 + 1) (total - n1)) |n1 + 1, total - n1 - 1>
-        hop = theta * np.exp(1j * chi) * np.sqrt((n1[:-1] + 1.0) * (total - n1[:-1]))
+        hop = theta * np.sqrt((n1[:-1] + 1.0) * (total - n1[:-1]))
         idx = n1 * cutoff + (total - n1)
-        out[idx] = scipy.linalg.expm(np.diag(hop, -1) - np.diag(hop.conj(), 1)) @ mat[idx]
+        out[idx] = _expm_tridiag(hop, chi, mat[idx])
     return out
 
 
-def _apply_local(ops: list, mat: np.ndarray) -> np.ndarray:
-    """``(ops[0] x ops[1] x ...) @ mat``, contracting one mode axis of the
-    row index at a time instead of forming the Kronecker product; a
-    ``None`` entry is the identity on its mode."""
+def _apply_local(ops: list, cutoff: int, mat: np.ndarray) -> np.ndarray:
+    """``(ops[0] x ops[1] x ...) @ mat``, one mode axis of the row index at
+    a time instead of forming the Kronecker product: ``ops[k]`` maps a
+    stack of ``(cutoff, m)`` blocks along mode k's axis, and a ``None``
+    entry is the identity on its mode."""
     out = mat
     for k, op in enumerate(ops):
         if op is not None:
-            rows = op.shape[0]
-            out = np.matmul(op, out.reshape(rows ** k, rows, -1))
+            out = op(out.reshape(cutoff ** k, cutoff, -1))
     return out.reshape(mat.shape)
 
 
@@ -137,8 +187,12 @@ def build_fock_state(params, cutoff: int) -> FockDensity:
 
     Raises CutoffTooSmallError when any conjugation step leaks more than
     LEAK_TOL of trace, read from the row norms of the factor (the
-    diagonal of rho).
+    diagonal of rho), and InvalidInputError for a cutoff that is not an
+    integer (16.0 counts as 16) of at least 8.
     """
+    if not _is_integral(cutoff):
+        raise InvalidInputError(f"cutoff must be an integer, got {cutoff!r}")
+    cutoff = int(cutoff)
     if cutoff < 8:
         raise InvalidInputError(f"cutoff must be >= 8, got {cutoff}")
 
@@ -146,27 +200,29 @@ def build_fock_state(params, cutoff: int) -> FockDensity:
         phases = reduce(np.kron, [_rotation_phases(t, cutoff) for t in thetas])
         return partial(np.multiply, phases[:, None])
 
+    def per_mode(op, *args):
+        """Per-mode factors ``op(arg, .)``; a zero argument is the identity."""
+        return partial(_apply_local, [None if arg == 0 else partial(op, arg)
+                                      for arg in args], cutoff)
+
     if isinstance(params, OneModeProbeParams):
         modes = 1
         weights = _thermal_diag(params.lambda1, cutoff)
-        gamma = params.d_mag * np.exp(1j * params.phi_d)
-        steps = [("squeezing", partial(_apply_local, [_squeeze_op(params.r, 0.0, cutoff)])),
+        steps = [("squeezing", per_mode(_squeeze, params.r)),
                  ("rotation", rotate(params.theta)),
-                 ("displacement", partial(_apply_local, [_displacement_op(gamma, cutoff)]))]
+                 ("displacement", per_mode(_displace, params.d_mag * np.exp(1j * params.phi_d)))]
     elif isinstance(params, TwoModeProbeParams):
         modes = 2
         weights = np.kron(_thermal_diag(params.lambda1, cutoff),
                           _thermal_diag(params.lambda2, cutoff))
-        gammas = (params.d1_mag * np.exp(1j * params.phi_d1),
-                  params.d2_mag * np.exp(1j * params.phi_d2))
-        steps = [("squeezing", partial(_apply_local, [_squeeze_op(params.r1, 0.0, cutoff),
-                                                      _squeeze_op(params.r2, 0.0, cutoff)])),
+        steps = [("squeezing", per_mode(_squeeze, params.r1, params.r2)),
                  ("asymmetric rotation", rotate(params.psi, -params.psi))]
         if params.theta != 0.0:
             steps.append(("beam splitter", partial(_beamsplit, params.theta, 0.0, cutoff)))
         steps += [("rotations", rotate(params.phi1, params.phi2)),
-                  ("displacement", partial(_apply_local,
-                                           [_displacement_op(g, cutoff) for g in gammas]))]
+                  ("displacement", per_mode(_displace,
+                                            params.d1_mag * np.exp(1j * params.phi_d1),
+                                            params.d2_mag * np.exp(1j * params.phi_d2)))]
     else:
         raise InvalidInputError(f"unsupported probe parameter type {type(params)!r}")
 
@@ -212,9 +268,11 @@ def apply_generator(channel: ChannelSpec, cutoff: int, vecs: np.ndarray) -> np.n
                     local = local + 0.5j * coef * (op_k @ op_l)
                 else:
                     # the two factors act on different modes and commute
-                    ops = {k: 0.5j * coef * op_k, l: op_l}
-                    out += _apply_local([ops.get(m) for m in range(n)], vecs)
-        out += _apply_local([local if m == k else None for m in range(n)], vecs)
+                    ops = {k: partial(np.matmul, 0.5j * coef * op_k),
+                           l: partial(np.matmul, op_l)}
+                    out += _apply_local([ops.get(m) for m in range(n)], cutoff, vecs)
+        out += _apply_local([partial(np.matmul, local) if m == k else None
+                             for m in range(n)], cutoff, vecs)
     return out
 
 
@@ -225,7 +283,8 @@ def _check_modes(params, channel: ChannelSpec):
 
 def ladder_state(params) -> FockDensity:
     """Probe state at the smallest cutoff on the doubling ladder that
-    passes the leak rule (8, 16, ... one mode; 10, 20, 40, 80 two modes)."""
+    passes the leak rule (8, 16, ..., 512 one mode; 10, 20, 40, 80 two
+    modes)."""
     cutoff, limit = ((8, MAX_CUTOFF_ONE_MODE) if len(params.ENERGY) == 1
                      else (10, MAX_CUTOFF_TWO_MODE))
     last_err = None

@@ -1,13 +1,17 @@
+import re
+from functools import partial, reduce
+
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.special import factorial
 
 import gaussqfi as gq
+from gaussqfi import fock
 from gaussqfi.errors import CutoffTooSmallError, InvalidInputError
-from gaussqfi.fock import SUPPORT_TOL, _beamsplit, _thermal_diag, apply_generator, \
-    build_fock_state, choose_cutoff, fock_qfi, ladder, state_qfi
-from gaussqfi.validate import FOCK_TOL, fock_panel_cases
+from gaussqfi.fock import SUPPORT_TOL, _beamsplit, _displace, _squeeze, _thermal_diag, \
+    apply_generator, build_fock_state, choose_cutoff, fock_qfi, ladder, ladder_state, state_qfi
+from gaussqfi.validate import FOCK_TOL, fock_panel, fock_panel_cases
 
 
 def _dense(rho):
@@ -64,6 +68,62 @@ def test_cutoff_too_small_raises():
 def test_cutoff_minimum_enforced():
     with pytest.raises(InvalidInputError):
         build_fock_state(gq.OneModeProbeParams(), 4)
+
+
+@pytest.mark.parametrize("params", [gq.OneModeProbeParams(lambda1=1.4),
+                                    gq.TwoModeProbeParams(lambda1=1.4, lambda2=1.2)])
+def test_identity_factors_skipped(params, monkeypatch):
+    # r = 0, gamma = 0 and theta = 0 are identities and are not applied:
+    # the factor keeps its thermal start exactly
+    def refuse(*_):
+        raise AssertionError("an identity factor was exponentiated")
+
+    monkeypatch.setattr(fock, "_expm_tridiag", refuse)
+    lams = [params.lambda1] if isinstance(params, gq.OneModeProbeParams) \
+        else [params.lambda1, params.lambda2]
+    weights = reduce(np.kron, [_thermal_diag(lam, 16) for lam in lams])
+    kept = np.flatnonzero(weights > SUPPORT_TOL / 2)
+    start = np.zeros((weights.size, kept.size), dtype=complex)
+    start[kept, np.arange(kept.size)] = np.sqrt(weights[kept])
+    assert np.array_equal(build_fock_state(params, 16).factor, start)
+
+
+@pytest.mark.parametrize("cutoff", [16, np.int64(16), 16.0])
+def test_integral_cutoff_accepted(cutoff):
+    p = gq.OneModeProbeParams(d_mag=0.3)
+    rho = build_fock_state(p, cutoff)
+    assert rho.cutoff == 16 and type(rho.cutoff) is int
+    assert fock_qfi(p, gq.phase_channel(), cutoff=cutoff) == \
+        fock_qfi(p, gq.phase_channel(), cutoff=16)
+
+
+@pytest.mark.parametrize("cutoff", [16.5, "16", True])
+def test_non_integral_cutoff_refused(cutoff):
+    p = gq.OneModeProbeParams(d_mag=0.3)
+    for build in (partial(build_fock_state, p),
+                  partial(fock_qfi, p, gq.phase_channel())):
+        with pytest.raises(InvalidInputError, match=re.escape(repr(cutoff))):
+            build(cutoff)
+
+
+@pytest.mark.parametrize("cutoff", [8, 9, 64])
+@pytest.mark.parametrize("r", [0.7, -0.9])
+def test_squeeze_matches_dense_exponential(cutoff, r):
+    # the squeezer is applied as two tridiagonal parity blocks
+    a = ladder(cutoff)
+    adag = a.conj().T
+    op = _squeeze(r, np.eye(cutoff))
+    assert np.max(np.abs(op - scipy.linalg.expm(-(r / 2) * (adag @ adag - a @ a)))) < 1e-12
+    assert np.max(np.abs(op @ op.conj().T - np.eye(cutoff))) < 1e-12
+
+
+@pytest.mark.parametrize("cutoff", [8, 9, 64])
+def test_displacement_matches_dense_exponential(cutoff):
+    gamma = 0.8 * np.exp(0.6j)
+    a = ladder(cutoff)
+    op = _displace(gamma, np.eye(cutoff))
+    assert np.max(np.abs(op - scipy.linalg.expm(gamma * a.conj().T - np.conj(gamma) * a))) < 1e-12
+    assert np.max(np.abs(op @ op.conj().T - np.eye(cutoff))) < 1e-12
 
 
 def test_choose_cutoff_grows_with_state():
@@ -207,6 +267,35 @@ def test_cutoff_monotone_improvement():
         dev_lo = abs(fock_qfi(p, ch, cutoff=cutoff) - engine)
         dev_hi = abs(fock_qfi(p, ch, cutoff=2 * cutoff) - engine)
         assert dev_hi <= dev_lo + 1e-6, name
+
+
+@pytest.mark.parametrize("lam, cutoff", [(5.0, 256), (10.0, 512)])
+def test_thermal_one_mode_probe_reaches_large_cutoff(lam, cutoff):
+    # the temperature panel's thermal probes need the top of the one-mode
+    # ladder
+    p = gq.OneModeProbeParams(lambda1=lam, r=-0.88, d_mag=1.0)
+    rho = ladder_state(p)
+    assert rho.cutoff == cutoff
+    engine = gq.qfi_unitary(p.to_probe_state(), gq.phase_channel()).total
+    assert abs(state_qfi(rho, gq.phase_channel()) - engine) < FOCK_TOL * engine
+
+
+def test_one_mode_ladder_stops_at_512():
+    p = gq.OneModeProbeParams(lambda1=30.0, r=-0.88, d_mag=1.0)
+    with pytest.raises(CutoffTooSmallError, match="up to 512"):
+        ladder_state(p)
+
+
+def test_fock_panel_runs_without_dense_expm(monkeypatch):
+    # every exponential of the oracle is a tridiagonal eigendecomposition;
+    # a dense expm creeping back in fails here
+    def refuse(*_):
+        raise AssertionError("dense expm called by the Fock oracle")
+
+    monkeypatch.setattr(scipy.linalg, "expm", refuse)
+    results = fock_panel()
+    assert len(results) == len(fock_panel_cases())
+    assert all(r.passed for r in results), [r.name for r in results if not r.passed]
 
 
 @pytest.mark.parametrize("channel", [gq.mix_channel(), gq.twomode_squeeze_channel()])
