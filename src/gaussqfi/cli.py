@@ -369,8 +369,11 @@ def cmd_limits(config: dict, args) -> str:
 
 
 def cmd_validate(args) -> tuple:
-    results = validate.run_panels(panel=args.panel, seed=args.seed or 20240,
-                                  draws=args.draws)
+    seed = 20240 if args.seed is None else args.seed
+    try:
+        results = validate.run_panels(panel=args.panel, seed=seed, draws=args.draws)
+    except InvalidInputError as exc:
+        raise ConfigError(str(exc)) from exc
     report = validate.format_report(results) + "\n"
     ok = all(r.passed for r in results)
     return report, EXIT_OK if ok else EXIT_PANEL_FAILURE

@@ -21,10 +21,12 @@ orthogonal with squared norms equal to the kept weights: they are rho's
 support eigenvectors and eigenvalues, with no eigendecomposition.  The
 channel ``U = exp(eps G)`` with anti-Hermitian ``G`` is differentiated
 exactly, ``drho/deps = G rho - rho G`` at ``eps = 0``, and ``G`` is
-applied to the eigenvectors one mode at a time.  The QFI is evaluated
-through the spectral form of the symmetric logarithmic derivative;
-unitaries keep the rank, so that sum over the support is continuous in
-the channel parameter, and completeness supplies the pairs outside it.
+applied to the eigenvectors by ladder shifts: each ``a`` or ``a^dag``
+moves its own mode axis by one level, scaled by ``sqrt(n + 1)``.  The
+QFI is evaluated through the spectral form of the symmetric logarithmic
+derivative; unitaries keep the rank, so that sum over the support is
+continuous in the channel parameter, and completeness supplies the pairs
+outside it.
 Nothing here touches the phase-space machinery, which is the point: it
 validates the fast path from outside the formalism.
 """
@@ -64,21 +66,10 @@ class FockDensity:
     factor: np.ndarray
 
 
-def ladder(cutoff: int) -> np.ndarray:
-    """Annihilation operator on a cutoff-level Fock space."""
-    a = np.zeros((cutoff, cutoff), dtype=complex)
-    ks = np.arange(1, cutoff)
-    a[ks - 1, ks] = np.sqrt(ks)
-    return a
-
-
 def _thermal_diag(lam: float, cutoff: int) -> np.ndarray:
     n_th = (lam - 1.0) / 2.0
-    if n_th <= 0.0:
-        p = np.zeros(cutoff)
-        p[0] = 1.0
-        return p
-    # the ratio's powers underflow gently where n_th ** k would overflow
+    # n_th = 0 (pure) gives exactly (1, 0, 0, ...); the ratio's powers
+    # underflow gently where n_th ** k would overflow
     return (n_th / (1.0 + n_th)) ** np.arange(cutoff) / (1.0 + n_th)
 
 
@@ -239,40 +230,39 @@ def build_fock_state(params, cutoff: int) -> FockDensity:
     return FockDensity(cutoff, modes, factor)
 
 
+def _shift(raising: bool, mat: np.ndarray) -> np.ndarray:
+    """Truncated ``a^dag @ mat`` (``raising``) or ``a @ mat`` along axis -2,
+    with ``a^dag |n> = sqrt(n + 1) |n + 1>``."""
+    root = np.sqrt(np.arange(1.0, mat.shape[-2]))[:, None]
+    out = np.zeros(mat.shape, dtype=complex)
+    if raising:
+        np.multiply(root, mat[..., :-1, :], out=out[..., 1:, :])
+    else:
+        np.multiply(root, mat[..., 1:, :], out=out[..., :-1, :])
+    return out
+
+
 def apply_generator(channel: ChannelSpec, cutoff: int, vecs: np.ndarray) -> np.ndarray:
     """``G @ vecs`` for the anti-Hermitian Fock-space generator of the
-    channel's unitary group,
-
-    ``G = (i/2) sum_kl [X_kl a_k^dag a_l + Y_kl a_k^dag a_l^dag + h.c.]
-    + sum_k (gamma_k a_k^dag - h.c.)``.
-
-    Terms within one mode are summed as c x c matrices; every term acts on
-    ``vecs`` by per-mode contractions, so no full-space operator is formed.
-    """
+    channel's unitary group, in complex form over
+    ``A = (a_1..a_N, a_1^dag..a_N^dag)``,
+    ``G = (i/2) sum_ij W_ij (A^dag)_i A_j + sum_i K_ii gamma_i (A^dag)_i``.
+    Each ladder operator is a shift on its mode axis; a same-mode product
+    is two shifts, equal to the truncated matrix product.  Any number of
+    modes is read; the probes built here have one or two."""
     n = channel.modes
-    if n not in (1, 2):
-        raise InvalidInputError("Fock oracle supports one or two modes")
-    a = ladder(cutoff)
-    adag = a.conj().T
-    w = channel.generator
+
+    def component(i, dagger, mat):
+        """``(A^dag)_i @ mat`` (``dagger``) or ``A_i @ mat``."""
+        return _apply_local([partial(_shift, dagger == (i < n)) if m == i % n else None
+                             for m in range(n)], cutoff, mat)
+
+    w, gamma = channel.generator.matrix, channel.generator.gamma
     out = np.zeros(vecs.shape, dtype=complex)
-    for k in range(n):
-        local = w.gamma_tilde[k] * adag - np.conjugate(w.gamma_tilde[k]) * a
-        for l in range(n):
-            x, y = w.x_block[k, l], w.y_block[k, l]
-            for coef, op_k, op_l in ((x, adag, a), (np.conjugate(x), a, adag),
-                                     (y, adag, adag), (np.conjugate(y), a, a)):
-                if coef == 0:
-                    continue
-                if k == l:
-                    local = local + 0.5j * coef * (op_k @ op_l)
-                else:
-                    # the two factors act on different modes and commute
-                    ops = {k: partial(np.matmul, 0.5j * coef * op_k),
-                           l: partial(np.matmul, op_l)}
-                    out += _apply_local([ops.get(m) for m in range(n)], cutoff, vecs)
-        out += _apply_local([partial(np.matmul, local) if m == k else None
-                             for m in range(n)], cutoff, vecs)
+    for i, j in np.argwhere(w):
+        out += 0.5j * w[i, j] * component(i, True, component(j, False, vecs))
+    for i in np.flatnonzero(gamma):
+        out += (gamma[i] if i < n else -gamma[i]) * component(i, True, vecs)  # K_ii gamma_i
     return out
 
 

@@ -135,9 +135,9 @@ def _logistic(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def _logit(p: float) -> float:
-    p = min(max(p, 1e-12), 1 - 1e-12)
-    return float(np.log(p / (1 - p)))
+def _logit(p: np.ndarray) -> np.ndarray:
+    p = np.clip(p, 1e-12, 1 - 1e-12)
+    return np.log(p / (1 - p))
 
 
 def _energy_fractions(xt: np.ndarray, family: str, constraint: str):
@@ -208,17 +208,20 @@ def _decode(x: np.ndarray, family: str, n_total: float, constraint: str):
     return params, EnergyBudget(n_total, tuple(zip(f_d, f_th)), tuple(g))
 
 
-def _halton(index: int, base: int) -> float:
-    result, f = 0.0, 1.0
-    while index > 0:
-        f /= base
-        result += f * (index % base)
-        index //= base
-    return result
+def _halton(index: np.ndarray, bases: list) -> np.ndarray:
+    """Radical inverse of every index (0 below 1) in every base, (bases, indices)."""
+    index, bases = np.maximum(index, 0), np.array(bases)[:, None]
+    result, f = np.zeros((bases.size, index.size)), np.ones(bases.shape)
+    while index.any():
+        f = f / bases
+        result = result + f * (index % bases)
+        index = index // bases
+    # indices past int64 are Python ints, and their sums Python floats
+    return result.astype(float)
 
 
 _HALTON_BASES = (2, 3, 5, 7, 11, 13)
-_SPLIT_LATTICE = ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.3, 0.3))
+_SPLIT_LATTICE = np.array([(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.3, 0.3)])
 
 
 def _start_points(family: str, constraint: str, config: OptimizerConfig):
@@ -226,19 +229,18 @@ def _start_points(family: str, constraint: str, config: OptimizerConfig):
     ``_energy_fractions``: Halton angles and mode share, energy fractions
     from a fixed lattice."""
     cls = _PARAMS[family]
-    starts = []
-    for i in range(config.restarts):
-        idx = config.seed * 1000 + i + 1
-        x = [2 * np.pi * (_halton(idx, _HALTON_BASES[j % len(_HALTON_BASES)]) - 0.5)
-             for j in range(len(cls.ANGLES))]
-        x += [_logit(0.25 + 0.5 * _halton(idx, 17))] * (len(cls.ENERGY) - 1)
-        if not constraint:
-            fd, ft = _SPLIT_LATTICE[i % len(_SPLIT_LATTICE)]
-            us = [_logit(fd) if fd else -SATURATION,
-                  _logit(ft) if ft else -SATURATION]
-            x += us * len(cls.ENERGY)
-        starts.append(x)
-    return np.array(starts)
+    angles = len(cls.ANGLES)
+    first = config.seed * 1000 + 1
+    # int64 where the indices fit, else exact Python ints
+    idx = np.array(range(first, first + config.restarts))
+    # one base per angle, then base 17 for a second mode's share
+    h = _halton(idx, [_HALTON_BASES[j % len(_HALTON_BASES)] for j in range(angles)]
+                + [17] * (len(cls.ENERGY) - 1))
+    rows = [2 * np.pi * (h[:angles] - 0.5), _logit(0.25 + 0.5 * h[angles:])]
+    if not constraint:
+        split = _SPLIT_LATTICE[np.arange(config.restarts) % len(_SPLIT_LATTICE)]
+        rows += [np.where(split > 0, _logit(split), -SATURATION).T] * len(cls.ENERGY)
+    return np.ascontiguousarray(np.concatenate(rows).T)
 
 
 # minimize: iteration cap, stop tolerance on a step's relative gain, difference

@@ -11,6 +11,7 @@ from . import formulas
 from .channels import BEAMSPLIT, CATALOG, COMBINED, PHASE, SQUEEZE1_MODE1, \
     TWOMODE_SQUEEZE, combined_channel, mix_channel, phase_channel, squeeze_channel, \
     twomode_squeeze_channel
+from .errors import InvalidInputError
 from .fock import ladder_state, state_qfi
 from .probes import OneModeProbeParams, TwoModeProbeParams, one_mode_probe_on_two
 from .qfi import qfi_unitary
@@ -107,7 +108,9 @@ def _oracle_families(rng):
 
 
 def oracle_panel(seed: int = 20240, draws: int = 200) -> list:
-    """Closed-form vs engine agreement over random parameter draws."""
+    """Closed-form vs engine agreement over random parameter draws (at least one)."""
+    if draws < 1:
+        raise InvalidInputError(f"draws must be >= 1, got {draws}")
     rng = np.random.default_rng(seed)
     results = []
     for name, family in _oracle_families(rng):

@@ -819,6 +819,27 @@ def test_validate_oracle_panel(tmp_path, capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_validate_seed_zero_is_used(tmp_path, capsys):
+    # seed 0 is a seed like any other, not a request for the default 20240
+    args = ["--panel", "oracle", "--draws", "3"]
+    code, zero = run_cli(tmp_path, capsys, "validate", extra=args + ["--seed", "0"])
+    assert code == 0
+    assert zero == validate.format_report(validate.run_panels("oracle", 0, 3)) + "\n"
+    _, default = run_cli(tmp_path, capsys, "validate", extra=args)
+    assert zero != default
+
+
+@pytest.mark.parametrize("draws", ["0", "-3"])
+def test_validate_refuses_empty_oracle_panel(capsys, draws):
+    # a panel that draws nothing checks nothing and must not report PASS
+    assert cli.main(["validate", "--panel", "oracle", "--draws", draws]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1 and "draws" in captured.err
+    with pytest.raises(InvalidInputError, match="draws"):
+        validate.oracle_panel(draws=int(draws))
+
+
 def test_validate_detects_engine_fault(tmp_path, capsys, monkeypatch):
     import gaussqfi.validate as validate_mod
 

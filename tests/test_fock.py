@@ -8,9 +8,11 @@ from scipy.special import factorial
 
 import gaussqfi as gq
 from gaussqfi import fock
+from gaussqfi.channels import CATALOG
 from gaussqfi.errors import CutoffTooSmallError, InvalidInputError
-from gaussqfi.fock import SUPPORT_TOL, _beamsplit, _displace, _squeeze, _thermal_diag, \
-    apply_generator, build_fock_state, choose_cutoff, fock_qfi, ladder, ladder_state, state_qfi
+from gaussqfi.fock import SUPPORT_TOL, _apply_local, _beamsplit, _displace, _shift, _squeeze, \
+    _thermal_diag, apply_generator, build_fock_state, choose_cutoff, fock_qfi, ladder_state, \
+    state_qfi
 from gaussqfi.validate import FOCK_TOL, fock_panel, fock_panel_cases
 
 
@@ -19,14 +21,85 @@ def _dense(rho):
     return rho.factor @ rho.factor.conj().T
 
 
+def ladder(cutoff):
+    """Annihilation operator on a cutoff-level Fock space, as a dense matrix."""
+    return np.diag(np.sqrt(np.arange(1.0, cutoff)), 1).astype(complex)
+
+
 def _dense_generator(channel, cutoff):
-    return apply_generator(channel, cutoff, np.eye(cutoff ** channel.modes))
+    """The dense truncated generator
+
+    ``G = (i/2) sum_kl [X_kl a_k^dag a_l + X_kl^* a_k a_l^dag
+    + Y_kl a_k^dag a_l^dag + Y_kl^* a_k a_l] + sum_k (g_k a_k^dag - g_k^* a_k)``
+
+    from the generator's ``x_block``, ``y_block`` and ``gamma_tilde`` (g),
+    each term a Kronecker product of per-mode products of the dense
+    ladder matrix, so it is built apart from ``apply_generator``."""
+    w, n = channel.generator, channel.modes
+    a = ladder(cutoff)
+    adag = a.conj().T
+
+    def term(coef, *factors):
+        """``coef`` times the (mode, matrix) factors, leftmost applied last."""
+        per_mode = [np.eye(cutoff)] * n
+        for mode, op in factors:
+            per_mode[mode] = per_mode[mode] @ op
+        return coef * reduce(np.kron, per_mode)
+
+    gen = np.zeros((cutoff ** n,) * 2, dtype=complex)
+    for k in range(n):
+        gen += term(w.gamma_tilde[k], (k, adag)) - term(np.conj(w.gamma_tilde[k]), (k, a))
+        for l in range(n):
+            x, y = w.x_block[k, l], w.y_block[k, l]
+            gen += term(0.5j * x, (k, adag), (l, a)) + term(0.5j * np.conj(x), (k, a), (l, adag))
+            gen += term(0.5j * y, (k, adag), (l, adag)) + term(0.5j * np.conj(y), (k, a), (l, a))
+    return gen
 
 
-def test_ladder_matrix():
-    a = ladder(4)
-    assert a[0, 1] == 1.0 and abs(a[1, 2] - np.sqrt(2)) < 1e-15
-    assert np.allclose(a.conj().T @ a, np.diag([0, 1, 2, 3]))
+@pytest.mark.parametrize("modes, mode", [(1, 0), (2, 0), (2, 1)])
+@pytest.mark.parametrize("cutoff", [5, 8])
+def test_shift_matches_dense_ladder(modes, mode, cutoff):
+    # the shift acts on axis -2 of a stacked (c^k, c, m) block, which
+    # _apply_local forms for mode k of the row index
+    vecs = np.random.default_rng(cutoff).normal(size=(cutoff ** modes, 3)) + 0j
+    a = ladder(cutoff)
+    for raising, op in ((False, a), (True, a.conj().T)):
+        dense = reduce(np.kron, [op if m == mode else np.eye(cutoff) for m in range(modes)])
+        ops = [partial(_shift, raising) if m == mode else None for m in range(modes)]
+        assert np.max(np.abs(_apply_local(ops, cutoff, vecs) - dense @ vecs)) < 1e-14
+        block = vecs.reshape(cutoff ** mode, cutoff, -1)
+        assert np.array_equal(_shift(raising, block).reshape(vecs.shape),
+                              _apply_local(ops, cutoff, vecs))
+
+
+def _custom(seed, modes):
+    """A random custom channel with a drive."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    x, y = draw(modes, modes), draw(modes, modes)
+    return gq.custom_channel(gq.GeneratorW(x + x.conj().T, y + y.T, draw(modes)))
+
+
+_PARAM_VALUES = {"chi": 0.4, "omega_p": 0.7, "omega_s": -0.5}
+_CATALOG_CHANNELS = {kind: make(*(_PARAM_VALUES[name] for name in names))
+                     for kind, (make, names) in CATALOG.items()}
+_GENERATOR_CASES = [
+    pytest.param(ch, cutoff, id=f"{kind}-{cutoff}") for kind, ch in _CATALOG_CHANNELS.items()
+    for cutoff in ((8, 9) if ch.modes == 1 else (6,))
+] + [pytest.param(_custom(seed, modes), cutoff, id=f"custom{modes}-{seed}-{cutoff}")
+     for seed, modes, cutoff in ((1, 1, 8), (1, 1, 9), (2, 1, 8), (2, 1, 9), (3, 2, 6), (4, 2, 6),
+                                 (5, 3, 4))]
+
+
+@pytest.mark.parametrize("channel, cutoff", _GENERATOR_CASES)
+def test_apply_generator_matches_dense_reference(channel, cutoff):
+    gen = apply_generator(channel, cutoff, np.eye(cutoff ** channel.modes))
+    assert np.max(np.abs(gen - _dense_generator(channel, cutoff))) < 1e-12
+    # every truncated term pairs with its adjoint, so G stays anti-Hermitian
+    assert np.max(np.abs(gen + gen.conj().T)) < 1e-12
 
 
 def test_vacuum_density():

@@ -190,6 +190,52 @@ def _search_objective(channel, family, n_total, constraint):
     return lambda x: _objective(x, family, n_total, constraint, ikw, gamma)
 
 
+def _scalar_start_points(family, constraint, config):
+    """The start points one restart and one coordinate at a time: the
+    Halton radical inverse as a digit loop and the logit of a float."""
+    def halton(index, base):
+        result, f = 0.0, 1.0
+        while index > 0:
+            f /= base
+            result += f * (index % base)
+            index //= base
+        return result
+
+    def logit(p):
+        p = min(max(p, 1e-12), 1 - 1e-12)
+        return float(np.log(p / (1 - p)))
+
+    bases = (2, 3, 5, 7, 11, 13)
+    lattice = ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.3, 0.3))
+    cls = optimizer._PARAMS[family]
+    starts = []
+    for i in range(config.restarts):
+        idx = config.seed * 1000 + i + 1
+        x = [2 * np.pi * (halton(idx, bases[j % len(bases)]) - 0.5)
+             for j in range(len(cls.ANGLES))]
+        x += [logit(0.25 + 0.5 * halton(idx, 17))] * (len(cls.ENERGY) - 1)
+        if not constraint:
+            fd, ft = lattice[i % len(lattice)]
+            x += [logit(fd) if fd else -optimizer.SATURATION,
+                  logit(ft) if ft else -optimizer.SATURATION] * len(cls.ENERGY)
+        starts.append(x)
+    return np.array(starts)
+
+
+@pytest.mark.parametrize("family", [ONE_MODE, TWO_MODE])
+@pytest.mark.parametrize("constraint", [None, "coherent-only", "squeezing-only"])
+@pytest.mark.parametrize("restarts", [1, 32, 1024])
+def test_start_points_match_scalar_loop_bit_for_bit(family, constraint, restarts):
+    # the Halton points of all restarts are computed as arrays at once;
+    # negative seeds and seeds whose indices pass int64 are covered too
+    for seed in (0, 7, 123, 99999, -3, 10 ** 17):
+        config = OptimizerConfig(restarts=restarts, seed=seed)
+        fast = _start_points(family, constraint, config)
+        slow = _scalar_start_points(family, constraint, config)
+        assert fast.shape == slow.shape and fast.flags.c_contiguous
+        assert fast.tobytes() == slow.tobytes()
+
+
 @pytest.mark.parametrize("dim", [2, 11])
 def test_minimize_spd_quadratics(rng, dim):
     # random positive-definite quadratics, each run from a batch of 8
