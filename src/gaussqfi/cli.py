@@ -273,11 +273,11 @@ def cmd_optimize(config: dict, args) -> str:
     n_total = _number(budget_raw["n_total"], "budget n_total")
     try:
         opt_config = OptimizerConfig.from_dict(config.get("optimizer", {}))
+        if args.seed is not None:
+            opt_config = dataclasses.replace(opt_config, seed=args.seed)
     except (AttributeError, TypeError, ValueError, GaussQfiError) as exc:
         # AttributeError: "optimizer" is not an object
         raise ConfigError(f"bad optimizer settings: {exc}") from exc
-    if args.seed is not None:
-        opt_config = dataclasses.replace(opt_config, seed=args.seed)
     # both reject only their inputs: the budget, the family, the constraint
     # and the family's mode count on this channel
     try:

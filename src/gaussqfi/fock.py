@@ -11,29 +11,33 @@ are elementwise phases, and the beam splitter, which conserves
 block's rows.  Every other generator is anti-Hermitian and tridiagonal:
 the displacement, each beam-splitter block, and the squeezer, which
 couples ``n`` to ``n +- 2`` and so splits into an even-level and an
-odd-level block.  Each such exponential is applied in factored form from
-one real symmetric tridiagonal eigendecomposition (``_expm_tridiag``),
-with no dense matrix exponential, and a factor that is the identity
-(``r = 0``, ``gamma = 0``, ``theta = 0``) is skipped.  ``B B^dag`` is
-positive semidefinite by construction, and every truncated exponential
-of an anti-Hermitian generator is unitary, so the columns of ``B`` stay
-orthogonal with squared norms equal to the kept weights: they are rho's
-support eigenvectors and eigenvalues, with no eigendecomposition.  The
-channel ``U = exp(eps G)`` with anti-Hermitian ``G`` is differentiated
-exactly, ``drho/deps = G rho - rho G`` at ``eps = 0``, and ``G`` is
-applied to the eigenvectors by ladder shifts: each ``a`` or ``a^dag``
-moves its own mode axis by one level, scaled by ``sqrt(n + 1)``.  The
-QFI is evaluated through the spectral form of the symmetric logarithmic
-derivative; unitaries keep the rank, so that sum over the support is
-continuous in the channel parameter, and completeness supplies the pairs
-outside it.
+odd-level block.  Each such generator is a scalar (``-r/2``, ``|gamma|``
+or ``theta``) times a unit-hop matrix fixed by the block's shape alone
+(kind, cutoff, parity or total photon number).  That real symmetric
+tridiagonal matrix is decomposed once per shape and process
+(``_unit_eigenbasis``), and every exponential with that shape is applied
+in factored form from its eigenbasis with the eigenvalues scaled
+(``_expm_tridiag``), with no dense matrix exponential; a factor that is
+the identity (``r = 0``, ``gamma = 0``, ``theta = 0``) is skipped.
+``B B^dag`` is positive semidefinite by construction, and every
+truncated exponential of an anti-Hermitian generator is unitary, so the
+columns of ``B`` stay orthogonal with squared norms equal to the kept
+weights: they are rho's support eigenvectors and eigenvalues, with no
+eigendecomposition.  The channel ``U = exp(eps G)`` with anti-Hermitian
+``G`` is differentiated exactly, ``drho/deps = G rho - rho G`` at
+``eps = 0``, and ``G`` is applied to the eigenvectors by ladder shifts:
+each ``a`` or ``a^dag`` moves its own mode axis by one level, scaled by
+``sqrt(n + 1)``.  The QFI is evaluated through the spectral form of the
+symmetric logarithmic derivative; unitaries keep the rank, so that sum
+over the support is continuous in the channel parameter, and
+completeness supplies the pairs outside it.
 Nothing here touches the phase-space machinery, which is the point: it
 validates the fast path from outside the formalism.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cache, partial, reduce
 
 import numpy as np
 # scipy.linalg is not called here; it stays bound because perfbench's
@@ -84,24 +88,49 @@ def _real_left(v: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (v @ z.view(float)).view(complex)
 
 
-def _expm_tridiag(hop: np.ndarray, alpha: float, mat: np.ndarray) -> np.ndarray:
-    """``exp(T) @ mat`` along axis -2 of ``mat`` (other axes broadcast) for
-    the anti-Hermitian tridiagonal ``T`` with subdiagonal
-    ``hop e^{i alpha}`` and superdiagonal ``-hop e^{-i alpha}``, ``hop``
-    real, on at least two levels.
-
-    ``T = D (iJ) D^-1`` with ``D = diag(e^{i (alpha - pi/2) k})`` and ``J``
-    the real symmetric tridiagonal matrix with off-diagonal ``hop``, so
-    ``J = V diag(w) V^T`` gives ``exp(T) = D V e^{i w} V^T D^-1``, unitary
-    to rounding (the eigenvector method for normal matrices).
-    """
-    k = np.arange(hop.size + 1)
-    w, v, info = dstevd(np.zeros(k.size), hop)
+@cache
+def _unit_eigenbasis(kind: str, cutoff: int, index: int) -> tuple:
+    """Read-only eigenpairs ``(w, V)`` of one block's unit-hop matrix, the
+    real symmetric tridiagonal matrix with zero diagonal whose generator
+    is a scalar times it.  Every block of one shape (kind, cutoff, and the
+    parity or total photon number ``index``) is decomposed once per
+    process and shared by every call."""
+    if kind == "squeeze":
+        # a^dag^2 |n> = sqrt((n + 1) (n + 2)) |n + 2>, n of parity index
+        n = np.arange(index, cutoff - 2, 2)
+        hop = np.sqrt((n + 1.0) * (n + 2.0))
+    elif kind == "displace":
+        # a^dag |n> = sqrt(n + 1) |n + 1>
+        hop = np.sqrt(np.arange(1.0, cutoff))
+    else:
+        # "beamsplit": a1^dag a2 |n1, n2> = sqrt((n1 + 1) n2) |n1 + 1, n2 - 1>
+        # at n1 + n2 = index
+        n1 = np.arange(max(0, index - cutoff + 1), min(index, cutoff - 1))
+        hop = np.sqrt((n1 + 1.0) * (index - n1))
+    w, v, info = dstevd(np.zeros(hop.size + 1), hop)
     if info:
         raise np.linalg.LinAlgError(f"dstevd failed with info {info}")
-    d = np.exp(1j * (alpha - np.pi / 2) * k)[:, None]
+    w.flags.writeable = v.flags.writeable = False
+    return w, v
+
+
+def _expm_tridiag(basis: tuple, scale: float, alpha: float, mat: np.ndarray) -> np.ndarray:
+    """``exp(T) @ mat`` along axis -2 of ``mat`` (other axes broadcast) for
+    the anti-Hermitian tridiagonal ``T`` with subdiagonal
+    ``scale hop e^{i alpha}`` and superdiagonal ``-scale hop e^{-i alpha}``,
+    where ``basis = (w, V)`` from ``_unit_eigenbasis`` diagonalizes the
+    unit-hop matrix ``J = V diag(w) V^T``.
+
+    ``T = D (i scale J) D^-1`` with ``D = diag(e^{i (alpha - pi/2) k})``,
+    so ``exp(T) = D V e^{i scale w} V^T D^-1``, unitary to rounding (the
+    eigenvector method for normal matrices).  Scaling the eigenvalues and
+    keeping ``V`` holds for either sign of ``scale``; it does not rely on
+    the order of the eigenvalues.
+    """
+    w, v = basis
+    d = np.exp(1j * (alpha - np.pi / 2) * np.arange(w.size))[:, None]
     inner = _real_left(v.T, d.conj() * mat)
-    return d * _real_left(v, np.exp(1j * w)[:, None] * inner)
+    return d * _real_left(v, np.exp(1j * scale * w)[:, None] * inner)
 
 
 def _squeeze(r: float, mat: np.ndarray) -> np.ndarray:
@@ -113,18 +142,15 @@ def _squeeze(r: float, mat: np.ndarray) -> np.ndarray:
     cutoff = mat.shape[-2]
     out = np.empty(mat.shape, dtype=complex)
     for parity in (0, 1):
-        n = np.arange(parity, cutoff - 2, 2)
-        # a^dag^2 |n> = sqrt((n + 1) (n + 2)) |n + 2>
-        hop = -0.5 * r * np.sqrt((n + 1.0) * (n + 2.0))
-        out[..., parity::2, :] = _expm_tridiag(hop, 0.0, mat[..., parity::2, :])
+        out[..., parity::2, :] = _expm_tridiag(_unit_eigenbasis("squeeze", cutoff, parity),
+                                               -0.5 * r, 0.0, mat[..., parity::2, :])
     return out
 
 
 def _displace(gamma: complex, mat: np.ndarray) -> np.ndarray:
     """Truncated ``exp(gamma a^dag - gamma^* a) @ mat`` along axis -2."""
-    # a^dag |n> = sqrt(n + 1) |n + 1>
-    hop = abs(gamma) * np.sqrt(np.arange(1.0, mat.shape[-2]))
-    return _expm_tridiag(hop, float(np.angle(gamma)), mat)
+    return _expm_tridiag(_unit_eigenbasis("displace", mat.shape[-2], 0),
+                         abs(gamma), float(np.angle(gamma)), mat)
 
 
 def _beamsplit(theta: float, chi: float, cutoff: int, mat: np.ndarray) -> np.ndarray:
@@ -140,10 +166,9 @@ def _beamsplit(theta: float, chi: float, cutoff: int, mat: np.ndarray) -> np.nda
     out = np.array(mat, dtype=complex)
     for total in range(1, 2 * cutoff - 2):
         n1 = np.arange(max(0, total - cutoff + 1), min(total, cutoff - 1) + 1)
-        # a1^dag a2 |n1, total - n1> = sqrt((n1 + 1) (total - n1)) |n1 + 1, total - n1 - 1>
-        hop = theta * np.sqrt((n1[:-1] + 1.0) * (total - n1[:-1]))
         idx = n1 * cutoff + (total - n1)
-        out[idx] = _expm_tridiag(hop, chi, mat[idx])
+        out[idx] = _expm_tridiag(_unit_eigenbasis("beamsplit", cutoff, total),
+                                 theta, chi, mat[idx])
     return out
 
 
@@ -188,7 +213,7 @@ def build_fock_state(params, cutoff: int) -> FockDensity:
         raise InvalidInputError(f"cutoff must be >= 8, got {cutoff}")
 
     def rotate(*thetas):
-        phases = reduce(np.kron, [_rotation_phases(t, cutoff) for t in thetas])
+        phases = reduce(np.multiply.outer, [_rotation_phases(t, cutoff) for t in thetas]).ravel()
         return partial(np.multiply, phases[:, None])
 
     def per_mode(op, *args):
@@ -204,8 +229,8 @@ def build_fock_state(params, cutoff: int) -> FockDensity:
                  ("displacement", per_mode(_displace, params.d_mag * np.exp(1j * params.phi_d)))]
     elif isinstance(params, TwoModeProbeParams):
         modes = 2
-        weights = np.kron(_thermal_diag(params.lambda1, cutoff),
-                          _thermal_diag(params.lambda2, cutoff))
+        weights = np.multiply.outer(_thermal_diag(params.lambda1, cutoff),
+                                    _thermal_diag(params.lambda2, cutoff)).ravel()
         steps = [("squeezing", per_mode(_squeeze, params.r1, params.r2)),
                  ("asymmetric rotation", rotate(params.psi, -params.psi))]
         if params.theta != 0.0:
@@ -289,7 +314,12 @@ def ladder_state(params) -> FockDensity:
 
 
 def choose_cutoff(params, channel: ChannelSpec = None) -> int:
-    """Smallest cutoff from the doubling ladder that passes the leak rule."""
+    """Smallest cutoff from the doubling ladder that passes the leak rule.
+
+    The state built at that cutoff is dropped.  A caller that goes on to
+    evaluate a QFI should take ``ladder_state`` and pass it to
+    ``state_qfi``, which builds the state once.
+    """
     if channel is not None:
         _check_modes(params, channel)
     return ladder_state(params).cutoff

@@ -86,8 +86,8 @@ class EnergyBudget:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Number of search starts, 1 to ``MAX_RESTARTS`` (1024), and the seed
-    that places them."""
+    """Number of search starts, 1 to ``MAX_RESTARTS`` (1024), and the seed,
+    at least 0, that places them."""
 
     restarts: int = 32
     seed: int = 0
@@ -102,6 +102,8 @@ class OptimizerConfig:
         if not 1 <= self.restarts <= MAX_RESTARTS:
             raise InvalidInputError(
                 f"restarts must be in [1, {MAX_RESTARTS}], got {self.restarts!r}")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed!r}")
         # integral floats such as 4.0 are kept as ints
         object.__setattr__(self, "restarts", int(self.restarts))
         object.__setattr__(self, "seed", int(self.seed))
@@ -209,8 +211,8 @@ def _decode(x: np.ndarray, family: str, n_total: float, constraint: str):
 
 
 def _halton(index: np.ndarray, bases: list) -> np.ndarray:
-    """Radical inverse of every index (0 below 1) in every base, (bases, indices)."""
-    index, bases = np.maximum(index, 0), np.array(bases)[:, None]
+    """Radical inverse of every index (at least 1) in every base, (bases, indices)."""
+    bases = np.array(bases)[:, None]
     result, f = np.zeros((bases.size, index.size)), np.ones(bases.shape)
     while index.any():
         f = f / bases

@@ -173,6 +173,8 @@ def fock_panel() -> list:
 def run_panels(panel: str = "all", seed: int = 20240, draws: int = 200) -> list:
     if panel not in ("all", "oracle", "fock"):
         raise ValueError(f"unknown panel {panel!r}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     results = []
     if panel in ("all", "oracle"):
         results.extend(oracle_panel(seed=seed, draws=draws))

@@ -266,6 +266,9 @@ _SWEEP = {"probe": _ONE_MODE, "channel": _PHASE}
     ("closed-form", {"label": "universal-mix", "r": True}),
     ("limits", {"n": [1.0, "2"]}),
     ("limits", {"n": [1.0, True]}),
+    # a negative seed would give every restart the same Halton start
+    ("optimize", {"channel": _PHASE, "budget": {"n_total": 1.0},
+                  "optimizer": {"seed": -1}}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     assert_exits_with_one_error_line(tmp_path, capsys, command, {"schema": 1, **config}, 2)
@@ -450,12 +453,12 @@ def test_ellipse_custom_drive_overflow_exits_3(tmp_path, capsys):
     assert_exits_with_one_error_line(tmp_path, capsys, "ellipse", config)
 
 
-def assert_exits_with_one_error_line(tmp_path, capsys, command, config, code=3):
+def assert_exits_with_one_error_line(tmp_path, capsys, command, config, code=3, extra=()):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = cli.main([command, "--config", str(path)])
+        got = cli.main([command, "--config", str(path), *extra])
     captured = capsys.readouterr()
     assert got == code
     assert captured.out == ""
@@ -827,6 +830,27 @@ def test_validate_seed_zero_is_used(tmp_path, capsys):
     assert zero == validate.format_report(validate.run_panels("oracle", 0, 3)) + "\n"
     _, default = run_cli(tmp_path, capsys, "validate", extra=args)
     assert zero != default
+
+
+def test_optimize_refuses_negative_seed_option(tmp_path, capsys):
+    # --seed replaces the config's seed and is checked like it: a negative
+    # seed would start every restart with a Halton index below 1 alike
+    config = {"schema": 1, "channel": _PHASE, "budget": {"n_total": 1.0},
+              "optimizer": {"restarts": 2, "seed": 3}}
+    assert_exits_with_one_error_line(tmp_path, capsys, "optimize", config, cli.EXIT_PARSE,
+                                     extra=["--seed", "-1"])
+
+
+@pytest.mark.parametrize("panel", ["all", "oracle", "fock"])
+def test_validate_refuses_negative_seed(capsys, panel):
+    # refused for every panel, also the fock panel that reads no seed
+    assert cli.main(["validate", "--panel", panel, "--seed", "-1"]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "seed" in lines[0]
+    with pytest.raises(InvalidInputError, match="seed"):
+        validate.run_panels(panel, seed=-3)
 
 
 @pytest.mark.parametrize("draws", ["0", "-3"])

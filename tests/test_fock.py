@@ -192,11 +192,14 @@ def test_squeeze_matches_dense_exponential(cutoff, r):
 
 @pytest.mark.parametrize("cutoff", [8, 9, 64])
 def test_displacement_matches_dense_exponential(cutoff):
-    gamma = 0.8 * np.exp(0.6j)
+    # two magnitudes share one cached eigenbasis at a cutoff; a gamma on
+    # the negative real axis has phase pi
     a = ladder(cutoff)
-    op = _displace(gamma, np.eye(cutoff))
-    assert np.max(np.abs(op - scipy.linalg.expm(gamma * a.conj().T - np.conj(gamma) * a))) < 1e-12
-    assert np.max(np.abs(op @ op.conj().T - np.eye(cutoff))) < 1e-12
+    for gamma in (0.8 * np.exp(0.6j), 1.7 * np.exp(0.6j), -1.3 + 0j):
+        op = _displace(gamma, np.eye(cutoff))
+        dense = scipy.linalg.expm(gamma * a.conj().T - np.conj(gamma) * a)
+        assert np.max(np.abs(op - dense)) < 1e-12, gamma
+        assert np.max(np.abs(op @ op.conj().T - np.eye(cutoff))) < 1e-12, gamma
 
 
 def test_choose_cutoff_grows_with_state():
@@ -313,12 +316,78 @@ def test_factor_columns_keep_thermal_weights():
 
 @pytest.mark.parametrize("cutoff", [10, 20])
 def test_beamsplit_blocks_match_full_exponential(cutoff):
-    theta, chi = 0.7, 0.4
+    # a negative theta scales each block's cached eigenvalues by a
+    # negative number, which reverses their order
+    chi = 0.4
     a1dag_a2 = np.kron(ladder(cutoff).conj().T, ladder(cutoff))
-    gen = theta * (np.exp(1j * chi) * a1dag_a2 - np.exp(-1j * chi) * a1dag_a2.conj().T)
-    op = _beamsplit(theta, chi, cutoff, np.eye(cutoff ** 2))
-    assert np.max(np.abs(op - scipy.linalg.expm(gen))) < 1e-12
-    assert np.max(np.abs(op @ op.conj().T - np.eye(cutoff ** 2))) < 1e-12
+    for theta in (0.7, -0.7):
+        gen = theta * (np.exp(1j * chi) * a1dag_a2 - np.exp(-1j * chi) * a1dag_a2.conj().T)
+        op = _beamsplit(theta, chi, cutoff, np.eye(cutoff ** 2))
+        assert np.max(np.abs(op - scipy.linalg.expm(gen))) < 1e-12, theta
+        assert np.max(np.abs(op @ op.conj().T - np.eye(cutoff ** 2))) < 1e-12, theta
+
+
+def _eigenbasis_keys(cutoff, modes):
+    """Every block shape a build at this cutoff decomposes (the beam
+    splitter's totals only for two modes)."""
+    keys = [("squeeze", cutoff, 0), ("squeeze", cutoff, 1), ("displace", cutoff, 0)]
+    if modes == 2:
+        keys += [("beamsplit", cutoff, total) for total in range(1, 2 * cutoff - 2)]
+    return keys
+
+
+_REUSE_CASES = [
+    pytest.param(gq.OneModeProbeParams(r=0.4, d_mag=0.5),
+                 gq.OneModeProbeParams(lambda1=1.3, r=-0.6, theta=0.2, d_mag=0.9, phi_d=1.0),
+                 64, id="one-mode"),
+    pytest.param(gq.TwoModeProbeParams(r1=0.3, r2=0.2, theta=np.pi / 4, d1_mag=0.4),
+                 gq.TwoModeProbeParams(lambda1=1.2, r1=-0.2, r2=0.1, theta=-0.5, psi=0.3,
+                                       phi1=0.2, d2_mag=0.3, phi_d2=0.4),
+                 20, id="two-mode-beamsplit"),
+]
+
+
+@pytest.mark.parametrize("first, second, cutoff", _REUSE_CASES)
+def test_builds_reuse_cached_eigenbases(first, second, cutoff, monkeypatch):
+    # each unit eigenbasis is decomposed once per shape: a second probe at
+    # the same cutoff, with other squeezing, displacement and beam-splitter
+    # scalars (some negative), calls no dstevd
+    fock._unit_eigenbasis.cache_clear()
+    calls = []
+    real = fock.dstevd
+    monkeypatch.setattr(fock, "dstevd", lambda *args: calls.append(1) or real(*args))
+    build_fock_state(first, cutoff)
+    keys = _eigenbasis_keys(cutoff, len(first.ENERGY))
+    assert len(calls) == len(keys) == fock._unit_eigenbasis.cache_info().currsize
+
+    def refuse(*_):
+        raise AssertionError("dstevd called for a cached block shape")
+
+    monkeypatch.setattr(fock, "dstevd", refuse)
+    build_fock_state(second, cutoff)
+    assert fock._unit_eigenbasis.cache_info().currsize == len(keys)
+    # every cached array is read-only: a caller cannot corrupt a later build
+    for key in keys:
+        for arr in fock._unit_eigenbasis(*key):
+            assert not arr.flags.writeable, key
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
+@pytest.mark.parametrize("params, cutoff", [
+    (gq.OneModeProbeParams(lambda1=1.5, r=-0.5, theta=0.3, d_mag=0.7, phi_d=2.0), 64),
+    (gq.TwoModeProbeParams(lambda1=1.2, r1=0.3, r2=-0.2, theta=-np.pi / 5, psi=0.2,
+                           d1_mag=0.3, phi_d1=-1.0), 20),
+])
+def test_cold_and_warm_builds_identical(params, cutoff):
+    # the eigenbases a build decomposes and the cached ones it reads are
+    # the same arrays, so the factor does not depend on the cache's state
+    fock._unit_eigenbasis.cache_clear()
+    cold = build_fock_state(params, cutoff).factor
+    decomposed = fock._unit_eigenbasis.cache_info().misses
+    warm = build_fock_state(params, cutoff).factor
+    assert fock._unit_eigenbasis.cache_info().misses == decomposed
+    assert np.array_equal(cold, warm)
 
 
 def test_fock_panel_cutoffs():
