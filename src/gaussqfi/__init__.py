@@ -17,12 +17,11 @@ from .core import (
     validate_state,
 )
 from .symplectic import (
-    EulerFactors,
     GeneratorW,
     SymplecticMatrix,
     WilliamsonForm,
+    bloch_messiah,
     displacement_shift,
-    euler_compose,
     exp_generator,
     symplectic_residual,
     williamson,

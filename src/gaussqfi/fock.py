@@ -17,8 +17,10 @@ or ``theta``) times a unit-hop matrix fixed by the block's shape alone
 tridiagonal matrix is decomposed once per shape and process
 (``_unit_eigenbasis``), and every exponential with that shape is applied
 in factored form from its eigenbasis with the eigenvalues scaled
-(``_expm_tridiag``), with no dense matrix exponential; a factor that is
-the identity (``r = 0``, ``gamma = 0``, ``theta = 0``) is skipped.
+(``_expm_tridiag``), with no dense matrix exponential; a step whose
+arguments are all 0 is the identity and is not built.  The leak rule is
+read on the thermal start and after each step that moves population,
+which a rotation's unit-modulus phases do not.
 ``B B^dag`` is positive semidefinite by construction, and every
 truncated exponential of an anti-Hermitian generator is unitary, so the
 columns of ``B`` stay orthogonal with squared norms equal to the kept
@@ -201,10 +203,10 @@ def _edge_mass(probs: np.ndarray, cutoff: int, modes: int) -> float:
 def build_fock_state(params, cutoff: int) -> FockDensity:
     """Truncated density matrix of a parametric probe, as its factor.
 
-    Raises CutoffTooSmallError when any conjugation step leaks more than
-    LEAK_TOL of trace, read from the row norms of the factor (the
-    diagonal of rho), and InvalidInputError for a cutoff that is not an
-    integer (16.0 counts as 16) of at least 8.
+    Raises CutoffTooSmallError when the thermal start or any step that
+    moves population leaks more than LEAK_TOL of trace, read from the row
+    norms of the factor (the diagonal of rho), and InvalidInputError for
+    a cutoff that is not an integer (16.0 counts as 16) of at least 8.
     """
     if not _is_integral(cutoff):
         raise InvalidInputError(f"cutoff must be an integer, got {cutoff!r}")
@@ -212,46 +214,56 @@ def build_fock_state(params, cutoff: int) -> FockDensity:
     if cutoff < 8:
         raise InvalidInputError(f"cutoff must be >= 8, got {cutoff}")
 
+    # a step whose arguments are all 0 is the identity and is not built
     def rotate(*thetas):
+        if not any(thetas):
+            return None
         phases = reduce(np.multiply.outer, [_rotation_phases(t, cutoff) for t in thetas]).ravel()
         return partial(np.multiply, phases[:, None])
 
     def per_mode(op, *args):
         """Per-mode factors ``op(arg, .)``; a zero argument is the identity."""
+        if not any(args):
+            return None
         return partial(_apply_local, [None if arg == 0 else partial(op, arg)
                                       for arg in args], cutoff)
 
+    # rotations carry no label: their phases move no population
     if isinstance(params, OneModeProbeParams):
         modes = 1
         weights = _thermal_diag(params.lambda1, cutoff)
         steps = [("squeezing", per_mode(_squeeze, params.r)),
-                 ("rotation", rotate(params.theta)),
+                 (None, rotate(params.theta)),
                  ("displacement", per_mode(_displace, params.d_mag * np.exp(1j * params.phi_d)))]
     elif isinstance(params, TwoModeProbeParams):
         modes = 2
         weights = np.multiply.outer(_thermal_diag(params.lambda1, cutoff),
                                     _thermal_diag(params.lambda2, cutoff)).ravel()
         steps = [("squeezing", per_mode(_squeeze, params.r1, params.r2)),
-                 ("asymmetric rotation", rotate(params.psi, -params.psi))]
-        if params.theta != 0.0:
-            steps.append(("beam splitter", partial(_beamsplit, params.theta, 0.0, cutoff)))
-        steps += [("rotations", rotate(params.phi1, params.phi2)),
-                  ("displacement", per_mode(_displace,
-                                            params.d1_mag * np.exp(1j * params.phi_d1),
-                                            params.d2_mag * np.exp(1j * params.phi_d2)))]
+                 (None, rotate(params.psi, -params.psi)),
+                 ("beam splitter",
+                  partial(_beamsplit, params.theta, 0.0, cutoff) if params.theta else None),
+                 (None, rotate(params.phi1, params.phi2)),
+                 ("displacement", per_mode(_displace,
+                                           params.d1_mag * np.exp(1j * params.phi_d1),
+                                           params.d2_mag * np.exp(1j * params.phi_d2)))]
     else:
         raise InvalidInputError(f"unsupported probe parameter type {type(params)!r}")
 
-    kept = np.flatnonzero(weights > SUPPORT_TOL / 2)
-    factor = np.zeros((weights.size, kept.size), dtype=complex)
-    factor[kept, np.arange(kept.size)] = np.sqrt(weights[kept])
-    for label, step in steps:
-        factor = step(factor)
-        probs = np.sum(factor.real ** 2 + factor.imag ** 2, axis=1)
+    def check(label, probs):
         leak = max(1.0 - float(np.sum(probs)), _edge_mass(probs, cutoff, modes))
         if leak > LEAK_TOL:
-            raise CutoffTooSmallError(
-                f"cutoff {cutoff}: trace leakage {leak:.2e} after {label}")
+            raise CutoffTooSmallError(f"cutoff {cutoff}: trace leakage {leak:.2e} after {label}")
+
+    kept = weights > SUPPORT_TOL / 2
+    factor = np.zeros((weights.size, np.count_nonzero(kept)), dtype=complex)
+    factor[kept, np.arange(factor.shape[1])] = np.sqrt(weights[kept])
+    check("thermal truncation", np.where(kept, weights, 0.0))  # the start's squared row norms
+    for label, step in steps:
+        if step is not None:
+            factor = step(factor)
+            if label:
+                check(label, np.sum(factor.real ** 2 + factor.imag ** 2, axis=1))
     return FockDensity(cutoff, modes, factor)
 
 

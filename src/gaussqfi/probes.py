@@ -5,10 +5,11 @@ One-mode probes are squeezed rotated displaced thermal states built as
 restricted two-mode family applies local rotations, a beam splitter, an
 asymmetric rotation and local squeezers to a two-mode thermal core:
 ``S_0 = R_1(phi1) R_2(phi2) B(theta) R_as(psi) S_1(r1) S_2(r2)``.
-Each class's static ``arrays`` builds this data for a batch of field
-values, with the batch on the trailing axis of every array: one ``cos`` and
-one ``sin`` call on the stacked angle rows give every phase, and ``S_0`` is
-written into one preallocated array.  The optimizer's objective calls it on
+``arrays`` builds this data for a batch of field values, with the batch
+on the trailing axis of every array: each family's static ``factors``
+gives its passive unitary ``U``, from one ``cos`` and one ``sin`` call on
+the stacked angle rows, and ``symplectic.bloch_messiah`` finishes
+``S_0 = blkdiag(U, conj U) Z(r)``.  The optimizer's objective calls it on
 raw columns, and ``probe_arrays`` on a list of probes, for
 ``to_probe_state``, ``scaling_exponent`` and ``gaussqfi sweep``.
 """
@@ -22,7 +23,7 @@ import numpy as np
 from .core import mean_photon_number
 from .errors import InvalidInputError, StructureError
 from .qfi import ProbeState
-from .symplectic import SymplecticMatrix, WilliamsonForm
+from .symplectic import SymplecticMatrix, WilliamsonForm, bloch_messiah
 
 
 def _phases(angles: np.ndarray):
@@ -35,19 +36,6 @@ def _phases(angles: np.ndarray):
     np.negative(s, out=minus.imag)
     # + 0.0: at a = -0.0, np.exp(1j * a) is 1 + 0j, not the conjugate's 1 - 0j
     return minus, np.conj(minus) + 0.0, s
-
-
-def _squeeze(s0: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Finish ``S_0 = blkdiag(u, conj u) S(r)`` in place: ``s0`` (2N, 2N, B)
-    holds the passive unitary ``u`` in its top-left block, ``r`` is (N, B)."""
-    n = len(r)
-    a, b = s0[:n, :n], s0[:n, n:]
-    np.negative(a, out=b)
-    b *= np.sinh(r)
-    a *= np.cosh(r)
-    np.conj(b, out=s0[n:, :n])
-    np.conj(a, out=s0[n:, n:])
-    return s0
 
 
 def probe_arrays(params: list):
@@ -87,6 +75,16 @@ class _Family:
         """Mean total particle number of the state the family builds."""
         return mean_photon_number(self.to_probe_state().to_state())
 
+    @classmethod
+    def arrays(cls, *fields):
+        """Raw Williamson data of a batch of probes, one (B,) array per
+        field in field order: ``s0`` (2N, 2N, B), ``lams`` (N, B) and
+        ``d_tilde`` (N, B), the inputs of ``qfi.qfi_kernel``.  Nothing is
+        checked."""
+        # factors' phase rows are freed before S_0 is allocated: fewer fresh pages
+        u, r, lams, d_tilde = cls.factors(*fields)
+        return bloch_messiah(u, r), lams, d_tilde
+
 
 @dataclass(frozen=True)
 class OneModeProbeParams(_Family):
@@ -103,14 +101,11 @@ class OneModeProbeParams(_Family):
     phi_d: float = 0.0
 
     @staticmethod
-    def arrays(lambda1, r, theta, d_mag, phi_d):
-        """Raw Williamson data of a batch of probes, one (B,) array per
-        field: ``s0`` (2, 2, B), ``lams`` (1, B) and ``d_tilde`` (1, B),
-        the inputs of ``qfi.qfi_kernel``.  Nothing is checked."""
+    def factors(lambda1, r, theta, d_mag, phi_d):
+        """``arrays``' ``u`` (1, 1, B), ``r``, ``lams`` and ``d_tilde``
+        (each (1, B)) from one (B,) array per field."""
         minus, plus, _ = _phases(np.array([theta, phi_d]))
-        s0 = np.empty((2, 2) + minus.shape[1:], dtype=complex)
-        s0[0, 0] = minus[0]
-        return _squeeze(s0, r[None]), lambda1[None], (d_mag * plus[1])[None]
+        return minus[None, :1], r[None], lambda1[None], (d_mag * plus[1])[None]
 
     def to_probe_state(self) -> ProbeState:
         return column_state(*probe_arrays([self]))
@@ -118,7 +113,9 @@ class OneModeProbeParams(_Family):
 
 @dataclass(frozen=True)
 class TwoModeProbeParams(_Family):
-    """Restricted two-mode probe family (covers all two-mode pure states)."""
+    """Restricted two-mode probe family.  It covers every pure two-mode
+    state, but not every mixed one: no passive ``V`` acts on the thermal
+    core before the squeezers."""
 
     kind = "two-mode"
     ENERGY = (("lambda1", "r1", "d1_mag"), ("lambda2", "r2", "d2_mag"))
@@ -138,21 +135,20 @@ class TwoModeProbeParams(_Family):
     phi_d2: float = 0.0
 
     @staticmethod
-    def arrays(lambda1, lambda2, r1, r2, theta, psi, phi1, phi2,
-               d1_mag, d2_mag, phi_d1, phi_d2):
-        """Raw Williamson data of a batch of probes, one (B,) array per
-        field: ``s0`` (4, 4, B), ``lams`` (2, B) and ``d_tilde`` (2, B),
-        the inputs of ``qfi.qfi_kernel``.  Nothing is checked."""
+    def factors(lambda1, lambda2, r1, r2, theta, psi, phi1, phi2,
+                d1_mag, d2_mag, phi_d1, phi_d2):
+        """``arrays``' ``u`` (2, 2, B), ``r``, ``lams`` and ``d_tilde``
+        (each (2, B)) from one (B,) array per field."""
         minus, plus, s = _phases(np.array([theta, psi, phi1, phi2, phi_d1, phi_d2]))
         ct, st = minus[0].real, s[0]
         ep, em, e1, e2 = minus[1], plus[1], minus[2], minus[3]
         # the passive part R_1(phi1) R_2(phi2) B(theta) R_as(psi)
-        s0 = np.empty((4, 4) + ct.shape, dtype=complex)
-        np.multiply(e1 * ct, ep, out=s0[0, 0])
-        np.multiply(e1 * st, em, out=s0[0, 1])
-        np.multiply(-e2 * st, ep, out=s0[1, 0])
-        np.multiply(e2 * ct, em, out=s0[1, 1])
-        return (_squeeze(s0, np.array([r1, r2])), np.array([lambda1, lambda2]),
+        u = np.empty((2, 2) + ct.shape, dtype=complex)
+        np.multiply(e1 * ct, ep, out=u[0, 0])
+        np.multiply(e1 * st, em, out=u[0, 1])
+        np.multiply(-e2 * st, ep, out=u[1, 0])
+        np.multiply(e2 * ct, em, out=u[1, 1])
+        return (u, np.array([r1, r2]), np.array([lambda1, lambda2]),
                 np.array([d1_mag, d2_mag]) * plus[4:])
 
     def to_probe_state(self) -> ProbeState:

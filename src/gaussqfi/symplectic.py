@@ -1,5 +1,6 @@
 """Structured symplectic linear algebra: generator exponentials, the
-displacement integral, Williamson decomposition and Euler composition.
+displacement integral, Williamson decomposition and the batched
+Bloch-Messiah product.
 
 Each exponential is one ``scipy.linalg.expm`` (Al-Mohy & Higham 2009); the
 displacement integral is read off an augmented one (Van Loan 1978)."""
@@ -17,7 +18,6 @@ from .core import STRUCTURE_ATOL, _spectrum, exceeds_structure_tol, k_signs
 from .errors import (
     DecompositionFailureError,
     InvalidDimensionError,
-    InvalidInputError,
     NumericalInstabilityError,
     StructureError,
 )
@@ -241,36 +241,23 @@ def williamson(sigma: np.ndarray) -> WilliamsonForm:
     return form
 
 
-@dataclass(frozen=True)
-class EulerFactors:
-    """Euler (Bloch-Messiah) factors: passive U1, squeezings r, passive U2."""
-
-    u1: np.ndarray
-    squeezings: np.ndarray
-    u2: np.ndarray
-
-    def __post_init__(self):
-        u1 = np.atleast_2d(np.array(self.u1, dtype=complex))
-        n = u1.shape[0]
-        u2 = _as_complex(self.u2, (n, n), "u2")
-        r = np.atleast_1d(np.asarray(self.squeezings, dtype=float))
-        if r.shape != (n,):
-            raise InvalidDimensionError("squeezings must have one entry per mode")
-        for name, u in (("u1", u1), ("u2", u2)):
-            if exceeds_structure_tol(np.max(np.abs(u @ u.conj().T - np.eye(n))), u):
-                raise InvalidInputError(f"{name} must be unitary")
-        object.__setattr__(self, "u1", _freeze(u1))
-        object.__setattr__(self, "u2", _freeze(u2))
-        object.__setattr__(self, "squeezings", _freeze(r))
-
-
-def euler_compose(factors: EulerFactors) -> SymplecticMatrix:
-    """Assemble ``blkdiag(U1, conj U1) . squeeze(r) . blkdiag(U2, conj U2)``.
-
-    The middle factor carries the ``-sinh`` off-diagonal sign convention.
-    """
-    ch = np.diag(np.cosh(factors.squeezings)).astype(complex)
-    sh = np.diag(np.sinh(factors.squeezings)).astype(complex)
-    alpha = factors.u1 @ ch @ factors.u2
-    beta = -factors.u1 @ sh @ factors.u2.conj()
-    return SymplecticMatrix(alpha, beta)
+def bloch_messiah(u: np.ndarray, r: np.ndarray, v: np.ndarray = None) -> np.ndarray:
+    """Complex form of ``blkdiag(u, conj u) Z(r) blkdiag(v, conj v)``:
+    ``alpha = u cosh(r) v`` and ``beta = -u sinh(r) conj(v)`` (Bloch-Messiah,
+    Braunstein 2005), with ``v = None`` the identity.  Batch axes trail:
+    ``u`` and ``v`` are (N, N, ...), ``r`` is (N, ...) and the result is
+    (2N, 2N, ...).  Nothing is checked; ``SymplecticMatrix`` checks one."""
+    n = u.shape[0]
+    s0 = np.empty((2 * n, 2 * n) + u.shape[2:], dtype=complex)
+    a, b = s0[:n, :n], s0[:n, n:]
+    np.multiply(u, np.cosh(r), out=a)
+    # (-u) sinh(r), not u (-sinh(r)): the two differ in the sign of zeros
+    np.negative(u, out=b)
+    b *= np.sinh(r)
+    if v is not None:
+        # elementwise rank-one terms: a column's bits do not depend on the batch
+        a[...] = sum(a[:, j, None] * v[j] for j in range(n))
+        b[...] = sum(b[:, j, None] * v[j].conj() for j in range(n))
+    np.conj(b, out=s0[n:, :n])
+    np.conj(a, out=s0[n:, n:])
+    return s0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gaussqfi import EulerFactors, GaussianState, euler_compose
+from gaussqfi import GaussianState, SymplecticMatrix, bloch_messiah
 
 
 def random_unitary(rng, n):
@@ -11,7 +11,7 @@ def random_unitary(rng, n):
 
 
 def random_symplectic(rng, n, r_max=1.2):
-    return euler_compose(EulerFactors(
+    return SymplecticMatrix.from_matrix(bloch_messiah(
         random_unitary(rng, n), rng.uniform(-r_max, r_max, n), random_unitary(rng, n)))
 
 

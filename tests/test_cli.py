@@ -815,6 +815,18 @@ def test_limits_csv(tmp_path, capsys):
     assert table[("two-mode-squeeze", "2")] == (36.0, 12.0)
 
 
+@pytest.mark.parametrize("target", ["missing/x.csv", "."])
+def test_unwritable_output_exits_2(tmp_path, capsys, target):
+    # a path in a missing directory, or a directory, is a usage error with
+    # one error line, not a traceback under the panel-failure code
+    code = cli.main(["limits", "--output", str(tmp_path / target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write output: ")
+
+
 def test_validate_oracle_panel(tmp_path, capsys):
     code, out = run_cli(tmp_path, capsys, "validate",
                         extra=["--panel", "oracle", "--draws", "25", "--seed", "7"])

@@ -146,12 +146,13 @@ def test_cutoff_minimum_enforced():
 @pytest.mark.parametrize("params", [gq.OneModeProbeParams(lambda1=1.4),
                                     gq.TwoModeProbeParams(lambda1=1.4, lambda2=1.2)])
 def test_identity_factors_skipped(params, monkeypatch):
-    # r = 0, gamma = 0 and theta = 0 are identities and are not applied:
-    # the factor keeps its thermal start exactly
+    # r = 0, gamma = 0 and every angle 0 are identities and are not
+    # applied: the factor keeps its thermal start exactly
     def refuse(*_):
-        raise AssertionError("an identity factor was exponentiated")
+        raise AssertionError("an identity factor was applied")
 
     monkeypatch.setattr(fock, "_expm_tridiag", refuse)
+    monkeypatch.setattr(fock, "_rotation_phases", refuse)
     lams = [params.lambda1] if isinstance(params, gq.OneModeProbeParams) \
         else [params.lambda1, params.lambda2]
     weights = reduce(np.kron, [_thermal_diag(lam, 16) for lam in lams])
@@ -159,6 +160,15 @@ def test_identity_factors_skipped(params, monkeypatch):
     start = np.zeros((weights.size, kept.size), dtype=complex)
     start[kept, np.arange(kept.size)] = np.sqrt(weights[kept])
     assert np.array_equal(build_fock_state(params, 16).factor, start)
+
+
+@pytest.mark.parametrize("params", [gq.OneModeProbeParams(lambda1=30.0, theta=0.4),
+                                    gq.TwoModeProbeParams(lambda1=30.0, psi=0.3, phi2=1.0)])
+def test_thermal_start_leak_checked(params):
+    # with no step that moves population, the thermal start alone is
+    # held to the leak rule
+    with pytest.raises(CutoffTooSmallError, match="after thermal truncation"):
+        build_fock_state(params, 16)
 
 
 @pytest.mark.parametrize("cutoff", [16, np.int64(16), 16.0])

@@ -246,28 +246,42 @@ def test_williamson_refuses_unresolvable_conditioning():
                 gq.williamson(sigma)
 
 
-def test_euler_identity():
-    f = gq.EulerFactors(np.eye(2), np.zeros(2), np.eye(2))
-    assert np.allclose(gq.euler_compose(f).matrix, np.eye(4))
+def test_bloch_messiah_identity():
+    s0 = gq.bloch_messiah(np.eye(2), np.zeros(2), np.eye(2))
+    assert np.array_equal(s0, np.eye(4))
 
 
-def test_euler_one_mode_squeezing_sign():
-    f = gq.EulerFactors(np.eye(1), np.array([0.7]), np.eye(1))
-    s = gq.euler_compose(f)
+def test_bloch_messiah_one_mode_squeezing_sign():
+    s = SymplecticMatrix.from_matrix(gq.bloch_messiah(np.eye(1), np.array([0.7]), np.eye(1)))
     assert abs(s.beta[0, 0] + np.sinh(0.7)) < 1e-14
 
 
-def test_euler_symplectic(rng):
+def test_bloch_messiah_symplectic(rng):
     for _ in range(100):
         n = int(rng.integers(1, 4))
-        f = gq.EulerFactors(random_unitary(rng, n), rng.uniform(-2, 2, n),
-                            random_unitary(rng, n))
-        assert gq.symplectic_residual(gq.euler_compose(f)) < 1e-12
+        s0 = gq.bloch_messiah(random_unitary(rng, n), rng.uniform(-2, 2, n),
+                              random_unitary(rng, n))
+        assert gq.symplectic_residual(SymplecticMatrix.from_matrix(s0)) < 1e-12
 
 
-def test_euler_rejects_non_unitary():
-    with pytest.raises(InvalidInputError):
-        gq.EulerFactors(2.0 * np.eye(2), np.zeros(2), np.eye(2))
+def test_bloch_messiah_non_unitary_refused():
+    with pytest.raises(StructureError):
+        SymplecticMatrix.from_matrix(gq.bloch_messiah(2.0 * np.eye(2), np.zeros(2), np.eye(2)))
+
+
+@pytest.mark.parametrize("with_v", [False, True])
+def test_bloch_messiah_batch_matches_columns_bit_for_bit(rng, with_v):
+    n, batch = 3, 7
+    u = np.stack([random_unitary(rng, n) for _ in range(batch)], axis=-1)
+    v = np.stack([random_unitary(rng, n) for _ in range(batch)], axis=-1) if with_v else None
+    r = rng.uniform(-2, 2, (n, batch))
+    u[..., 0], r[:, 0] = np.eye(n), [0.0, -0.0, 0.5]  # signed zeros
+    block = gq.bloch_messiah(u, r, v)
+    assert block.shape == (2 * n, 2 * n, batch)
+    for j in range(batch):
+        col = gq.bloch_messiah(u[..., j:j + 1], r[:, j:j + 1],
+                               None if v is None else v[..., j:j + 1])
+        assert block[..., j:j + 1].tobytes() == col.tobytes()
 
 
 def test_williamson_eigenvalues_of_composition(rng):
