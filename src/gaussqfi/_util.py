@@ -4,7 +4,7 @@ import numbers
 
 import numpy as np
 
-from .errors import InvalidDimensionError, InvalidInputError
+from .errors import InvalidDimensionError
 
 
 def _as_complex(a, shape, name: str) -> np.ndarray:
@@ -12,12 +12,6 @@ def _as_complex(a, shape, name: str) -> np.ndarray:
     if arr.shape != shape:
         raise InvalidDimensionError(f"{name} must have shape {shape}, got {arr.shape}")
     return arr
-
-
-def _check_finite(name: str, *arrays):
-    """Reject NaN or infinite entries, which pass every ``>`` tolerance test."""
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise InvalidInputError(f"{name} entries must be finite")
 
 
 def _is_integral(value) -> bool:

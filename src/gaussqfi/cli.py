@@ -139,6 +139,8 @@ def _parse_probe(config: dict):
 def cmd_qfi(config: dict, args) -> str:
     probe, _ = _parse_probe(config)
     channel = _parse_channel(config)
+    if probe.modes != channel.modes:
+        raise ConfigError("probe and channel mode counts differ")
     return _dump_json(qfi_unitary(probe, channel).to_dict())
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _as_complex, _check_finite, _complex_form, _freeze, _is_integral
+from ._util import _as_complex, _complex_form, _freeze, _is_integral
 from .errors import InvalidDimensionError, InvalidInputError, \
     NumericalInstabilityError, StructureError
 
@@ -45,6 +45,21 @@ def exceeds_structure_tol(res: float, *arrays) -> bool:
     inputs.  The scale is computed only for a residual past the fixed gate."""
     return res > STRUCTURE_ATOL and res > STRUCTURE_ATOL * max(
         1.0, *(float(np.max(np.abs(a))) for a in arrays))
+
+
+def _block_pair(obj, n: int, x_field: tuple, y_field: tuple, what: str, *others):
+    """Freeze the (n, n) Hermitian X and symmetric Y blocks of dataclass ``obj``,
+    each given as ``(field, value, label)``, after checking them with ``others``."""
+    (x_name, x, x_label), (y_name, y, y_label) = x_field, y_field
+    x, y = _as_complex(x, (n, n), x_name), _as_complex(y, (n, n), y_name)
+    # NaN and inf pass every ``>`` tolerance test below
+    if not all(np.isfinite(a).all() for a in (*others, x, y)):
+        raise InvalidInputError(f"{what} entries must be finite")
+    for name, label, kind, b, bt in ((x_name, x_label, "Hermitian", x, x.conj().T),
+                                     (y_name, y_label, "symmetric", y, y.T)):
+        if exceeds_structure_tol(np.max(np.abs(b - bt)), x, y):
+            raise StructureError(f"{label} block must be {kind}")
+        object.__setattr__(obj, name, _freeze(b / 2 + bt / 2))
 
 
 def k_matrix(modes: int) -> np.ndarray:
@@ -88,16 +103,9 @@ class GaussianState:
         n = d.shape[0]
         if d.ndim != 1 or n < 1:
             raise InvalidDimensionError("d_tilde must be a non-empty vector")
-        x = _as_complex(self.cov_x, (n, n), "cov_x")
-        y = _as_complex(self.cov_y, (n, n), "cov_y")
-        _check_finite("state moment", d, x, y)
-        if exceeds_structure_tol(np.max(np.abs(x - x.conj().T)), x, y):
-            raise StructureError("cov_x block must be Hermitian")
-        if exceeds_structure_tol(np.max(np.abs(y - y.T)), x, y):
-            raise StructureError("cov_y block must be symmetric")
+        _block_pair(self, n, ("cov_x", self.cov_x, "cov_x"), ("cov_y", self.cov_y, "cov_y"),
+                    "state moment", d)
         object.__setattr__(self, "d_tilde", _freeze(d))
-        object.__setattr__(self, "cov_x", _freeze(x / 2 + x.conj().T / 2))
-        object.__setattr__(self, "cov_y", _freeze(y / 2 + y.T / 2))
 
     @property
     def modes(self) -> int:

@@ -1,6 +1,6 @@
-"""Structured symplectic linear algebra: generator exponentials, the
-displacement integral, Williamson decomposition and the batched
-Bloch-Messiah product.
+"""Structured symplectic linear algebra: the one symplectic check (for a
+matrix or a batch), generator exponentials, the displacement integral,
+Williamson decomposition and the batched Bloch-Messiah product.
 
 Each exponential is one ``scipy.linalg.expm`` (Al-Mohy & Higham 2009); the
 displacement integral is read off an augmented one (Van Loan 1978)."""
@@ -13,8 +13,8 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from ._util import _as_complex, _check_finite, _complex_form, _freeze
-from .core import STRUCTURE_ATOL, _spectrum, exceeds_structure_tol, k_signs
+from ._util import _as_complex, _complex_form, _freeze
+from .core import STRUCTURE_ATOL, _block_pair, _spectrum, exceeds_structure_tol, k_signs
 from .errors import (
     DecompositionFailureError,
     InvalidDimensionError,
@@ -22,7 +22,6 @@ from .errors import (
     StructureError,
 )
 
-SYMPLECTIC_FAIL_ATOL = 1e-9
 RECONSTRUCTION_FAIL_RTOL = 1e-8
 
 
@@ -44,17 +43,10 @@ class SymplecticMatrix:
         b = _as_complex(self.beta, (n, n), "beta")
         if a.shape != (n, n):
             raise InvalidDimensionError("alpha must be square")
-        # roundoff in the defining products grows with the squared entry
-        # scale; NaN, inf or overflowing squares leave nothing to check
-        ma, mb = float(np.max(np.abs(a))), float(np.max(np.abs(b)))
-        scale = ma * ma + mb * mb
-        if not math.isfinite(scale):
+        res, ok = symplectic_check(a, b)
+        if not math.isfinite(res):
             raise StructureError("blocks must be finite, with squares that do not overflow")
-        res = max(
-            float(np.max(np.abs(a @ a.conj().T - b @ b.conj().T - np.eye(n)))),
-            float(np.max(np.abs(a @ b.T - (a @ b.T).T))),
-        )
-        if not res <= STRUCTURE_ATOL * max(1.0, scale):  # NaN fails
+        if not ok:
             raise StructureError(f"blocks violate the symplectic condition (residual {res:.2e})")
         object.__setattr__(self, "alpha", _freeze(a))
         object.__setattr__(self, "beta", _freeze(b))
@@ -92,11 +84,26 @@ class SymplecticMatrix:
         return cls(m[:n, :n], m[:n, n:])
 
 
+def symplectic_check(alpha: np.ndarray, beta: np.ndarray):
+    """``S K S^dag = K`` for the blocks of one matrix, (N, N), or of a batch,
+    (..., N, N): per matrix, the max-norm residual of ``alpha alpha^dag -
+    beta beta^dag = I`` and of ``alpha beta^T`` symmetric, and whether it
+    passes ``STRUCTURE_ATOL * max(1, max|alpha|^2 + max|beta|^2)`` (roundoff
+    grows with the squared entries).  The residual of NaN, inf or
+    overflowing squares is NaN, which fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ab = alpha @ beta.swapaxes(-1, -2)
+        gram = alpha @ alpha.conj().swapaxes(-1, -2) - beta @ beta.conj().swapaxes(-1, -2)
+        res = np.maximum(abs(gram - np.eye(alpha.shape[-1])).max((-2, -1)),
+                         abs(ab - ab.swapaxes(-1, -2)).max((-2, -1)))
+        scale = abs(alpha).max((-2, -1)) ** 2 + abs(beta).max((-2, -1)) ** 2
+        res = res + 0.0 * scale  # NaN where the scale is NaN or inf
+    return res, res <= STRUCTURE_ATOL * np.maximum(1.0, scale)
+
+
 def symplectic_residual(s: SymplecticMatrix) -> float:
     """Max-norm residual of ``S K S^dag - K``."""
-    m = s.matrix
-    k = np.diag(k_signs(s.modes))
-    return float(np.max(np.abs(m @ k @ m.conj().T - k)))
+    return float(symplectic_check(s.alpha, s.beta)[0])
 
 
 @dataclass(frozen=True)
@@ -115,19 +122,11 @@ class GeneratorW:
     def __post_init__(self):
         x = np.atleast_2d(np.array(self.x_block, dtype=complex))
         n = x.shape[0]
-        x = _as_complex(x, (n, n), "x_block")
-        y = _as_complex(self.y_block, (n, n), "y_block")
         g = self.gamma_tilde
         g = np.zeros(n, dtype=complex) if g is None else np.atleast_1d(np.asarray(g, dtype=complex))
         if g.shape != (n,):
             raise InvalidDimensionError(f"gamma_tilde must have length {n}")
-        _check_finite("generator", x, y, g)
-        if exceeds_structure_tol(np.max(np.abs(x - x.conj().T)), x, y):
-            raise StructureError("X block must be Hermitian")
-        if exceeds_structure_tol(np.max(np.abs(y - y.T)), x, y):
-            raise StructureError("Y block must be symmetric")
-        object.__setattr__(self, "x_block", _freeze(x / 2 + x.conj().T / 2))
-        object.__setattr__(self, "y_block", _freeze(y / 2 + y.T / 2))
+        _block_pair(self, n, ("x_block", x, "X"), ("y_block", self.y_block, "Y"), "generator", g)
         object.__setattr__(self, "gamma_tilde", _freeze(g))
 
     @property
@@ -159,28 +158,17 @@ class GeneratorW:
 def exp_generator(w: GeneratorW) -> SymplecticMatrix:
     """Symplectic matrix ``exp(iKW)`` of a quadratic generator.
 
-    One ``scipy.linalg.expm`` of iKW; the result must be finite, keep the
-    block-conjugation structure and satisfy ``S K S^dag = K``.
+    One ``scipy.linalg.expm`` of iKW; the result must be finite and pass
+    ``SymplecticMatrix.from_matrix``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         m = scipy.linalg.expm(w.ikw())
     if not np.isfinite(m).all():
         raise NumericalInstabilityError("exponential overflowed; reduce |W|")
-    n = w.modes
-    scale = max(1.0, float(np.max(np.abs(m))))
-    res = float(np.max(np.abs(m - _complex_form(m[:n, :n], m[:n, n:]))))
-    if res > SYMPLECTIC_FAIL_ATOL * scale:
-        raise NumericalInstabilityError(
-            f"exponential lost block structure (residual {res:.2e}); reduce |W|")
     try:
-        s = SymplecticMatrix(m[:n, :n], m[:n, n:])
+        return SymplecticMatrix.from_matrix(m)
     except StructureError as exc:
-        raise NumericalInstabilityError(f"exponential lost symplecticity: {exc}") from exc
-    res = symplectic_residual(s)
-    if res > SYMPLECTIC_FAIL_ATOL * scale * scale:
-        raise NumericalInstabilityError(
-            f"exponential lost symplecticity (residual {res:.2e}); reduce |W|")
-    return s
+        raise NumericalInstabilityError(f"exponential is not symplectic: {exc}; reduce |W|") from exc
 
 
 def displacement_shift(w: GeneratorW) -> np.ndarray:

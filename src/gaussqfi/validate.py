@@ -13,8 +13,10 @@ from .channels import BEAMSPLIT, CATALOG, COMBINED, PHASE, SQUEEZE1_MODE1, \
     twomode_squeeze_channel
 from .errors import InvalidInputError
 from .fock import ladder_state, state_qfi
-from .probes import OneModeProbeParams, TwoModeProbeParams, one_mode_probe_on_two
-from .qfi import qfi_unitary
+from .probes import OneModeProbeParams, TwoModeProbeParams, one_mode_probe_on_two, \
+    probe_arrays
+from .qfi import kernel_terms, qfi_unitary
+from .symplectic import SymplecticMatrix, symplectic_check
 
 ORACLE_TOL = 1e-9
 FOCK_TOL = 1e-3
@@ -29,8 +31,8 @@ class CheckResult:
     detail: str = ""
 
 
-def _rel(closed: float, engine: float) -> float:
-    return abs(closed - engine) / max(1.0, abs(engine))
+def _rel(closed, engine):
+    return abs(closed - engine) / np.maximum(1.0, abs(engine))
 
 
 def _draw_lambda(rng) -> float:
@@ -108,17 +110,22 @@ def _oracle_families(rng):
 
 
 def oracle_panel(seed: int = 20240, draws: int = 200) -> list:
-    """Closed-form vs engine agreement over random parameter draws (at least one)."""
+    """Closed-form vs engine agreement over random parameter draws (at least
+    one), each row one batch; a QFI that is not finite fails its row."""
     if draws < 1:
         raise InvalidInputError(f"draws must be >= 1, got {draws}")
     rng = np.random.default_rng(seed)
     results = []
     for name, family in _oracle_families(rng):
-        worst = 0.0
-        for _ in range(draws):
-            closed, params, channel = family(rng)
-            engine = qfi_unitary(params.to_probe_state(), channel).total
-            worst = max(worst, _rel(closed, engine))
+        closed, params, channels = zip(*(family(rng) for _ in range(draws)))
+        s0, lams, d_tilde = probe_arrays(params)
+        n = lams.shape[0]
+        alpha, beta = np.moveaxis(s0[:n, :n], -1, 0), np.moveaxis(s0[:n, n:], -1, 0)
+        for j in np.flatnonzero(~symplectic_check(alpha, beta)[1]):
+            SymplecticMatrix(alpha[j], beta[j])  # raises what to_probe_state raises
+        terms, _ = kernel_terms(s0, lams, d_tilde, *(np.stack(a, axis=-1) for a in zip(*(
+            (c.generator.ikw(), c.generator.gamma) for c in channels))))
+        worst = float(np.max(_rel(np.array(closed), terms[0] + terms[1] + terms[2])))
         results.append(CheckResult(f"oracle/{name}", worst, ORACLE_TOL,
                                    worst < ORACLE_TOL, f"{draws} draws"))
     return results

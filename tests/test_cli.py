@@ -467,6 +467,15 @@ def assert_exits_with_one_error_line(tmp_path, capsys, command, config, code=3, 
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["qfi", "ellipse"])
+@pytest.mark.parametrize("probe, channel", [(_TWO_MODE, _PHASE),
+                                            (_STATE, {"kind": "beamsplit"})])
+def test_mode_mismatch_exits_2(tmp_path, capsys, command, probe, channel):
+    # mode counts that differ are a config error, as for optimize
+    config = {"schema": 1, "probe": probe, "channel": channel}
+    assert_exits_with_one_error_line(tmp_path, capsys, command, config, cli.EXIT_PARSE)
+
+
 def test_sweep_squeezed_monotone(tmp_path, capsys):
     config = {"schema": 1,
               "sweep": {"parameter": "probe.lambda1", "grid": [1, 2, 5]},
@@ -879,18 +888,32 @@ def test_validate_refuses_empty_oracle_panel(capsys, draws):
 def test_validate_detects_engine_fault(tmp_path, capsys, monkeypatch):
     import gaussqfi.validate as validate_mod
 
-    true_qfi = validate_mod.qfi_unitary
+    true_terms = validate_mod.kernel_terms
 
-    def scaled(probe, channel):
-        b = true_qfi(probe, channel)
-        return type(b)(b.r_term * 1.01, b.q_term, b.eigen_term, b.disp_term)
+    def scaled(*arrays):
+        terms, finite = true_terms(*arrays)
+        return terms * np.array([[1.01], [1.0], [1.0]]), finite
 
-    monkeypatch.setattr(validate_mod, "qfi_unitary", scaled)
+    monkeypatch.setattr(validate_mod, "kernel_terms", scaled)
     code, out = run_cli(tmp_path, capsys, "validate",
                         extra=["--panel", "oracle", "--draws", "10"])
     assert code == 1
     assert "FAIL" in out
     assert "oracle/" in out
+
+
+def test_oracle_panel_matches_per_probe_loop():
+    # the batched rows give, bit for bit, what one qfi_unitary per draw gives
+    rng = np.random.default_rng(11)
+    loop = []
+    for _, family in validate._oracle_families(rng):
+        rels = []
+        for _ in range(20):
+            closed, params, channel = family(rng)
+            rels.append(validate._rel(closed, gq.qfi_unitary(params.to_probe_state(),
+                                                             channel).total))
+        loop.append(max(rels))
+    assert [r.max_rel_dev for r in validate.oracle_panel(seed=11, draws=20)] == loop
 
 
 def test_optimize_output_feeds_back(tmp_path, capsys):

@@ -10,7 +10,8 @@ from gaussqfi.errors import (
     NumericalInstabilityError,
     StructureError,
 )
-from gaussqfi.symplectic import RECONSTRUCTION_FAIL_RTOL, SymplecticMatrix
+from gaussqfi.core import STRUCTURE_ATOL
+from gaussqfi.symplectic import RECONSTRUCTION_FAIL_RTOL, SymplecticMatrix, symplectic_check
 from conftest import random_covariance, random_symplectic, random_unitary
 
 
@@ -51,6 +52,44 @@ def test_symplectic_matrix_rejects_overflowing_squares():
     ch, sh = np.cosh(400.0), np.sinh(400.0)
     with pytest.raises(StructureError, match="overflow"):
         SymplecticMatrix(np.array([[ch]]), np.array([[-sh]]))
+
+
+def _accepted(alpha, beta) -> bool:
+    try:
+        SymplecticMatrix(alpha, beta)
+    except StructureError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batch_check_matches_symplectic_matrix(rng, n):
+    # one symplectic_check on a batch gives each matrix the verdict that
+    # SymplecticMatrix gives it alone
+    blocks = []
+    for _ in range(3):
+        s0 = gq.bloch_messiah(random_unitary(rng, n), rng.uniform(-2, 2, n),
+                              random_unitary(rng, n))
+        blocks.append((s0[:n, :n], s0[:n, n:]))
+    a, b = blocks[0]
+    gate = STRUCTURE_ATOL * max(1.0, np.max(np.abs(a)) ** 2 + np.max(np.abs(b)) ** 2)
+    # alpha -> (1 + t) alpha moves alpha alpha^dag by about 2 t alpha alpha^dag
+    t = gate / (2.0 * np.max(np.abs(a @ a.conj().T)))
+    blocks += [((1.0 + 0.9 * t) * a, b), ((1.0 + 1.1 * t) * a, b)]
+    for bad in (np.nan, np.inf):
+        a_bad = a.copy()
+        a_bad[0, 0] = bad
+        blocks.append((a_bad, b))
+    # at r = 400 the squares overflow; at 355.5 only their sum does
+    for r in (400.0, 355.5):
+        huge_a, huge_b = np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex)
+        huge_a[0, 0], huge_b[0, 0] = np.cosh(r), -np.sinh(r)
+        blocks.append((huge_a, huge_b))
+    alone = [_accepted(a, b) for a, b in blocks]
+    assert alone == [True] * 4 + [False] * 5
+    res, ok = symplectic_check(np.array([a for a, _ in blocks]), np.array([b for _, b in blocks]))
+    assert ok.tolist() == alone
+    assert np.isnan(res[5:]).all()
 
 
 @pytest.mark.parametrize("gamma", [False, True])
