@@ -44,7 +44,6 @@ from .qfi import (
     ProbeState,
     QfiBreakdown,
     p_matrix,
-    qfi_general,
     qfi_unitary,
     temperature_factors,
 )
@@ -52,7 +51,6 @@ from .probes import (
     OneModeProbeParams,
     TwoModeProbeParams,
     one_mode_probe_on_two,
-    squeezing_from_energy,
 )
 from . import formulas
 

@@ -152,8 +152,12 @@ def _param(config: dict, key: str) -> float:
 def cmd_closed_form(config: dict, args) -> str:
     label = _require(config, "label")
     if label == "universal-mix":
-        value = formulas.universal_mix_probe_qfi(
-            _param(config, "r"), _param(config, "d1_mag"), _param(config, "d2_mag"))
+        # a negative magnitude is a bad field, as in a parametric probe
+        try:
+            value = formulas.universal_mix_probe_qfi(
+                _param(config, "r"), _param(config, "d1_mag"), _param(config, "d2_mag"))
+        except InvalidInputError as exc:
+            raise ConfigError(str(exc)) from exc
         return _dump_json({"label": label, "value": value})
     row = validate.CLOSED_FORMS.get(label) if isinstance(label, str) else None
     if row is None:
@@ -362,6 +366,8 @@ def cmd_limits(config: dict, args) -> str:
         if not isinstance(raw, list) or not raw:
             raise ConfigError("'n' must be a non-empty list")
         ns = [_number(v, "'n' value") for v in raw]
+        if min(ns) < 0:
+            raise ConfigError(f"'n' values must be >= 0, got {min(ns):g}")
     rows = []
     for kind, table in formulas.limit_table().items():
         for n in ns:

@@ -26,11 +26,6 @@ class DecompositionFailureError(GaussQfiError):
     """A matrix decomposition did not reconstruct its input."""
 
 
-class DegenerateInputError(GaussQfiError):
-    """A degenerate configuration requires extra data the caller did not
-    supply (e.g. second derivatives at unit symplectic eigenvalues)."""
-
-
 class CutoffTooSmallError(GaussQfiError):
     """Fock-space truncation leaks too much trace for the requested state."""
 

@@ -283,8 +283,10 @@ def mix_separable_max(l1, l2, r1, r2, d1_mag, d2_mag) -> float:
 def universal_mix_probe_qfi(r: float, d1_mag: float = 0.0, d2_mag: float = 0.0) -> float:
     """QFI of the universal mode-mixing probe, independent of the mixing
     direction by construction."""
-    if d1_mag < 0 or d2_mag < 0:
-        raise InvalidInputError("displacement magnitudes must be >= 0")
+    # written so that NaN fails: nan >= 0 is false
+    if not (d1_mag >= 0 and d2_mag >= 0):
+        raise InvalidInputError(
+            f"displacement magnitudes must be >= 0, got {d1_mag} and {d2_mag}")
     return (4.0 * np.sinh(2 * r) ** 2
             + 4.0 * ((d1_mag ** 2 + d2_mag ** 2) * np.cosh(2 * r)
                      + 2.0 * d1_mag * d2_mag * np.sinh(2 * r)))
@@ -294,15 +296,16 @@ def qfi_onemode_probe_on_twomode(kind: str, lambda1: float, r1: float,
                                  d1_mag: float = 0.0) -> float:
     """QFI of a two-mode channel probed by a one-mode state (mode 2 vacuum).
 
-    Equals ``4(n+1)`` for the two-mode squeezer and ``4n`` for the mode
-    mixer regardless of how the energy is split.
+    ``kind`` is the catalog name of the channel, ``"two-mode-squeeze"`` or
+    ``"beamsplit"``.  Equals ``4(n+1)`` for the two-mode squeezer and
+    ``4n`` for the mode mixer regardless of how the energy is split.
     """
-    if lambda1 < 1.0:
-        raise InvalidInputError("lambda1 must be >= 1")
+    if not lambda1 >= 1.0:
+        raise InvalidInputError(f"lambda1 must be >= 1, got {lambda1}")
     base = 2.0 * lambda1 * np.cosh(2 * r1) + 4.0 * d1_mag ** 2
-    if kind in ("two-mode-squeeze", "st"):
+    if kind == "two-mode-squeeze":
         return base + 2.0
-    if kind in ("mix", "beamsplit"):
+    if kind == "beamsplit":
         return base - 2.0
     raise InvalidInputError(f"unknown two-mode channel kind {kind!r}")
 
@@ -343,16 +346,17 @@ def optimal_temperature_residual(channel: str, lambda1: float, r: float,
 
     The optimum of the angle-maximized one-mode QFI over temperature
     satisfies ``lam^3/(lam^2+1)^2 = d^2 e^{2r} / (2 sinh^2 2r)`` for the
-    phase channel and the ``cosh^2`` analog for the squeezing channel.
+    phase channel and the ``cosh^2`` analog for the squeezing channel;
+    ``channel`` is the catalog name, ``"phase"`` or ``"squeeze1-mode1"``.
     """
-    if lambda1 < 1.0:
-        raise InvalidInputError("lambda1 must be >= 1")
+    if not lambda1 >= 1.0:
+        raise InvalidInputError(f"lambda1 must be >= 1, got {lambda1}")
     left = lambda1 ** 3 / (lambda1 ** 2 + 1.0) ** 2
     if channel == "phase":
         denom = 2.0 * np.sinh(2 * r) ** 2
         if denom == 0.0:
             raise InvalidInputError("phase-channel condition needs r != 0")
-    elif channel in ("squeeze1", "squeeze1-mode1"):
+    elif channel == "squeeze1-mode1":
         denom = 2.0 * np.cosh(2 * r) ** 2
     else:
         raise InvalidInputError(f"unknown one-mode channel {channel!r}")
@@ -382,6 +386,9 @@ def optimal_temperature(channel: str, r: float, d_mag: float,
     sign, signalling that the optimum sits at a boundary (lambda1 = 1 or
     the high-temperature end).
     """
+    if not lam_max >= 1.0:
+        raise InvalidInputError(f"lam_max must be >= 1, got {lam_max}")
+
     def func(lam):
         return optimal_temperature_residual(channel, lam, r, d_mag)
 

@@ -165,19 +165,6 @@ def one_mode_probe_on_two(lambda1: float, r1: float, phi1: float = 0.0,
                               d1_mag=d1_mag, phi_d1=phi_d1)
 
 
-def squeezing_from_energy(n: float, n_d: float, n_th: float) -> float:
-    """Invert the mean-energy relation for the squeezing parameter.
-
-    ``n = n_d + n_th + (1 + 2 n_th) sinh^2 r`` gives
-    ``r = arcsinh(sqrt((n - n_d - n_th) / (1 + 2 n_th)))``.
-    """
-    rest = n - n_d - n_th
-    if rest < -1e-12:
-        raise InvalidInputError(
-            f"energy budget infeasible: n={n} < n_d + n_th = {n_d + n_th}")
-    return float(np.arcsinh(np.sqrt(max(rest, 0.0) / (1.0 + 2.0 * n_th))))
-
-
 # ---------------------------------------------------------------------------
 # JSON interchange for probe configurations
 

@@ -1,19 +1,15 @@
 """Quantum Fisher information for Gaussian states.
 
-Two evaluation paths are provided:
-
-* ``qfi_unitary`` - the one-parameter-group path.  The probe enters
-  through its Williamson factors, the channel through its quadratic
-  generator; the result needs no channel parameter value because the QFI
-  of a one-parameter group is the same at every point.  It validates its
-  inputs and calls ``qfi_kernel``, the raw-array form of the same formula
-  with the batch on the trailing axis of every array; the optimizer
-  evaluates whole batches of candidate probes, and ``gaussqfi sweep`` a
-  whole grid of probes or of channels, through that kernel, whose small
-  2N axes are contracted as elementwise products of length-B vectors.
-* ``qfi_general`` - the raw formula with caller-supplied derivatives of
-  the Williamson data, used as a finite-difference cross-check and for
-  encodings outside the group framework.
+``qfi_unitary`` evaluates the one-parameter-group formula (Šafránek &
+Fuentes, arXiv 1603.05545).  The probe enters through its Williamson
+factors, the channel through its quadratic generator; the result needs no
+channel parameter value because the QFI of a one-parameter group is the
+same at every point.  It validates its inputs and calls ``qfi_kernel``,
+the raw-array form of the same formula with the batch on the trailing
+axis of every array; the optimizer evaluates whole batches of candidate
+probes, and ``gaussqfi sweep`` a whole grid of probes or of channels,
+through that kernel, whose small 2N axes are contracted as elementwise
+products of length-B vectors.
 """
 from __future__ import annotations
 
@@ -25,9 +21,8 @@ import numpy as np
 # tracer patches qfi.validate_state until the next change to the benchmark
 # (ROADMAP item 4)
 from .core import PHYSICALITY_TOL, GaussianState, validate_state
-from .errors import DegenerateInputError, InvalidInputError, \
-    NumericalInstabilityError
-from .symplectic import SymplecticMatrix, WilliamsonForm
+from .errors import InvalidInputError, NumericalInstabilityError
+from .symplectic import WilliamsonForm
 from .channels import ChannelSpec
 from ._util import _complex_form, _freeze
 
@@ -103,7 +98,8 @@ class PMatrix:
 
 @dataclass(frozen=True)
 class QfiBreakdown:
-    """QFI total split into its four formula terms."""
+    """QFI total split into its four formula terms; ``eigen_term`` is 0
+    for a unitary channel, which leaves the symplectic eigenvalues fixed."""
 
     r_term: float
     q_term: float
@@ -259,57 +255,6 @@ def finite_terms(s0: np.ndarray, lams: np.ndarray, d_tilde: np.ndarray,
     return terms
 
 
-def qfi_general(eigenvalues, eigenvalues_dot, s: SymplecticMatrix, s_dot,
-                d, d_dot, sigma, eigenvalues_ddot=None) -> QfiBreakdown:
-    """QFI from Williamson data and its parameter derivatives.
-
-    Args:
-        eigenvalues: symplectic eigenvalues ``lam_i(eps)`` (length N).
-        eigenvalues_dot: their derivatives ``dlam_i/deps``.
-        s: Williamson factor ``S(eps)`` of the covariance.
-        s_dot: derivative ``dS/deps`` as a 2N x 2N array.
-        d: complex-form displacement at eps.
-        d_dot: its derivative.
-        sigma: covariance at eps.
-        eigenvalues_ddot: second derivatives ``d2lam_i/deps2``, required
-            whenever some ``lam_i`` is at the pure boundary where the
-            eigenvalue term becomes the regularized limit.
-
-    The eigenvalue term ``sum_i lam_i'^2 / (lam_i^2 - 1)`` is 0/0 at a pure
-    mode; its regularized value there is ``lam_i''`` (Šafránek, Lee &
-    Fuentes, arXiv 1502.07924).
-    """
-    lams = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
-    lams_dot = np.atleast_1d(np.asarray(eigenvalues_dot, dtype=float))
-    n = lams.shape[0]
-    if lams_dot.shape != (n,) or s.modes != n:
-        raise InvalidInputError("inconsistent eigenvalue/matrix dimensions")
-    if np.min(lams) < 1.0 - PHYSICALITY_TOL:
-        raise InvalidInputError("symplectic eigenvalues must be >= 1")
-
-    p = s.inverse().matrix @ np.asarray(s_dot, dtype=complex)
-    f_minus, f_plus = _mode_factors(lams)
-    r_term = float(np.sum(f_minus * np.abs(p[:n, :n]) ** 2))
-    q_term = float(np.sum(f_plus * np.abs(p[:n, n:]) ** 2))
-
-    eigen_term = 0.0
-    for i in range(n):
-        gap = lams[i] ** 2 - 1.0
-        if gap < DEGENERACY_TOL:
-            if eigenvalues_ddot is None:
-                raise DegenerateInputError(
-                    f"eigenvalue {i} is pure; supply eigenvalues_ddot for the "
-                    "regularized eigenvalue term")
-            eigen_term += float(np.asarray(eigenvalues_ddot, dtype=float)[i])
-        else:
-            eigen_term += float(lams_dot[i] ** 2 / gap)
-
-    d_dot = np.asarray(d_dot, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    disp = 2.0 * np.real(d_dot.conj() @ np.linalg.solve(sigma, d_dot))
-    return QfiBreakdown(r_term, q_term, eigen_term, float(disp))
-
-
 def temperature_factors(lam_i: float, lam_j: float):
     """The four eigenvalue factor types appearing in the QFI formula.
 
@@ -317,7 +262,9 @@ def temperature_factors(lam_i: float, lam_j: float):
     (lam_i-lam_j)^2/(lam_i lam_j - 1), 1/lam_i)`` with the third factor
     set to zero at a pure-pure degeneracy.
     """
-    if lam_i < 1.0 or lam_j < 1.0:
-        raise InvalidInputError("symplectic eigenvalues must be >= 1")
+    # written so that NaN fails: nan >= 1.0 is false
+    if not (lam_i >= 1.0 and lam_j >= 1.0):
+        raise InvalidInputError(
+            f"symplectic eigenvalues must be >= 1, got {lam_i} and {lam_j}")
     f_minus, f_plus = _mode_factors(np.array([lam_i, lam_j], dtype=float))
     return lam_i ** 2 / (1.0 + lam_i ** 2), f_plus[0, 1], f_minus[0, 1], 1.0 / lam_i

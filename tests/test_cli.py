@@ -269,6 +269,9 @@ _SWEEP = {"probe": _ONE_MODE, "channel": _PHASE}
     # a negative seed would give every restart the same Halton start
     ("optimize", {"channel": _PHASE, "budget": {"n_total": 1.0},
                   "optimizer": {"seed": -1}}),
+    # a mean photon number or a displacement magnitude below 0
+    ("limits", {"n": [1.0, -1]}),
+    ("closed-form", {"label": "universal-mix", "r": 0.3, "d1_mag": -1}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     assert_exits_with_one_error_line(tmp_path, capsys, command, {"schema": 1, **config}, 2)

@@ -207,9 +207,9 @@ def test_bs_advantage_vanishes_at_equal_squeezing(rng):
 
 def test_one_mode_probe_on_two_mode_channels(rng):
     assert formulas.qfi_onemode_probe_on_twomode("two-mode-squeeze", 1.0, 0.0) == 4.0
-    assert formulas.qfi_onemode_probe_on_twomode("mix", 1.0, 0.0) == 0.0
+    assert formulas.qfi_onemode_probe_on_twomode("beamsplit", 1.0, 0.0) == 0.0
     r = float(np.arcsinh(1.0))
-    assert abs(formulas.qfi_onemode_probe_on_twomode("mix", 1.0, r) - 4.0) < 1e-10
+    assert abs(formulas.qfi_onemode_probe_on_twomode("beamsplit", 1.0, r) - 4.0) < 1e-10
     # equals 4(n+1) resp. 4n for any energy split, and matches the engine
     for _ in range(25):
         lam = rng.uniform(1, 3)
@@ -219,7 +219,7 @@ def test_one_mode_probe_on_two_mode_channels(rng):
                                      d1_mag=d1, phi_d1=rng.uniform(-np.pi, np.pi))
         n = p.mean_photon()
         h_st = formulas.qfi_onemode_probe_on_twomode("two-mode-squeeze", lam, r1, d1)
-        h_mix = formulas.qfi_onemode_probe_on_twomode("mix", lam, r1, d1)
+        h_mix = formulas.qfi_onemode_probe_on_twomode("beamsplit", lam, r1, d1)
         assert abs(h_st - 4 * (n + 1)) < 1e-9 * max(1, h_st)
         assert abs(h_mix - 4 * n) < 1e-9 * max(1, h_mix)
         chi = rng.uniform(-np.pi, np.pi)
@@ -302,11 +302,34 @@ def test_optimal_temperature_roots(rng):
 
 
 def test_optimal_temperature_squeeze_channel():
-    for lam_star in formulas.optimal_temperature("squeeze1", 0.8, 1.2):
+    for lam_star in formulas.optimal_temperature("squeeze1-mode1", 0.8, 1.2):
         assert abs(formulas.optimal_temperature_residual(
-            "squeeze1", lam_star, 0.8, 1.2)) < 1e-10
+            "squeeze1-mode1", lam_star, 0.8, 1.2)) < 1e-10
 
 
 def test_phase_residual_requires_nonzero_r():
     with pytest.raises(InvalidInputError):
         formulas.optimal_temperature_residual("phase", 2.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: formulas.qfi_onemode_probe_on_twomode("beamsplit", np.nan, 0.3),
+    lambda: formulas.optimal_temperature_residual("phase", np.nan, 0.3, 1.0),
+    lambda: formulas.universal_mix_probe_qfi(0.3, np.nan, 0.0),
+    lambda: formulas.universal_mix_probe_qfi(0.3, 0.0, np.nan),
+    lambda: formulas.optimal_temperature("phase", 0.3, 1.0, lam_max=np.nan),
+])
+def test_range_checks_reject_nan(call):
+    # nan < floor is false, so each check is written to fail on NaN
+    with pytest.raises(InvalidInputError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: formulas.qfi_onemode_probe_on_twomode("mix", 1.0, 0.3),
+    lambda: formulas.qfi_onemode_probe_on_twomode("st", 1.0, 0.3),
+    lambda: formulas.optimal_temperature_residual("squeeze1", 2.0, 0.3, 1.0),
+])
+def test_channel_kinds_are_catalog_names(call):
+    with pytest.raises(InvalidInputError, match="unknown"):
+        call()

@@ -2,8 +2,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import gaussqfi as gq
 from gaussqfi.channels import mix_matrix, phase_matrix, squeeze_matrix
@@ -53,24 +51,6 @@ def test_family_description_partitions_fields(cls):
                for lam, r, d in cls.ENERGY)
     assert FAMILIES[cls.kind] is cls
     assert "kind" not in cls.__dataclass_fields__
-
-
-@given(st.floats(min_value=0.01, max_value=20.0),
-       st.floats(min_value=0.0, max_value=1.0),
-       st.floats(min_value=0.0, max_value=1.0))
-@settings(max_examples=60, deadline=None)
-def test_energy_inversion_round_trip(n, fd, ft):
-    if fd + ft > 1.0:
-        fd, ft = fd / 2, ft / 2
-    n_d, n_th = fd * n, ft * n
-    r = gq.squeezing_from_energy(n, n_d, n_th)
-    recovered = n_d + n_th + (1 + 2 * n_th) * np.sinh(r) ** 2
-    assert abs(recovered - n) < 1e-8 * max(1.0, n)
-
-
-def test_energy_inversion_rejects_infeasible():
-    with pytest.raises(InvalidInputError):
-        gq.squeezing_from_energy(1.0, 0.8, 0.5)
 
 
 def _chain(p):

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaussqfi as gq
-from gaussqfi.errors import DegenerateInputError, InvalidInputError, \
-    NumericalInstabilityError
+from gaussqfi.errors import InvalidInputError, NumericalInstabilityError
 from gaussqfi import formulas
-from gaussqfi.qfi import qfi_general, qfi_kernel
+from gaussqfi.qfi import qfi_kernel
 from gaussqfi.symplectic import GeneratorW, SymplecticMatrix, WilliamsonForm
 from gaussqfi.validate import _oracle_families
 from conftest import random_state, random_symplectic, random_unitary
@@ -187,67 +186,6 @@ def test_probe_rejects_unphysical_eigenvalues():
         gq.ProbeState(WilliamsonForm(SymplecticMatrix.identity(1), np.array([0.5])))
 
 
-# --- qfi_general ----------------------------------------------------------
-
-def test_general_matches_unitary(rng):
-    for _ in range(25):
-        n = int(rng.integers(1, 3))
-        probe = random_probe(rng, n)
-        channel = random_channel(rng, n)
-        expected = gq.qfi_unitary(probe, channel)
-        s0 = probe.williamson.s
-        # S(eps) = S_eps S_0 at eps = 0, so dS/deps = iKW S_0
-        s_dot = channel.generator.ikw() @ s0.matrix
-        d = probe.displacement
-        d_dot = channel.generator.ikw() @ d + channel.generator.gamma
-        sigma = probe.williamson.covariance
-        lams = probe.williamson.eigenvalues
-        got = qfi_general(lams, np.zeros(n), s0, s_dot, d, d_dot, sigma,
-                          eigenvalues_ddot=np.zeros(n))
-        assert abs(got.total - expected.total) < 1e-10 * max(1.0, expected.total)
-
-
-def test_general_finite_difference_oracle(rng):
-    h = 1e-5
-    for _ in range(10):
-        n = int(rng.integers(1, 3))
-        probe = random_probe(rng, n)
-        channel = random_channel(rng, n)
-        expected = gq.qfi_unitary(probe, channel).total
-        s0 = probe.williamson.s
-        sp = (gq.channel_symplectic(channel, h) @ s0).matrix
-        sm = (gq.channel_symplectic(channel, -h) @ s0).matrix
-        s_dot = (sp - sm) / (2 * h)
-        d_dot = (gq.channel_symplectic(channel, h).matrix @ probe.displacement
-                 - gq.channel_symplectic(channel, -h).matrix @ probe.displacement) / (2 * h)
-        got = qfi_general(probe.williamson.eigenvalues, np.zeros(n), s0, s_dot,
-                          probe.displacement, d_dot, probe.williamson.covariance,
-                          eigenvalues_ddot=np.zeros(n))
-        assert abs(got.total - expected) < 1e-6 * max(1.0, expected)
-
-
-def test_general_zero_derivatives():
-    s0 = SymplecticMatrix.identity(1)
-    got = qfi_general(np.array([2.0]), np.zeros(1), s0, np.zeros((2, 2)),
-                      np.zeros(2), np.zeros(2), 2.0 * np.eye(2))
-    assert got.total == 0.0
-
-
-def test_general_requires_ddot_at_purity():
-    s0 = SymplecticMatrix.identity(1)
-    with pytest.raises(DegenerateInputError):
-        qfi_general(np.array([1.0]), np.zeros(1), s0, np.zeros((2, 2)),
-                    np.zeros(2), np.zeros(2), np.eye(2))
-
-
-def test_general_uses_supplied_ddot():
-    s0 = SymplecticMatrix.identity(1)
-    got = qfi_general(np.array([1.0]), np.zeros(1), s0, np.zeros((2, 2)),
-                      np.zeros(2), np.zeros(2), np.eye(2),
-                      eigenvalues_ddot=np.array([0.25]))
-    assert got.eigen_term == 0.25
-
-
 # --- temperature factors ---------------------------------------------------
 
 def test_factor_pure_limits():
@@ -271,8 +209,9 @@ def test_factor_large_ratio_approximation():
 
 
 def test_factor_rejects_unphysical():
-    with pytest.raises(InvalidInputError):
-        gq.temperature_factors(0.9, 1.0)
+    for lams in ((0.9, 1.0), (np.nan, 1.0), (1.0, np.nan)):
+        with pytest.raises(InvalidInputError):
+            gq.temperature_factors(*lams)
 
 
 @given(st.floats(min_value=1.0, max_value=1e3))
@@ -336,14 +275,35 @@ def _random_generator(rng, n):
     return GeneratorW(x + x.conj().T, y + y.T, g)
 
 
-@given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2 ** 32 - 1))
+_CORES = ("mixed", "one-pure", "pure")
+
+
+def _core(rng, n, core):
+    """Symplectic eigenvalues drawn from U(1, 3), with one mode ("one-pure")
+    or every mode ("pure") exactly 1."""
+    lams = rng.uniform(1.0, 3.0, n)
+    if core == "pure":
+        lams[:] = 1.0
+    elif core == "one-pure":
+        lams[int(rng.integers(0, n))] = 1.0
+    return lams
+
+
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from(_CORES))
 @settings(max_examples=60, deadline=None)
-def test_half_p_kernel_matches_full_p_route(n, seed):
+def test_half_p_kernel_matches_full_p_route(n, seed, core):
     # S0 from williamson, not from a family, and a channel with gamma != 0:
     # the kernel reads only the top rows of P and of u; the reference forms
-    # all of P and solves sigma for the displacement term
+    # all of P and solves sigma for the displacement term.  williamson of
+    # raw moments returns a pure mode's eigenvalue only to 1 +- 2e-14, so a
+    # core with pure modes enters as exact Williamson data
     rng = np.random.default_rng(seed)
-    probe = gq.ProbeState.from_state(random_state(rng, n))
+    if core == "mixed":
+        probe = gq.ProbeState.from_state(random_state(rng, n))
+    else:
+        probe = gq.ProbeState(WilliamsonForm(random_symplectic(rng, n), _core(rng, n, core)),
+                              rng.normal(size=n) + 1j * rng.normal(size=n))
     channel = gq.custom_channel(_random_generator(rng, n))
     ikw, gamma = channel.generator.ikw(), channel.generator.gamma
     lams = probe.williamson.eigenvalues
@@ -356,6 +316,34 @@ def test_half_p_kernel_matches_full_p_route(n, seed):
     got = qfi_kernel(probe.williamson.s.matrix, lams, probe.d_tilde, ikw, gamma)
     for term, ref in zip(got, expected):
         assert abs(term - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+# --- the engine against the generator variance, with no shared code -------
+
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from(_CORES))
+@settings(max_examples=60, deadline=None)
+def test_qfi_against_generator_variance(n, seed, core):
+    # for a pure probe H = 4 Var(G), which in the complex form reads
+    # 1/2 tr(W s W s) - 1/2 tr(W K W K) + 2 u^dag s u with u = W d - iK gamma,
+    # from the raw moments (s, d) and the generator (W, gamma) alone; for a
+    # mixed probe the same value bounds H from above
+    rng = np.random.default_rng(seed)
+    lams = _core(rng, n, core)
+    s = random_symplectic(rng, n).matrix
+    sigma = (s * np.concatenate([lams, lams])[None, :]) @ s.conj().T
+    state = gq.GaussianState(rng.normal(size=n) + 1j * rng.normal(size=n),
+                             sigma[:n, :n], sigma[:n, n:])
+    w = _random_generator(rng, n)
+    h = gq.qfi_unitary(gq.ProbeState.from_state(state), gq.custom_channel(w)).total
+    wm, k = w.matrix, np.diag(np.concatenate([np.ones(n), -np.ones(n)]))
+    u = wm @ state.displacement - 1j * k @ w.gamma
+    bound = np.real(0.5 * np.trace(wm @ sigma @ wm @ sigma) - 0.5 * np.trace(wm @ k @ wm @ k)
+                    + 2.0 * u.conj() @ sigma @ u)
+    if np.all(lams == 1.0):
+        assert abs(h - bound) <= 1e-10 * max(1.0, bound)
+    else:
+        assert h <= bound * (1.0 + 1e-10)
 
 
 def _batch_of_seven(rng, source):
