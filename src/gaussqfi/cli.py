@@ -365,7 +365,8 @@ def cmd_limits(config: dict, args) -> str:
         raw = config.get("n", ns)
         if not isinstance(raw, list) or not raw:
             raise ConfigError("'n' must be a non-empty list")
-        ns = [_number(v, "'n' value") for v in raw]
+        # + 0.0 turns -0.0 into 0, which prints and computes without a sign
+        ns = [_number(v, "'n' value") + 0.0 for v in raw]
         if min(ns) < 0:
             raise ConfigError(f"'n' values must be >= 0, got {min(ns):g}")
     rows = []

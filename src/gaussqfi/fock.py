@@ -14,9 +14,10 @@ couples ``n`` to ``n +- 2`` and so splits into an even-level and an
 odd-level block.  Each such generator is a scalar (``-r/2``, ``|gamma|``
 or ``theta``) times a unit-hop matrix fixed by the block's shape alone
 (kind, cutoff, parity or total photon number).  That real symmetric
-tridiagonal matrix is decomposed once per shape and process
-(``_unit_eigenbasis``), and every exponential with that shape is applied
-in factored form from its eigenbasis with the eigenvalues scaled
+tridiagonal matrix is decomposed once per shape and process, and its
+level index and the phase column of a real hop are kept with it
+(``_unit_eigenbasis``); every exponential with that shape is applied in
+factored form from its eigenbasis with the eigenvalues scaled
 (``_expm_tridiag``), with no dense matrix exponential; a step whose
 arguments are all 0 is the identity and is not built.  The leak rule is
 read on the thermal start and after each step that moves population,
@@ -29,17 +30,17 @@ eigendecomposition.  The channel ``U = exp(eps G)`` with anti-Hermitian
 ``G`` is differentiated exactly, ``drho/deps = G rho - rho G`` at
 ``eps = 0``, and ``G`` is applied to the eigenvectors by ladder shifts:
 each ``a`` or ``a^dag`` moves its own mode axis by one level, scaled by
-``sqrt(n + 1)``.  The QFI is evaluated through the spectral form of the
-symmetric logarithmic derivative; unitaries keep the rank, so that sum
-over the support is continuous in the channel parameter, and
-completeness supplies the pairs outside it.
+``sqrt(n + 1)``, a column kept once per cutoff.  The QFI is evaluated
+through the spectral form of the symmetric logarithmic derivative;
+unitaries keep the rank, so that sum over the support is continuous in
+the channel parameter, and completeness supplies the pairs outside it.
 Nothing here touches the phase-space machinery, which is the point: it
 validates the fast path from outside the formalism.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial, reduce
+from functools import cache, reduce
 
 import numpy as np
 # scipy.linalg is not called here; it stays bound because perfbench's
@@ -48,7 +49,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dstevd
 
-from ._util import _is_integral
+from ._util import _freeze, _is_integral
 from .channels import ChannelSpec
 from .errors import CutoffTooSmallError, InvalidInputError
 from .probes import OneModeProbeParams, TwoModeProbeParams
@@ -92,11 +93,11 @@ def _real_left(v: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 @cache
 def _unit_eigenbasis(kind: str, cutoff: int, index: int) -> tuple:
-    """Read-only eigenpairs ``(w, V)`` of one block's unit-hop matrix, the
+    """Read-only eigenpairs ``(w, V)``, level index ``k`` and ``alpha = 0``
+    phase column ``e^{-i (pi/2) k}`` of one block's unit-hop matrix, the
     real symmetric tridiagonal matrix with zero diagonal whose generator
     is a scalar times it.  Every block of one shape (kind, cutoff, and the
-    parity or total photon number ``index``) is decomposed once per
-    process and shared by every call."""
+    parity or total photon number ``index``) is built once per process."""
     if kind == "squeeze":
         # a^dag^2 |n> = sqrt((n + 1) (n + 2)) |n + 2>, n of parity index
         n = np.arange(index, cutoff - 2, 2)
@@ -112,16 +113,16 @@ def _unit_eigenbasis(kind: str, cutoff: int, index: int) -> tuple:
     w, v, info = dstevd(np.zeros(hop.size + 1), hop)
     if info:
         raise np.linalg.LinAlgError(f"dstevd failed with info {info}")
-    w.flags.writeable = v.flags.writeable = False
-    return w, v
+    k = np.arange(w.size)
+    return tuple(map(_freeze, (w, v, k, np.exp(1j * (0.0 - np.pi / 2) * k)[:, None])))
 
 
 def _expm_tridiag(basis: tuple, scale: float, alpha: float, mat: np.ndarray) -> np.ndarray:
     """``exp(T) @ mat`` along axis -2 of ``mat`` (other axes broadcast) for
     the anti-Hermitian tridiagonal ``T`` with subdiagonal
     ``scale hop e^{i alpha}`` and superdiagonal ``-scale hop e^{-i alpha}``,
-    where ``basis = (w, V)`` from ``_unit_eigenbasis`` diagonalizes the
-    unit-hop matrix ``J = V diag(w) V^T``.
+    where ``basis = (w, V, k, d0)`` from ``_unit_eigenbasis`` diagonalizes
+    the unit-hop matrix ``J = V diag(w) V^T``.
 
     ``T = D (i scale J) D^-1`` with ``D = diag(e^{i (alpha - pi/2) k})``,
     so ``exp(T) = D V e^{i scale w} V^T D^-1``, unitary to rounding (the
@@ -129,8 +130,8 @@ def _expm_tridiag(basis: tuple, scale: float, alpha: float, mat: np.ndarray) -> 
     keeping ``V`` holds for either sign of ``scale``; it does not rely on
     the order of the eigenvalues.
     """
-    w, v = basis
-    d = np.exp(1j * (alpha - np.pi / 2) * np.arange(w.size))[:, None]
+    w, v, k, d0 = basis
+    d = d0 if alpha == 0 else np.exp(1j * (alpha - np.pi / 2) * k)[:, None]
     inner = _real_left(v.T, d.conj() * mat)
     return d * _real_left(v, np.exp(1j * scale * w)[:, None] * inner)
 
@@ -161,43 +162,43 @@ def _beamsplit(theta: float, chi: float, cutoff: int, mat: np.ndarray) -> np.nda
 
     The generator conserves ``n1 + n2``, so it is block diagonal with one
     block of at most ``cutoff`` levels per total; each block is
-    tridiagonal in ``n1`` and is applied to its own rows.  The one-level
-    blocks (totals 0 and ``2 cutoff - 2``) have a zero generator and keep
-    their rows.
+    tridiagonal in ``n1`` and is applied to its own rows, ``n1 cutoff + n2
+    = total + n1 (cutoff - 1)``: a strided slice.  The one-level blocks
+    (totals 0 and ``2 cutoff - 2``) have a zero generator and keep their
+    rows.
     """
     out = np.array(mat, dtype=complex)
     for total in range(1, 2 * cutoff - 2):
-        n1 = np.arange(max(0, total - cutoff + 1), min(total, cutoff - 1) + 1)
-        idx = n1 * cutoff + (total - n1)
-        out[idx] = _expm_tridiag(_unit_eigenbasis("beamsplit", cutoff, total),
-                                 theta, chi, mat[idx])
+        rows = slice(total + max(0, total - cutoff + 1) * (cutoff - 1),
+                     total + min(total, cutoff - 1) * (cutoff - 1) + 1, cutoff - 1)
+        out[rows] = _expm_tridiag(_unit_eigenbasis("beamsplit", cutoff, total),
+                                  theta, chi, mat[rows])
     return out
 
 
-def _apply_local(ops: list, cutoff: int, mat: np.ndarray) -> np.ndarray:
-    """``(ops[0] x ops[1] x ...) @ mat``, one mode axis of the row index at
-    a time instead of forming the Kronecker product: ``ops[k]`` maps a
-    stack of ``(cutoff, m)`` blocks along mode k's axis, and a ``None``
-    entry is the identity on its mode."""
+def _apply_local(op, args: tuple, cutoff: int, mat: np.ndarray) -> np.ndarray:
+    """``(op(args[0], .) x op(args[1], .) x ...) @ mat``, one mode axis of
+    the row index at a time instead of forming the Kronecker product:
+    ``op(arg, .)`` maps a stack of ``(cutoff, m)`` blocks along mode k's
+    axis, and a zero ``args[k]`` is the identity on its mode."""
     out = mat
-    for k, op in enumerate(ops):
-        if op is not None:
-            out = op(out.reshape(cutoff ** k, cutoff, -1))
+    for k, arg in enumerate(args):
+        if arg != 0:
+            out = op(arg, out.reshape(cutoff ** k, cutoff, -1))
     return out.reshape(mat.shape)
 
 
-def _edge_mass(probs: np.ndarray, cutoff: int, modes: int) -> float:
-    """Population sitting in the top two Fock levels of any mode.
-
+def _leak(probs: np.ndarray, cutoff: int, modes: int) -> float:
+    """Trace leak of a state with diagonal ``probs``: the trace lost or,
+    if larger, the population in the top two Fock levels of any mode.
     Truncated exponentials of anti-Hermitian generators are exactly
-    unitary, so trace alone never drops; the mass parked at the edge of
-    the basis is what would have leaked past the cutoff and bounds the
-    truncation error of every subsequent operation.  Two levels are
-    inspected because parity-restricted states leave the very top level
-    empty.
-    """
-    interior = probs.reshape((cutoff,) * modes)[(slice(cutoff - 2),) * modes]
-    return float(np.sum(probs) - np.sum(interior))
+    unitary, so trace alone never drops; the mass at the edge of the
+    basis is what would have leaked past the cutoff and bounds the
+    truncation error of every later step.  Two levels are read because
+    parity-restricted states leave the very top level empty."""
+    total = probs.sum()
+    interior = probs.reshape((cutoff,) * modes)[(slice(cutoff - 2),) * modes].sum()
+    return max(1.0 - float(total), float(total - interior))
 
 
 def build_fock_state(params, cutoff: int) -> FockDensity:
@@ -214,44 +215,29 @@ def build_fock_state(params, cutoff: int) -> FockDensity:
     if cutoff < 8:
         raise InvalidInputError(f"cutoff must be >= 8, got {cutoff}")
 
-    # a step whose arguments are all 0 is the identity and is not built
-    def rotate(*thetas):
-        if not any(thetas):
-            return None
-        phases = reduce(np.multiply.outer, [_rotation_phases(t, cutoff) for t in thetas]).ravel()
-        return partial(np.multiply, phases[:, None])
-
-    def per_mode(op, *args):
-        """Per-mode factors ``op(arg, .)``; a zero argument is the identity."""
-        if not any(args):
-            return None
-        return partial(_apply_local, [None if arg == 0 else partial(op, arg)
-                                      for arg in args], cutoff)
-
-    # rotations carry no label: their phases move no population
+    # (label, op, arguments), one argument per mode but for the beam
+    # splitter; rotations carry no label: their phases move no population
     if isinstance(params, OneModeProbeParams):
         modes = 1
         weights = _thermal_diag(params.lambda1, cutoff)
-        steps = [("squeezing", per_mode(_squeeze, params.r)),
-                 (None, rotate(params.theta)),
-                 ("displacement", per_mode(_displace, params.d_mag * np.exp(1j * params.phi_d)))]
+        steps = [("squeezing", _squeeze, (params.r,)),
+                 (None, _rotation_phases, (params.theta,)),
+                 ("displacement", _displace, (params.d_mag * np.exp(1j * params.phi_d),))]
     elif isinstance(params, TwoModeProbeParams):
         modes = 2
         weights = np.multiply.outer(_thermal_diag(params.lambda1, cutoff),
                                     _thermal_diag(params.lambda2, cutoff)).ravel()
-        steps = [("squeezing", per_mode(_squeeze, params.r1, params.r2)),
-                 (None, rotate(params.psi, -params.psi)),
-                 ("beam splitter",
-                  partial(_beamsplit, params.theta, 0.0, cutoff) if params.theta else None),
-                 (None, rotate(params.phi1, params.phi2)),
-                 ("displacement", per_mode(_displace,
-                                           params.d1_mag * np.exp(1j * params.phi_d1),
-                                           params.d2_mag * np.exp(1j * params.phi_d2)))]
+        steps = [("squeezing", _squeeze, (params.r1, params.r2)),
+                 (None, _rotation_phases, (params.psi, -params.psi)),
+                 ("beam splitter", _beamsplit, (params.theta,)),
+                 (None, _rotation_phases, (params.phi1, params.phi2)),
+                 ("displacement", _displace, (params.d1_mag * np.exp(1j * params.phi_d1),
+                                              params.d2_mag * np.exp(1j * params.phi_d2)))]
     else:
         raise InvalidInputError(f"unsupported probe parameter type {type(params)!r}")
 
     def check(label, probs):
-        leak = max(1.0 - float(np.sum(probs)), _edge_mass(probs, cutoff, modes))
+        leak = _leak(probs, cutoff, modes)
         if leak > LEAK_TOL:
             raise CutoffTooSmallError(f"cutoff {cutoff}: trace leakage {leak:.2e} after {label}")
 
@@ -259,18 +245,31 @@ def build_fock_state(params, cutoff: int) -> FockDensity:
     factor = np.zeros((weights.size, np.count_nonzero(kept)), dtype=complex)
     factor[kept, np.arange(factor.shape[1])] = np.sqrt(weights[kept])
     check("thermal truncation", np.where(kept, weights, 0.0))  # the start's squared row norms
-    for label, step in steps:
-        if step is not None:
-            factor = step(factor)
-            if label:
-                check(label, np.sum(factor.real ** 2 + factor.imag ** 2, axis=1))
+    for label, op, args in steps:
+        if not any(args):
+            continue  # a step whose arguments are all 0 is the identity and is not built
+        if op is _rotation_phases:
+            phases = reduce(np.multiply.outer, [op(t, cutoff) for t in args]).ravel()
+            factor = phases[:, None] * factor
+        elif op is _beamsplit:
+            factor = op(*args, 0.0, cutoff, factor)
+        else:
+            factor = _apply_local(op, args, cutoff, factor)
+        if label:
+            check(label, (factor.real ** 2 + factor.imag ** 2).sum(axis=1))
     return FockDensity(cutoff, modes, factor)
+
+
+@cache
+def _ladder_roots(cutoff: int) -> np.ndarray:
+    """Read-only column ``sqrt(n + 1)``, ``n = 0 .. cutoff - 2``."""
+    return _freeze(np.sqrt(np.arange(1.0, cutoff))[:, None])
 
 
 def _shift(raising: bool, mat: np.ndarray) -> np.ndarray:
     """Truncated ``a^dag @ mat`` (``raising``) or ``a @ mat`` along axis -2,
     with ``a^dag |n> = sqrt(n + 1) |n + 1>``."""
-    root = np.sqrt(np.arange(1.0, mat.shape[-2]))[:, None]
+    root = _ladder_roots(mat.shape[-2])
     out = np.zeros(mat.shape, dtype=complex)
     if raising:
         np.multiply(root, mat[..., :-1, :], out=out[..., 1:, :])
@@ -290,9 +289,10 @@ def apply_generator(channel: ChannelSpec, cutoff: int, vecs: np.ndarray) -> np.n
     n = channel.modes
 
     def component(i, dagger, mat):
-        """``(A^dag)_i @ mat`` (``dagger``) or ``A_i @ mat``."""
-        return _apply_local([partial(_shift, dagger == (i < n)) if m == i % n else None
-                             for m in range(n)], cutoff, mat)
+        """``(A^dag)_i @ mat`` (``dagger``) or ``A_i @ mat``, a shift on
+        axis -2 of mode ``i % n``'s stack of ``(cutoff, m)`` blocks."""
+        block = mat.reshape(cutoff ** (i % n), cutoff, -1)
+        return _shift(dagger == (i < n), block).reshape(mat.shape)
 
     w, gamma = channel.generator.matrix, channel.generator.gamma
     out = np.zeros(vecs.shape, dtype=complex)
@@ -358,13 +358,13 @@ def state_qfi(rho: FockDensity, channel: ChannelSpec) -> float:
     if channel.modes != rho.modes:
         raise InvalidInputError("probe and channel mode counts differ")
     b = rho.factor
-    probs = np.sum(b.real ** 2 + b.imag ** 2, axis=0)
+    probs = (b.real ** 2 + b.imag ** 2).sum(axis=0)
     vecs = b / np.sqrt(probs)
     g_vecs = apply_generator(channel, rho.cutoff, vecs)
     g_sq = np.abs(vecs.conj().T @ g_vecs) ** 2
-    inside = np.sum(g_sq * (probs[:, None] - probs[None, :]) ** 2
-                    / (probs[:, None] + probs[None, :]))
-    outside = np.sum(np.abs(g_vecs) ** 2, axis=0) - np.sum(g_sq, axis=0)
+    inside = (g_sq * (probs[:, None] - probs[None, :]) ** 2
+              / (probs[:, None] + probs[None, :])).sum()
+    outside = (np.abs(g_vecs) ** 2).sum(axis=0) - g_sq.sum(axis=0)
     # pairs (j, k) and (k, j) with k outside S contribute alike
     return 2.0 * float(inside + 2.0 * np.dot(probs, outside))
 

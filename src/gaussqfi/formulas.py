@@ -283,10 +283,12 @@ def mix_separable_max(l1, l2, r1, r2, d1_mag, d2_mag) -> float:
 def universal_mix_probe_qfi(r: float, d1_mag: float = 0.0, d2_mag: float = 0.0) -> float:
     """QFI of the universal mode-mixing probe, independent of the mixing
     direction by construction."""
-    # written so that NaN fails: nan >= 0 is false
-    if not (d1_mag >= 0 and d2_mag >= 0):
+    # written so that NaN fails: nan >= 0 and nan < inf are false
+    if not abs(r) < np.inf:
+        raise InvalidInputError(f"r must be finite, got {r}")
+    if not (0 <= d1_mag < np.inf and 0 <= d2_mag < np.inf):
         raise InvalidInputError(
-            f"displacement magnitudes must be >= 0, got {d1_mag} and {d2_mag}")
+            f"displacement magnitudes must be finite and >= 0, got {d1_mag} and {d2_mag}")
     return (4.0 * np.sinh(2 * r) ** 2
             + 4.0 * ((d1_mag ** 2 + d2_mag ** 2) * np.cosh(2 * r)
                      + 2.0 * d1_mag * d2_mag * np.sinh(2 * r)))
@@ -349,8 +351,10 @@ def optimal_temperature_residual(channel: str, lambda1: float, r: float,
     phase channel and the ``cosh^2`` analog for the squeezing channel;
     ``channel`` is the catalog name, ``"phase"`` or ``"squeeze1-mode1"``.
     """
-    if not lambda1 >= 1.0:
-        raise InvalidInputError(f"lambda1 must be >= 1, got {lambda1}")
+    if not 1.0 <= lambda1 < np.inf:
+        raise InvalidInputError(f"lambda1 must be finite and >= 1, got {lambda1}")
+    if not (abs(r) < np.inf and abs(d_mag) < np.inf):
+        raise InvalidInputError(f"r and d_mag must be finite, got {r} and {d_mag}")
     left = lambda1 ** 3 / (lambda1 ** 2 + 1.0) ** 2
     if channel == "phase":
         denom = 2.0 * np.sinh(2 * r) ** 2
@@ -386,8 +390,8 @@ def optimal_temperature(channel: str, r: float, d_mag: float,
     sign, signalling that the optimum sits at a boundary (lambda1 = 1 or
     the high-temperature end).
     """
-    if not lam_max >= 1.0:
-        raise InvalidInputError(f"lam_max must be >= 1, got {lam_max}")
+    if not 1.0 <= lam_max < np.inf:
+        raise InvalidInputError(f"lam_max must be finite and >= 1, got {lam_max}")
 
     def func(lam):
         return optimal_temperature_residual(channel, lam, r, d_mag)

@@ -262,9 +262,9 @@ def temperature_factors(lam_i: float, lam_j: float):
     (lam_i-lam_j)^2/(lam_i lam_j - 1), 1/lam_i)`` with the third factor
     set to zero at a pure-pure degeneracy.
     """
-    # written so that NaN fails: nan >= 1.0 is false
-    if not (lam_i >= 1.0 and lam_j >= 1.0):
+    # written so that NaN fails: nan >= 1.0 is false; infinity gives NaN factors
+    if not (1.0 <= lam_i < np.inf and 1.0 <= lam_j < np.inf):
         raise InvalidInputError(
-            f"symplectic eigenvalues must be >= 1, got {lam_i} and {lam_j}")
+            f"symplectic eigenvalues must be finite and >= 1, got {lam_i} and {lam_j}")
     f_minus, f_plus = _mode_factors(np.array([lam_i, lam_j], dtype=float))
     return lam_i ** 2 / (1.0 + lam_i ** 2), f_plus[0, 1], f_minus[0, 1], 1.0 / lam_i

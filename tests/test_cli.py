@@ -827,6 +827,14 @@ def test_limits_csv(tmp_path, capsys):
     assert table[("two-mode-squeeze", "2")] == (36.0, 12.0)
 
 
+def test_limits_negative_zero_is_zero(tmp_path, capsys):
+    # -0.0 is not below 0, so it is accepted, and it prints and computes as 0
+    code, neg = run_cli(tmp_path, capsys, "limits", {"schema": 1, "n": [-0.0]})
+    assert code == 0
+    assert run_cli(tmp_path, capsys, "limits", {"schema": 1, "n": [0]}) == (0, neg)
+    assert "-0" not in neg
+
+
 @pytest.mark.parametrize("target", ["missing/x.csv", "."])
 def test_unwritable_output_exits_2(tmp_path, capsys, target):
     # a path in a missing directory, or a directory, is a usage error with

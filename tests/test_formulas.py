@@ -318,10 +318,26 @@ def test_phase_residual_requires_nonzero_r():
     lambda: formulas.universal_mix_probe_qfi(0.3, np.nan, 0.0),
     lambda: formulas.universal_mix_probe_qfi(0.3, 0.0, np.nan),
     lambda: formulas.optimal_temperature("phase", 0.3, 1.0, lam_max=np.nan),
+    lambda: formulas.optimal_temperature("phase", np.nan, 1.0),
+    lambda: formulas.optimal_temperature_residual("phase", 2.0, np.nan, 1.0),
+    lambda: formulas.universal_mix_probe_qfi(np.nan),
 ])
 def test_range_checks_reject_nan(call):
     # nan < floor is false, so each check is written to fail on NaN
     with pytest.raises(InvalidInputError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: formulas.optimal_temperature("phase", 1.0, 1.0, lam_max=np.inf),
+    lambda: formulas.optimal_temperature_residual("phase", 2.0, 0.3, np.inf),
+    lambda: formulas.optimal_temperature_residual("phase", np.inf, 0.3, 1.0),
+    lambda: formulas.universal_mix_probe_qfi(np.inf),
+    lambda: formulas.universal_mix_probe_qfi(0.3, np.inf, 0.0),
+])
+def test_range_checks_reject_infinity(call):
+    # infinity passes a floor check, so each range has a finite ceiling too
+    with pytest.raises(InvalidInputError, match="finite"):
         call()
 
 

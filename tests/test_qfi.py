@@ -209,7 +209,8 @@ def test_factor_large_ratio_approximation():
 
 
 def test_factor_rejects_unphysical():
-    for lams in ((0.9, 1.0), (np.nan, 1.0), (1.0, np.nan)):
+    # infinity passes the >= 1 floor but gives NaN factors
+    for lams in ((0.9, 1.0), (np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)):
         with pytest.raises(InvalidInputError):
             gq.temperature_factors(*lams)
 
