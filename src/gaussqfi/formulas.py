@@ -10,12 +10,13 @@ temperature bracket reduces to two squared coefficients multiplying
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalInstabilityError
 from .probes import OneModeProbeParams, TwoModeProbeParams
 from .qfi import DEGENERACY_TOL
 
@@ -289,9 +290,17 @@ def universal_mix_probe_qfi(r: float, d1_mag: float = 0.0, d2_mag: float = 0.0) 
     if not (0 <= d1_mag < np.inf and 0 <= d2_mag < np.inf):
         raise InvalidInputError(
             f"displacement magnitudes must be finite and >= 0, got {d1_mag} and {d2_mag}")
-    return (4.0 * np.sinh(2 * r) ** 2
-            + 4.0 * ((d1_mag ** 2 + d2_mag ** 2) * np.cosh(2 * r)
-                     + 2.0 * d1_mag * d2_mag * np.sinh(2 * r)))
+    # 4 ((d1^2 + d2^2) cosh 2r + 2 d1 d2 sinh 2r) as a sum of non-negative
+    # terms, so that a term overflows only where the value does (with cosh
+    # and sinh it is inf - inf at large |d| and negative r)
+    with np.errstate(all="ignore"):
+        e = np.exp(np.float64(r))
+        value = (4.0 * np.sinh(2 * r) ** 2
+                 + 2.0 * (((d1_mag + d2_mag) * e) ** 2 + ((d1_mag - d2_mag) / e) ** 2))
+    if not np.isfinite(value):
+        raise NumericalInstabilityError(
+            f"universal-probe QFI overflows at r={r}, d1_mag={d1_mag}, d2_mag={d2_mag}")
+    return value
 
 
 def qfi_onemode_probe_on_twomode(kind: str, lambda1: float, r1: float,
@@ -355,16 +364,25 @@ def optimal_temperature_residual(channel: str, lambda1: float, r: float,
         raise InvalidInputError(f"lambda1 must be finite and >= 1, got {lambda1}")
     if not (abs(r) < np.inf and abs(d_mag) < np.inf):
         raise InvalidInputError(f"r and d_mag must be finite, got {r} and {d_mag}")
-    left = lambda1 ** 3 / (lambda1 ** 2 + 1.0) ** 2
+    lambda1, r, d_mag = float(lambda1), float(r), float(d_mag)
+    # both sides in scaled form, so that neither overflows at large lambda1
+    # or |r|: 2 sinh^2 2r = e^{4|r|} q^2 / 2 with q = 1 - e^{-4|r|}, and
+    # 2 cosh^2 2r the same with q = 1 + e^{-4|r|}
+    left = 1.0 / (lambda1 * (1.0 + (1.0 / lambda1) ** 2) ** 2)
     if channel == "phase":
-        denom = 2.0 * np.sinh(2 * r) ** 2
-        if denom == 0.0:
+        q = -math.expm1(-4.0 * abs(r))
+        if q == 0.0:
             raise InvalidInputError("phase-channel condition needs r != 0")
     elif channel == "squeeze1-mode1":
-        denom = 2.0 * np.cosh(2 * r) ** 2
+        q = 1.0 + math.exp(-4.0 * abs(r))
     else:
         raise InvalidInputError(f"unknown one-mode channel {channel!r}")
-    return left - d_mag ** 2 * np.exp(2 * r) / denom
+    root = d_mag * math.exp(r - 2.0 * abs(r)) / q
+    residual = left - 2.0 * root * root
+    if not math.isfinite(residual):
+        raise NumericalInstabilityError(
+            f"temperature residual overflows at lambda1={lambda1}, r={r}, d_mag={d_mag}")
+    return residual
 
 
 def _bisect(func, lo: float, hi: float, f_lo: float, tol: float) -> float:

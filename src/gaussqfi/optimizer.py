@@ -5,8 +5,10 @@ from many starts in lockstep: each iteration evaluates the trial steps of
 every active start in one batched ``qfi.qfi_kernel`` call and the
 central-difference gradients at the accepted points in a second, and a
 start stops once a step gains almost nothing.  Every iterate is exactly on
-the energy budget: the per-mode displacement and thermal fractions are
-logistic-squashed and squeezing absorbs the rest.  A batch of search
+the energy budget: the mode share and the per-mode displacement and
+thermal fractions are ``sin^2`` of their coordinates (Box, Comput. J. 9,
+67 (1966)), which reaches 0 and 1 at finite, stationary points, and
+squeezing absorbs the rest.  A batch of search
 vectors is decoded as one transposed (dim, B) block, with its angles
 wrapped into [-pi, pi) together, into the columns that the family's
 ``arrays`` turns into kernel inputs.
@@ -40,8 +42,6 @@ TWO_MODE = "two-mode-restricted"
 
 _PARAMS = {ONE_MODE: OneModeProbeParams, TWO_MODE: TwoModeProbeParams}
 
-# logistic(-SATURATION) ~ 9e-14: numerically "all energy into squeezing"
-SATURATION = 30.0
 # a two-mode objective call at this many restarts (22,528 points, the
 # gradient batch) peaks at about 88 MB of RSS, 25 MB above the idle process
 MAX_RESTARTS = 1024
@@ -131,31 +131,23 @@ class OptimizationResult:
 # Batched objective: decode a (B, dim) batch of search vectors into Williamson
 # data and evaluate it with one qfi_kernel call
 
-def _logistic(x: np.ndarray) -> np.ndarray:
-    """``1 / (1 + exp(-x))``, written so that ``exp`` never overflows."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def _logit(p: np.ndarray) -> np.ndarray:
-    p = np.clip(p, 1e-12, 1 - 1e-12)
-    return np.log(p / (1 - p))
-
-
 def _energy_fractions(xt: np.ndarray, family: str, constraint: str):
     """Energy coordinates of search vectors, one per column of ``xt``
     (dim, B).
 
     A search vector is the family's ``ANGLES``, a share coordinate for each
     mode after the first, then (unconstrained) each mode's displacement and
-    thermal coordinates.  Returns ``(f_d, f_th, g)``, each (modes, B): the
-    displacement and thermal fractions of each mode's energy, and each
-    mode's share of the budget.  Squeezing takes the rest of a mode's share.
+    thermal coordinates.  Each coordinate ``x`` stands for ``sin(x)^2``,
+    which is exactly 0 at ``x = 0`` and exactly 1 at ``x = +-pi/2``.
+    Returns ``(f_d, f_th, g)``, each (modes, B): the displacement and
+    thermal fractions of each mode's energy, and each mode's share of the
+    budget.  Squeezing takes the rest of a mode's share.  A non-finite
+    coordinate gives NaN fractions, which ``_objective`` scores ``+inf``.
     """
     b, cls = xt.shape[1], _PARAMS[family]
     modes = len(cls.ENERGY)
-    # the share and energy rows, squashed in one call
-    u = _logistic(xt[len(cls.ANGLES):])
+    # the share and energy rows in one call
+    u = np.sin(xt[len(cls.ANGLES):]) ** 2
     # every family has one or two modes: the second takes the rest
     g = np.ones((1, b)) if modes == 1 else np.array([u[0], 1.0 - u[0]])
     if constraint == "coherent-only":
@@ -229,7 +221,7 @@ _SPLIT_LATTICE = np.array([(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.3, 0.3)])
 def _start_points(family: str, constraint: str, config: OptimizerConfig):
     """``config.restarts`` search vectors (restarts, dim) in the layout of
     ``_energy_fractions``: Halton angles and mode share, energy fractions
-    from a fixed lattice."""
+    from a fixed lattice, each fraction ``p`` at ``asin(sqrt(p))``."""
     cls = _PARAMS[family]
     angles = len(cls.ANGLES)
     first = config.seed * 1000 + 1
@@ -238,10 +230,10 @@ def _start_points(family: str, constraint: str, config: OptimizerConfig):
     # one base per angle, then base 17 for a second mode's share
     h = _halton(idx, [_HALTON_BASES[j % len(_HALTON_BASES)] for j in range(angles)]
                 + [17] * (len(cls.ENERGY) - 1))
-    rows = [2 * np.pi * (h[:angles] - 0.5), _logit(0.25 + 0.5 * h[angles:])]
+    rows = [2 * np.pi * (h[:angles] - 0.5), np.arcsin(np.sqrt(0.25 + 0.5 * h[angles:]))]
     if not constraint:
         split = _SPLIT_LATTICE[np.arange(config.restarts) % len(_SPLIT_LATTICE)]
-        rows += [np.where(split > 0, _logit(split), -SATURATION).T] * len(cls.ENERGY)
+        rows += [np.arcsin(np.sqrt(split)).T] * len(cls.ENERGY)
     return np.ascontiguousarray(np.concatenate(rows).T)
 
 
@@ -365,9 +357,10 @@ def optimize_probe(channel: ChannelSpec, family: str, budget: EnergyBudget,
     call.  A restart's result does not depend on the others; one whose
     start value is not finite is reported as aborted.  ``minimize``'s stop
     test bounds the value reached, not the point: on ill-conditioned
-    quadratics rows ended 1e-6 to 2.5e-4 from the minimizer.  The reported
-    probe parameters (angles, fractions) carry that error; ``best_qfi``
-    does not.
+    quadratics rows ended 1e-6 to 2.5e-4 from the minimizer.  Energy
+    fractions at 0 or 1 are reached exactly, as ``sin^2`` is stationary
+    there; the reported angles, and fractions inside (0, 1), carry the
+    point error; ``best_qfi`` does not.
 
     Args:
         channel: one-parameter channel to estimate.

@@ -266,5 +266,15 @@ def temperature_factors(lam_i: float, lam_j: float):
     if not (1.0 <= lam_i < np.inf and 1.0 <= lam_j < np.inf):
         raise InvalidInputError(
             f"symplectic eigenvalues must be finite and >= 1, got {lam_i} and {lam_j}")
-    f_minus, f_plus = _mode_factors(np.array([lam_i, lam_j], dtype=float))
-    return lam_i ** 2 / (1.0 + lam_i ** 2), f_plus[0, 1], f_minus[0, 1], 1.0 / lam_i
+    lam_i, lam_j = float(lam_i), float(lam_j)
+    # the factors of _mode_factors divided through by lam_i lam_j, so that
+    # no square overflows (at lam_i = 1e200, (lam_i + lam_j)^2 would);
+    # 1 / (lam_i lam_j) may underflow to 0, and an inf product fails the
+    # pure-pure test as it should
+    inv = 1.0 / lam_i / lam_j
+    f_plus = (1.0 + lam_j / lam_i) * (lam_i / lam_j + 1.0) / (1.0 + inv)
+    if lam_i * lam_j - 1.0 < DEGENERACY_TOL:
+        f_minus = 0.0
+    else:
+        f_minus = (lam_i - lam_j) / lam_i * ((lam_i - lam_j) / lam_j) / (1.0 - inv)
+    return 1.0 / (1.0 + (1.0 / lam_i) ** 2), f_plus, f_minus, 1.0 / lam_i

@@ -3,7 +3,7 @@ import pytest
 
 import gaussqfi as gq
 from gaussqfi import formulas
-from gaussqfi.errors import InvalidInputError
+from gaussqfi.errors import InvalidInputError, NumericalInstabilityError
 from gaussqfi.validate import _draw_one, _draw_two
 
 
@@ -233,6 +233,19 @@ def test_universal_probe_values():
     assert abs(formulas.universal_mix_probe_qfi(0.0, 1.0, 0.0) - 4.0) < 1e-12
 
 
+def test_universal_probe_large_inputs():
+    # a value past float64's range is refused; a representable one is
+    # returned, also where (d1^2 + d2^2) cosh 2r + 2 d1 d2 sinh 2r would be
+    # inf - inf (d1_mag^2 alone overflows at 1e160)
+    for args in ((400.0,), (-400.0,), (1.0, 1e200, 0.0), (-800.0, 1.0, 1.0)):
+        with pytest.raises(NumericalInstabilityError, match="overflows"):
+            formulas.universal_mix_probe_qfi(*args)
+    want = 2.0 * (2e160 * np.exp(-100.0)) ** 2 + 4.0 * np.sinh(200.0) ** 2
+    got = formulas.universal_mix_probe_qfi(-100.0, 1e160, 1e160)
+    assert abs(got - want) <= 1e-14 * want
+    assert formulas.universal_mix_probe_qfi(100.0) == 4.0 * np.sinh(200.0) ** 2
+
+
 def test_universal_probe_chi_independence(rng):
     for _ in range(100):
         r = rng.uniform(-1.2, 1.2)
@@ -305,6 +318,21 @@ def test_optimal_temperature_squeeze_channel():
     for lam_star in formulas.optimal_temperature("squeeze1-mode1", 0.8, 1.2):
         assert abs(formulas.optimal_temperature_residual(
             "squeeze1-mode1", lam_star, 0.8, 1.2)) < 1e-10
+
+
+def test_optimal_temperature_residual_large_inputs():
+    # the right side decays as e^{-2|r|} and the left as 1 / lambda1, so
+    # large inputs give finite residuals; one past float64's range is refused
+    assert formulas.optimal_temperature_residual("phase", 2.0, 400.0, 1.0) == 8.0 / 25.0
+    assert formulas.optimal_temperature_residual("squeeze1-mode1", 2.0, -400.0, 1.0) \
+        == 8.0 / 25.0
+    assert formulas.optimal_temperature_residual("phase", 1e200, 400.0, 0.0) == 1e-200
+    right = 1.0 / (2.0 * np.sinh(2.0) ** 2) * np.exp(2.0)
+    got = formulas.optimal_temperature_residual("phase", 1e200, 1.0, 1.0)
+    assert abs(got + right) <= 1e-14 * right
+    for args in (("phase", 2.0, 1e-300, 1.0), ("squeeze1-mode1", 2.0, 1.0, 1e200)):
+        with pytest.raises(NumericalInstabilityError, match="overflows"):
+            formulas.optimal_temperature_residual(*args)
 
 
 def test_phase_residual_requires_nonzero_r():

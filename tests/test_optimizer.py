@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import gaussqfi as gq
-from gaussqfi import optimizer
+from gaussqfi import formulas, optimizer
 from gaussqfi.errors import DegenerateBudgetError, InvalidInputError, \
     NumericalInstabilityError
 from gaussqfi.optimizer import (
@@ -100,14 +102,14 @@ def _reference_decode(x, family, n_total, constraint):
     if modes == 1:
         g = np.ones((b, 1))
     else:
-        g1 = optimizer._logistic(x[:, na])
+        g1 = np.sin(x[:, na]) ** 2
         g = np.stack([g1, 1.0 - g1], axis=1)
     if constraint == "coherent-only":
         f_d, f_th = np.ones((b, modes)), np.zeros((b, modes))
     elif constraint == "squeezing-only":
         f_d, f_th = np.zeros((b, modes)), np.zeros((b, modes))
     else:
-        u = optimizer._logistic(x[:, na + modes - 1:na + 3 * modes - 1])
+        u = np.sin(x[:, na + modes - 1:na + 3 * modes - 1]) ** 2
         f_d = u[:, 0::2]
         f_th = (1.0 - f_d) * u[:, 1::2]
     n_k = g * n_total
@@ -122,6 +124,8 @@ def _reference_decode(x, family, n_total, constraint):
 
 
 _SPECIAL_ANGLES = np.array([np.pi, -np.pi, -0.0, 0.0, 3 * np.pi, -7 * np.pi, 1e3, -250.0])
+# energy coordinates at the ends of [0, 1]: sin^2 is 0 at 0 and 1 at +-pi/2
+_ENERGY_ENDS = np.array([0.0, -0.0, np.pi / 2, -np.pi / 2])
 
 
 def _assert_same_bits(got, want):
@@ -137,14 +141,16 @@ def _assert_same_bits(got, want):
 @pytest.mark.parametrize("constraint", [None, "coherent-only", "squeezing-only"])
 def test_block_decode_matches_column_decode_bit_for_bit(rng, family, channel, constraint):
     # the decode of a whole batch as one block gives the bits of a column
-    # by column decode, for angles far outside [-pi, pi), at +-pi and at -0
+    # by column decode, for angles far outside [-pi, pi), at +-pi and at -0,
+    # and for energy coordinates at the ends of [0, 1] and many periods out
     cls = optimizer._PARAMS[family]
     na, modes = len(cls.ANGLES), len(cls.ENERGY)
     dim = na + modes - 1 + (0 if constraint else 2 * modes)
     x = rng.normal(size=(64, dim)) * 3.0
     x[:32, :na] = rng.choice(_SPECIAL_ANGLES, size=(32, na))
     x[32:48, :na] *= 40.0
-    x[48:, na:] *= 15.0  # saturated energy coordinates
+    x[48:56, na:] = rng.choice(_ENERGY_ENDS, size=(8, dim - na))
+    x[56:, na:] *= 300.0
     n_total = 1.3
     fields, fractions = _reference_decode(x, family, n_total, constraint)
     want = _reference_arrays(family, fields)
@@ -192,7 +198,8 @@ def _search_objective(channel, family, n_total, constraint):
 
 def _scalar_start_points(family, constraint, config):
     """The start points one restart and one coordinate at a time: the
-    Halton radical inverse as a digit loop and the logit of a float."""
+    Halton radical inverse as a digit loop and the ``sin^2`` coordinate
+    ``asin(sqrt(p))`` of a float share ``p``."""
     def halton(index, base):
         result, f = 0.0, 1.0
         while index > 0:
@@ -201,9 +208,8 @@ def _scalar_start_points(family, constraint, config):
             index //= base
         return result
 
-    def logit(p):
-        p = min(max(p, 1e-12), 1 - 1e-12)
-        return float(np.log(p / (1 - p)))
+    def coordinate(p):
+        return float(np.arcsin(np.sqrt(p)))
 
     bases = (2, 3, 5, 7, 11, 13)
     lattice = ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.3, 0.3))
@@ -213,11 +219,10 @@ def _scalar_start_points(family, constraint, config):
         idx = config.seed * 1000 + i + 1
         x = [2 * np.pi * (halton(idx, bases[j % len(bases)]) - 0.5)
              for j in range(len(cls.ANGLES))]
-        x += [logit(0.25 + 0.5 * halton(idx, 17))] * (len(cls.ENERGY) - 1)
+        x += [coordinate(0.25 + 0.5 * halton(idx, 17))] * (len(cls.ENERGY) - 1)
         if not constraint:
             fd, ft = lattice[i % len(lattice)]
-            x += [logit(fd) if fd else -optimizer.SATURATION,
-                  logit(ft) if ft else -optimizer.SATURATION] * len(cls.ENERGY)
+            x += [coordinate(fd), coordinate(ft)] * len(cls.ENERGY)
         starts.append(x)
     return np.array(starts)
 
@@ -293,8 +298,75 @@ def test_free_solves_reach_targets_without_warm_starts(seed):
             (gq.twomode_squeeze_channel(), TWO_MODE, 2 * np.cosh(2 * r) ** 2 + 2)):
         splits = ((0.0, 0.0),) * (1 if family == ONE_MODE else 2)
         result = optimize_probe(channel, family, EnergyBudget(1.0, splits), config)
-        assert result.best_qfi >= target * (1.0 - 1e-9)
+        assert result.best_qfi >= target * (1.0 - 1e-12)
         assert result.converged
+
+
+_LIMITS = formulas.limit_table()
+# criterion 2's channels, each with the family that searches it
+_CRITERION_2 = {"phase": (gq.phase_channel(), ONE_MODE),
+                "squeeze1-mode1": (gq.squeeze_channel(0.0), ONE_MODE),
+                "beamsplit": (gq.mix_channel(), TWO_MODE),
+                "two-mode-squeeze": (gq.twomode_squeeze_channel(), TWO_MODE)}
+
+
+def _free_target(kind, n):
+    """The one-mode family maxima, and for two modes the concentrated
+    squeezing values 2 sinh^2(2 r) and 2 cosh^2(2 r) + 2 at sinh^2 r = n."""
+    if _CRITERION_2[kind][1] == ONE_MODE:
+        return _LIMITS[kind].heisenberg(n)
+    r = np.arcsinh(np.sqrt(n))
+    return 2 * np.sinh(2 * r) ** 2 if kind == "beamsplit" else 2 * np.cosh(2 * r) ** 2 + 2
+
+
+def _solve(kind, n, config, constraint=None):
+    channel, family = _CRITERION_2[kind]
+    split = ((1.0 if constraint else 0.0, 0.0),) * channel.modes
+    return optimize_probe(channel, family, EnergyBudget(n, split), config,
+                          constraint=constraint)
+
+
+def test_criterion_2_free_solves_reach_targets_to_rounding(monkeypatch):
+    # the optima put all energy into squeezing, at sin^2 coordinates that
+    # the descent reaches exactly: every restart converges and the best
+    # value is the target to rounding
+    runs = []
+
+    def recorded(fun, x0):
+        runs.append(minimize(fun, x0))
+        return runs[-1]
+
+    monkeypatch.setattr(optimizer, "minimize", recorded)
+    config = OptimizerConfig(restarts=32, seed=20260810)
+    for kind in _CRITERION_2:
+        for n in (1.0, 2.0):
+            result = _solve(kind, n, config)
+            target = _free_target(kind, n)
+            assert abs(result.best_qfi - target) <= 1e-13 * target, (kind, n)
+            assert runs[-1].success, (kind, n)
+            if kind == "phase" and n == 2.0:
+                assert result.best_params["splits"][0][0] == 0.0
+
+
+@pytest.mark.slow
+def test_sweep_misses_no_target():
+    # 640 solves: seeds 0-9, 32 and 8 restarts, criterion 2's channels free
+    # and coherent-only, n in {0.5, 1, 2, 5}
+    worst = 0.0
+    for seed in range(10):
+        for restarts in (32, 8):
+            config = OptimizerConfig(restarts=restarts, seed=seed)
+            for kind, n, constraint in itertools.product(
+                    _CRITERION_2, (0.5, 1.0, 2.0, 5.0), (None, "coherent-only")):
+                result = _solve(kind, n, config, constraint)
+                want = (_LIMITS[kind].shotnoise(n) if constraint
+                        else _free_target(kind, n))
+                gap = abs(result.best_qfi - want) / max(1.0, want)
+                case = (seed, restarts, kind, n, constraint, gap)
+                assert gap <= (1e-9 if constraint else 1e-4), case
+                assert result.converged, case
+                worst = max(worst, gap)
+    assert worst <= 1e-12
 
 
 def test_phase_channel_heisenberg():

@@ -215,6 +215,16 @@ def test_factor_rejects_unphysical():
             gq.temperature_factors(*lams)
 
 
+def test_factors_at_large_eigenvalues():
+    # squares and products of the eigenvalues overflow; the factors do not
+    big = np.finfo(float).max
+    assert gq.temperature_factors(1e200, 1.0) == (1.0, 1e200, 1e200, 1e-200)
+    assert gq.temperature_factors(1.0, 1e200)[:3] == (0.5, 1e200, 1e200)
+    assert gq.temperature_factors(1e300, 1e300) == (1.0, 4.0, 0.0, 1e-300)
+    assert gq.temperature_factors(big, 1.0)[1:3] == (big, big)
+    assert gq.temperature_factors(big, big)[1:3] == (4.0, 0.0)
+
+
 @given(st.floats(min_value=1.0, max_value=1e3))
 @settings(max_examples=60, deadline=None)
 def test_factor_monotonicity(lam):
