@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -63,6 +64,21 @@ def _json_ready(obj):
     if isinstance(obj, (int, np.integer, bool, str)) or obj is None:
         return obj
     raise ConfigError(f"cannot serialize {type(obj)!r}")
+
+
+def _finite(compute) -> list:
+    """``compute()``, a list of numbers, where an overflow or a value that is
+    not finite is a ``NumericalInstabilityError`` (exit 3), not a warning or
+    a traceback."""
+    try:
+        with np.errstate(all="ignore"):
+            values = compute()
+    except OverflowError as exc:
+        # a Python float's ** raises where numpy's returns inf
+        raise NumericalInstabilityError("result overflows a float") from exc
+    if not all(map(math.isfinite, values)):
+        raise NumericalInstabilityError("result is not finite")
+    return values
 
 
 def _dump_json(obj) -> str:
@@ -168,7 +184,8 @@ def cmd_closed_form(config: dict, args) -> str:
         raise ConfigError("closed-form evaluation needs a parametric probe")
     if params.kind != row.family:
         raise ConfigError(f"label {label!r} needs a {row.family} probe")
-    value = row.value(params, *(_param(config, key) for key in CATALOG[row.kind][1]))
+    args = [_param(config, key) for key in CATALOG[row.kind][1]]
+    [value] = _finite(lambda: [row.value(params, *args)])
     return _dump_json({"label": label, "value": value})
 
 
@@ -369,11 +386,11 @@ def cmd_limits(config: dict, args) -> str:
         ns = [_number(v, "'n' value") + 0.0 for v in raw]
         if min(ns) < 0:
             raise ConfigError(f"'n' values must be >= 0, got {min(ns):g}")
-    rows = []
-    for kind, table in formulas.limit_table().items():
-        for n in ns:
-            rows.append(f"{kind},{_fmt(n)},{_fmt(table.heisenberg(n))},"
-                        f"{_fmt(table.shotnoise(n))}")
+    tables = formulas.limit_table()
+    values = iter(_finite(lambda: [f(n) for t in tables.values() for n in ns
+                                   for f in (t.heisenberg, t.shotnoise)]))
+    rows = [f"{kind},{_fmt(n)},{_fmt(next(values))},{_fmt(next(values))}"
+            for kind in tables for n in ns]
     return LIMITS_HEADER + "\n" + "\n".join(rows) + "\n"
 
 

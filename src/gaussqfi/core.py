@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -74,14 +75,16 @@ def k_signs(modes: int) -> np.ndarray:
     return np.concatenate([np.ones(modes), -np.ones(modes)])
 
 
+@cache
 def l_matrix(modes: int) -> np.ndarray:
-    """Fixed linear map from ladder to quadrature ordering.
+    """Fixed linear map from ladder to quadrature ordering, built once per
+    mode count and read-only.
 
     ``Q = L A`` with ``x = (a^dag + a)/sqrt2``, ``p = i(a^dag - a)/sqrt2``
     and real-form ordering ``(x_1..x_N, p_1..p_N)``.
     """
     eye = np.eye(modes)
-    return np.block([[eye, eye], [-1j * eye, 1j * eye]]) / np.sqrt(2.0)
+    return _freeze(np.block([[eye, eye], [-1j * eye, 1j * eye]]) / np.sqrt(2.0))
 
 
 @dataclass(frozen=True)

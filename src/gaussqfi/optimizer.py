@@ -203,15 +203,21 @@ def _decode(x: np.ndarray, family: str, n_total: float, constraint: str):
 
 
 def _halton(index: np.ndarray, bases: list) -> np.ndarray:
-    """Radical inverse of every index (at least 1) in every base, (bases, indices)."""
-    bases = np.array(bases)[:, None]
-    result, f = np.zeros((bases.size, index.size)), np.ones(bases.shape)
-    while index.any():
-        f = f / bases
-        result = result + f * (index % bases)
-        index = index // bases
+    """Radical inverse of every index (at least 1) in every base, (bases, indices).
+
+    Each base expands all digits of all indices at once, least significant
+    first, and adds ``digit * base^-k`` in that order, ``base^-k`` by
+    repeated division."""
+    top, rows = int(index.max()), []
+    for base in bases:
+        powers = [1]
+        while powers[-1] * base <= top:
+            powers.append(powers[-1] * base)
+        digits = index // np.array(powers)[:, None] % base
+        f = np.divide.accumulate(np.array([1.0] + [base] * len(powers)))[1:]
+        rows.append(np.add.accumulate(f[:, None] * digits)[-1])
     # indices past int64 are Python ints, and their sums Python floats
-    return result.astype(float)
+    return np.array(rows, dtype=float)
 
 
 _HALTON_BASES = (2, 3, 5, 7, 11, 13)

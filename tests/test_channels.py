@@ -2,17 +2,10 @@ import numpy as np
 import pytest
 
 import gaussqfi as gq
-from gaussqfi.channels import (
-    CATALOG,
-    channel_from_dict,
-    channel_to_dict,
-    mix_matrix,
-    phase_matrix,
-    squeeze_matrix,
-    twomode_squeeze_matrix,
-)
+from gaussqfi.channels import CATALOG, channel_from_dict, channel_to_dict
 from gaussqfi.errors import InvalidInputError, StructureError
 from gaussqfi.symplectic import GeneratorW
+from reference_matrices import mix_matrix, phase_matrix, squeeze_matrix, twomode_squeeze_matrix
 
 
 def catalog_channels(rng):

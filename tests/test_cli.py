@@ -392,14 +392,26 @@ def test_non_finite_result_exits_3(tmp_path, capsys):
     assert_exits_with_one_error_line(tmp_path, capsys, "qfi", fig2_config(lambda1=1e300))
 
 
-@pytest.mark.parametrize("config", [
-    {"probe": _ONE_MODE, "channel": {"kind": "combined-one-mode", "omega_s": 1.7e308}},
-    {"probe": {**_STATE, "sigma_X": [[1.7e308, 0]]}, "channel": _PHASE},
-])
-def test_huge_input_exits_3_without_warnings(tmp_path, capsys, config):
+@pytest.mark.parametrize("command, config", [
     # the generator and state symmetrizations halve before they add, so an
     # entry near the float maximum does not overflow them
-    assert_exits_with_one_error_line(tmp_path, capsys, "qfi", {"schema": 1, **config})
+    pytest.param("qfi", {"probe": _ONE_MODE,
+                         "channel": {"kind": "combined-one-mode", "omega_s": 1.7e308}},
+                 id="config0"),
+    pytest.param("qfi", {"probe": {**_STATE, "sigma_X": [[1.7e308, 0]]}, "channel": _PHASE},
+                 id="config1"),
+    # 8 n (n + 1) is inf; at 1e200 a Python float's (2n + 1) ** 2 raises
+    pytest.param("limits", {"n": [5e153]}, id="limits-5e153"),
+    pytest.param("limits", {"n": [1e200]}, id="limits-1e200"),
+    # lam ** 2 in the closed form raises, where qfi's engine exits 3
+    pytest.param("closed-form", {"label": "eq20", "probe": {"kind": "one-mode", "lambda1": 1e200}},
+                 id="closed-form-eq20"),
+    # numpy's sinh(400) ** 2 returns inf with an overflow warning
+    pytest.param("closed-form", {"label": "eq20", "probe": {"kind": "one-mode", "r": 200}},
+                 id="closed-form-eq20-r200"),
+])
+def test_huge_input_exits_3_without_warnings(tmp_path, capsys, command, config):
+    assert_exits_with_one_error_line(tmp_path, capsys, command, {"schema": 1, **config})
 
 
 @pytest.mark.parametrize("epsilon", [400.0, 800.0])

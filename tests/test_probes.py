@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import gaussqfi as gq
-from gaussqfi.channels import mix_matrix, phase_matrix, squeeze_matrix
 from gaussqfi.errors import InvalidInputError
 from gaussqfi.probes import FAMILIES, probe_params_from_dict, probe_params_to_dict
+from reference_matrices import mix_matrix, phase_matrix, squeeze_matrix
 
 
 def _paper_energy(*modes):

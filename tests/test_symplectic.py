@@ -222,7 +222,7 @@ def test_williamson_already_diagonal():
 
 
 def test_williamson_squeezed_thermal():
-    from gaussqfi.channels import squeeze_matrix
+    from reference_matrices import squeeze_matrix
 
     s = squeeze_matrix(0.5).matrix
     sigma = (s * np.array([2.0, 2.0])[None, :]) @ s.conj().T
@@ -273,7 +273,7 @@ def test_williamson_rejects_non_pd():
 def test_williamson_refuses_unresolvable_conditioning():
     # eps * cond(sigma) bounds the spectrum's rounding error; past the
     # eigenvalue floor's tolerance (pure one-mode r near 3.84) it refuses
-    from gaussqfi.channels import squeeze_matrix
+    from reference_matrices import squeeze_matrix
 
     for r, ok in ((3.8, True), (3.9, False), (9.0, False)):
         s = squeeze_matrix(r).matrix
