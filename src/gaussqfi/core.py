@@ -37,6 +37,7 @@ STRUCTURE_ATOL = 1e-8
 # floor of validate_moments and of qfi.ProbeState); the symplectic spectrum
 # is refused where the covariance's conditioning cannot resolve it.
 PHYSICALITY_TOL = 1e-9
+_EPS = np.finfo(float).eps
 
 
 def exceeds_structure_tol(res: float, *arrays) -> bool:
@@ -45,7 +46,7 @@ def exceeds_structure_tol(res: float, *arrays) -> bool:
     with the entries it comes from, so a fixed gate would refuse valid large
     inputs.  The scale is computed only for a residual past the fixed gate."""
     return res > STRUCTURE_ATOL and res > STRUCTURE_ATOL * max(
-        1.0, *(float(np.max(np.abs(a))) for a in arrays))
+        1.0, *(float(abs(a).max()) for a in arrays))
 
 
 def _block_pair(obj, n: int, x_field: tuple, y_field: tuple, what: str, *others):
@@ -54,11 +55,12 @@ def _block_pair(obj, n: int, x_field: tuple, y_field: tuple, what: str, *others)
     (x_name, x, x_label), (y_name, y, y_label) = x_field, y_field
     x, y = _as_complex(x, (n, n), x_name), _as_complex(y, (n, n), y_name)
     # NaN and inf pass every ``>`` tolerance test below
-    if not all(np.isfinite(a).all() for a in (*others, x, y)):
+    if not (np.isfinite(x).all() and np.isfinite(y).all()
+            and all(np.isfinite(a).all() for a in others)):
         raise InvalidInputError(f"{what} entries must be finite")
     for name, label, kind, b, bt in ((x_name, x_label, "Hermitian", x, x.conj().T),
                                      (y_name, y_label, "symmetric", y, y.T)):
-        if exceeds_structure_tol(np.max(np.abs(b - bt)), x, y):
+        if exceeds_structure_tol(abs(b - bt).max(), x, y):
             raise StructureError(f"{label} block must be {kind}")
         object.__setattr__(obj, name, _freeze(b / 2 + bt / 2))
 
@@ -68,11 +70,13 @@ def k_matrix(modes: int) -> np.ndarray:
     return np.diag(k_signs(modes))
 
 
+@cache
 def k_signs(modes: int) -> np.ndarray:
-    """Diagonal of the commutation matrix as a length-2N sign vector."""
+    """Diagonal of the commutation matrix as a length-2N sign vector, built
+    once per mode count and read-only."""
     if modes < 1:
         raise InvalidDimensionError(f"modes must be >= 1, got {modes}")
-    return np.concatenate([np.ones(modes), -np.ones(modes)])
+    return _freeze(np.concatenate([np.ones(modes), -np.ones(modes)]))
 
 
 @cache
@@ -176,26 +180,28 @@ def _spectrum(sigma: np.ndarray):
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
         raise InvalidDimensionError(f"covariance must be 2N x 2N, got {sigma.shape}")
     n = sigma.shape[0] // 2
-    if exceeds_structure_tol(np.max(np.abs(sigma - sigma.conj().T)), sigma):
+    sigma_h = sigma.conj().T
+    if exceeds_structure_tol(abs(sigma - sigma_h).max(), sigma):
         raise InvalidInputError("covariance must be Hermitian")
-    evals, evecs = np.linalg.eigh(sigma / 2 + sigma.conj().T / 2)
+    evals, evecs = np.linalg.eigh(sigma / 2 + sigma_h / 2)
     # eps * cond(sigma) bounds the rounding; past it sigma may even look indefinite
-    lo, hi = np.min(np.abs(evals)), np.max(np.abs(evals))
-    if np.finfo(float).eps * hi > PHYSICALITY_TOL * lo:
+    size = abs(evals)
+    lo, hi = size.min(), size.max()
+    if _EPS * hi > PHYSICALITY_TOL * lo:
         raise NumericalInstabilityError(
             f"covariance condition number {hi / lo if lo else np.inf:.2e} cannot "
             f"resolve symplectic eigenvalues to {PHYSICALITY_TOL:.0e}")
     if evals[0] <= 0:
         raise InvalidInputError(
             f"covariance must be positive-definite (min eigenvalue {evals[0]:.3e})")
-    root = (evecs * np.sqrt(evals)[None, :]) @ evecs.conj().T
+    root = (evecs * np.sqrt(evals)) @ evecs.conj().T
     t = root @ (k_signs(n)[:, None] * root)
     t = t / 2 + t.conj().T / 2
     tvals, tvecs = np.linalg.eigh(t)
     # t has n positive and n negative eigenvalues, each at least evals[0] in
     # size, so eigh's ascending order puts the positive half in its top n
     lams = tvals[n:][::-1]
-    return lams, root @ tvecs[:, n:][:, ::-1] / np.sqrt(lams)[None, :]
+    return lams, root @ tvecs[:, n:][:, ::-1] / np.sqrt(lams)
 
 
 def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:

@@ -73,16 +73,22 @@ class FockDensity:
     factor: np.ndarray
 
 
+@cache
+def _levels(cutoff: int) -> np.ndarray:
+    """Read-only level index ``n = 0 .. cutoff - 1``."""
+    return _freeze(np.arange(cutoff))
+
+
 def _thermal_diag(lam: float, cutoff: int) -> np.ndarray:
     n_th = (lam - 1.0) / 2.0
     # n_th = 0 (pure) gives exactly (1, 0, 0, ...); the ratio's powers
     # underflow gently where n_th ** k would overflow
-    return (n_th / (1.0 + n_th)) ** np.arange(cutoff) / (1.0 + n_th)
+    return (n_th / (1.0 + n_th)) ** _levels(cutoff) / (1.0 + n_th)
 
 
 def _rotation_phases(theta: float, cutoff: int) -> np.ndarray:
     """Diagonal of the rotation operator ``exp(-i theta n)``."""
-    return np.exp(-1j * theta * np.arange(cutoff))
+    return np.exp(-1j * theta * _levels(cutoff))
 
 
 def _real_left(v: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -196,8 +202,9 @@ def _leak(probs: np.ndarray, cutoff: int, modes: int) -> float:
     basis is what would have leaked past the cutoff and bounds the
     truncation error of every later step.  Two levels are read because
     parity-restricted states leave the very top level empty."""
-    total = probs.sum()
-    interior = probs.reshape((cutoff,) * modes)[(slice(cutoff - 2),) * modes].sum()
+    total = np.add.reduce(probs, axis=None)
+    interior = np.add.reduce(probs.reshape((cutoff,) * modes)[(slice(cutoff - 2),) * modes],
+                             axis=None)
     return max(1.0 - float(total), float(total - interior))
 
 
@@ -256,7 +263,7 @@ def build_fock_state(params, cutoff: int) -> FockDensity:
         else:
             factor = _apply_local(op, args, cutoff, factor)
         if label:
-            check(label, (factor.real ** 2 + factor.imag ** 2).sum(axis=1))
+            check(label, np.add.reduce(factor.real ** 2 + factor.imag ** 2, axis=1))
     return FockDensity(cutoff, modes, factor)
 
 
@@ -358,13 +365,13 @@ def state_qfi(rho: FockDensity, channel: ChannelSpec) -> float:
     if channel.modes != rho.modes:
         raise InvalidInputError("probe and channel mode counts differ")
     b = rho.factor
-    probs = (b.real ** 2 + b.imag ** 2).sum(axis=0)
+    probs = np.add.reduce(b.real ** 2 + b.imag ** 2)
     vecs = b / np.sqrt(probs)
     g_vecs = apply_generator(channel, rho.cutoff, vecs)
     g_sq = np.abs(vecs.conj().T @ g_vecs) ** 2
-    inside = (g_sq * (probs[:, None] - probs[None, :]) ** 2
-              / (probs[:, None] + probs[None, :])).sum()
-    outside = (np.abs(g_vecs) ** 2).sum(axis=0) - g_sq.sum(axis=0)
+    inside = np.add.reduce(g_sq * (probs[:, None] - probs[None, :]) ** 2
+                           / (probs[:, None] + probs[None, :]), axis=None)
+    outside = np.add.reduce(np.abs(g_vecs) ** 2) - np.add.reduce(g_sq)
     # pairs (j, k) and (k, j) with k outside S contribute alike
     return 2.0 * float(inside + 2.0 * np.dot(probs, outside))
 

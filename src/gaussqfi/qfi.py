@@ -13,6 +13,7 @@ products of length-B vectors.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,10 +49,10 @@ class ProbeState:
         d = np.zeros(n, dtype=complex) if d is None else np.atleast_1d(np.asarray(d, dtype=complex))
         if d.shape != (n,):
             raise InvalidInputError(f"d_tilde must have length {n}")
-        if np.min(self.williamson.eigenvalues) < 1.0 - PHYSICALITY_TOL:
+        lam_min = self.williamson.eigenvalues.min()
+        if lam_min < 1.0 - PHYSICALITY_TOL:
             raise InvalidInputError(
-                "probe symplectic eigenvalues must be >= 1, smallest is "
-                f"{np.min(self.williamson.eigenvalues):.12g}")
+                f"probe symplectic eigenvalues must be >= 1, smallest is {lam_min:.12g}")
         object.__setattr__(self, "d_tilde", _freeze(d))
 
     @property
@@ -189,9 +190,12 @@ def qfi_kernel(s0: np.ndarray, lams: np.ndarray, d_tilde: np.ndarray,
     on the batch it is in.
     """
     n = lams.shape[0]
-    # top rows [A^dag, -B^T] of the symplectic inverse K S0^dag K
-    s0inv_top = np.concatenate([np.conj(s0[:n, :n].swapaxes(0, 1)),
-                                -s0[:n, n:].swapaxes(0, 1)], axis=1)
+    # top rows [A^dag, -B^T] of the symplectic inverse K S0^dag K, written in
+    # place: at a large batch, temporaries and a concatenated copy cost more
+    # than the arithmetic
+    s0inv_top = np.empty((n, 2 * n) + s0.shape[2:], dtype=complex)
+    np.conj(s0[:n, :n].swapaxes(0, 1), out=s0inv_top[:, :n])
+    np.negative(s0[:n, n:].swapaxes(0, 1), out=s0inv_top[:, n:])
     ext = np.concatenate([ikw, gamma[:, None]], axis=1)
     t = _contract(s0inv_top, ext.reshape(ext.shape + (1,) * (s0.ndim - ext.ndim)))
     t_ikw = t[:, :2 * n]
@@ -214,15 +218,24 @@ def qfi_unitary(probe: ProbeState, channel: ChannelSpec) -> QfiBreakdown:
     eigenvalue term vanishes identically; the displacement term evaluates
     ``2 v^dag sigma_0^{-1} v`` with ``v = iKW d_0 + gamma`` through the
     Williamson factors of the probe.  Raises NumericalInstabilityError
-    when the QFI overflows (see ``finite_terms``).
+    naming the terms when their sum is not finite (a term overflows, or
+    finite terms add past float64's range).
     """
     if probe.modes != channel.modes:
         raise InvalidInputError(
             f"probe has {probe.modes} modes but channel has {channel.modes}")
-    r_term, q_term, disp_term = map(float, finite_terms(
-        probe.williamson.s.matrix, probe.williamson.eigenvalues, probe.d_tilde,
-        channel)[:, 0])
+    form, w = probe.williamson, channel.generator
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = qfi_kernel(form.s.matrix, form.eigenvalues, probe.d_tilde, w.ikw(), w.gamma)
+    r_term, q_term, disp_term = map(float, terms)
+    if not math.isfinite(r_term + q_term + disp_term):
+        raise _not_finite(r_term, q_term, disp_term)
     return QfiBreakdown(r_term, q_term, 0.0, disp_term)
+
+
+def _not_finite(r_term: float, q_term: float, disp_term: float):
+    return NumericalInstabilityError(
+        f"QFI is not finite: r_term={r_term}, q_term={q_term}, disp_term={disp_term}")
 
 
 def kernel_terms(s0: np.ndarray, lams: np.ndarray, d_tilde: np.ndarray,
@@ -248,10 +261,7 @@ def finite_terms(s0: np.ndarray, lams: np.ndarray, d_tilde: np.ndarray,
                                  channel.generator.gamma)
     bad = np.flatnonzero(~finite)
     if bad.size:
-        r_term, q_term, disp_term = map(float, terms[:, bad[0]])
-        raise NumericalInstabilityError(
-            f"QFI is not finite: r_term={r_term}, q_term={q_term}, "
-            f"disp_term={disp_term}")
+        raise _not_finite(*map(float, terms[:, bad[0]]))
     return terms
 
 

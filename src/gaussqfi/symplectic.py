@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.linalg
@@ -55,9 +55,11 @@ class SymplecticMatrix:
     def modes(self) -> int:
         return self.alpha.shape[0]
 
-    @property
+    # assembled on first use and read-only: a probe's factor is read by the
+    # reconstruction check and again by the QFI
+    @cached_property
     def matrix(self) -> np.ndarray:
-        return _complex_form(self.alpha, self.beta)
+        return _freeze(_complex_form(self.alpha, self.beta))
 
     def inverse(self) -> "SymplecticMatrix":
         """Symplectic inverse ``K S^dag K`` (never a general inverse)."""
@@ -84,6 +86,11 @@ class SymplecticMatrix:
         return cls(m[:n, :n], m[:n, n:])
 
 
+@cache
+def _eye(n: int) -> np.ndarray:
+    return _freeze(np.eye(n))
+
+
 def symplectic_check(alpha: np.ndarray, beta: np.ndarray):
     """``S K S^dag = K`` for the blocks of one matrix, (N, N), or of a batch,
     (..., N, N): per matrix, the max-norm residual of ``alpha alpha^dag -
@@ -94,8 +101,8 @@ def symplectic_check(alpha: np.ndarray, beta: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         ab = alpha @ beta.swapaxes(-1, -2)
         gram = alpha @ alpha.conj().swapaxes(-1, -2) - beta @ beta.conj().swapaxes(-1, -2)
-        res = np.maximum(abs(gram - np.eye(alpha.shape[-1])).max((-2, -1)),
-                         abs(ab - ab.swapaxes(-1, -2)).max((-2, -1)))
+        res = np.maximum(abs(gram - _eye(alpha.shape[-1])),
+                         abs(ab - ab.swapaxes(-1, -2))).max((-2, -1))
         scale = abs(alpha).max((-2, -1)) ** 2 + abs(beta).max((-2, -1)) ** 2
         res = res + 0.0 * scale  # NaN where the scale is NaN or inf
     return res, res <= STRUCTURE_ATOL * np.maximum(1.0, scale)
@@ -218,11 +225,12 @@ def williamson(sigma: np.ndarray) -> WilliamsonForm:
     Raises what ``core.symplectic_eigenvalues`` raises.  Among equal
     eigenvalues the factor is fixed only up to a unitary; no gauge is chosen.
     """
+    sigma = np.asarray(sigma, dtype=complex)
     lams, cols = _spectrum(sigma)
     s = SymplecticMatrix(cols[:lams.size], cols[lams.size:].conj())
     form = WilliamsonForm(s, lams)
-    res = float(np.max(np.abs(form.covariance - sigma)))
-    scale = float(np.max(np.abs(sigma)))
+    res = float(abs(form.covariance - sigma).max())
+    scale = float(abs(sigma).max())
     if res > RECONSTRUCTION_FAIL_RTOL * max(scale, 1.0):
         raise DecompositionFailureError(
             f"reconstruction residual {res:.2e} exceeds {RECONSTRUCTION_FAIL_RTOL:.0e}")

@@ -1,9 +1,11 @@
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
 
 import gaussqfi as gq
+from gaussqfi import core, symplectic
 from gaussqfi.errors import InvalidInputError
 from gaussqfi.probes import FAMILIES, probe_params_from_dict, probe_params_to_dict
 from reference_matrices import mix_matrix, phase_matrix, squeeze_matrix
@@ -117,3 +119,34 @@ def test_params_dict_round_trip():
     p2 = gq.TwoModeProbeParams(lambda1=1.2, r1=0.4, theta=0.6, d2_mag=0.3)
     for p in (p1, p2):
         assert probe_params_from_dict(probe_params_to_dict(p)) == p
+
+
+@pytest.mark.parametrize("params, channel", [
+    (gq.OneModeProbeParams(lambda1=1.5, r=-0.6, theta=0.3, d_mag=0.8, phi_d=0.2),
+     gq.phase_channel()),
+    (gq.TwoModeProbeParams(lambda1=2.0, lambda2=1.3, r1=0.4, r2=-0.2, theta=0.5,
+                           psi=0.1, d1_mag=0.5, phi_d2=0.7), gq.mix_channel()),
+])
+def test_each_probe_path_checks_once(monkeypatch, params, channel):
+    # the symplectic check runs once, on the finished S_0, and the spectrum
+    # once per raw-moment probe; the QFI checks nothing again
+    counts = collections.Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args: counts.update([name]) or real(*args))
+
+    count(symplectic, "symplectic_check")
+    count(symplectic, "_spectrum")
+    count(core, "_spectrum")
+    probe = params.to_probe_state()
+    assert counts == {"symplectic_check": 1}
+    state = probe.to_state()
+    counts.clear()
+    raw = gq.ProbeState.from_state(state)
+    assert counts == {"symplectic_check": 1, "_spectrum": 1}
+    counts.clear()
+    for p in (probe, raw):
+        gq.qfi_unitary(p, channel)
+    assert not counts

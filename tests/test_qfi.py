@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaussqfi as gq
-from gaussqfi.errors import InvalidInputError, NumericalInstabilityError
+from gaussqfi.errors import InvalidInputError, NumericalInstabilityError, StructureError
 from gaussqfi import formulas
 from gaussqfi.qfi import qfi_kernel
 from gaussqfi.symplectic import GeneratorW, SymplecticMatrix, WilliamsonForm
@@ -182,8 +182,48 @@ def test_from_state_matches_parametric_probe_on_oracle_families(rng):
 
 
 def test_probe_rejects_unphysical_eigenvalues():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError,
+                       match=r"^probe symplectic eigenvalues must be >= 1, smallest is 0\.5$"):
         gq.ProbeState(WilliamsonForm(SymplecticMatrix.identity(1), np.array([0.5])))
+
+
+def _overflowing_probe():
+    # every term is finite, but their sum overflows
+    return (gq.TwoModeProbeParams(lambda1=2.0, theta=0.4, r1=355.0).to_probe_state(),
+            gq.twomode_squeeze_channel())
+
+
+# each refusal on the probe path (raw moments -> williamson -> ProbeState ->
+# qfi_unitary, or parameters -> SymplecticMatrix) keeps its type and its text
+@pytest.mark.parametrize("build, error, text", [
+    (lambda: gq.williamson(np.array([[2.0, 1.0], [0.0, 2.0]], dtype=complex)),
+     InvalidInputError, "covariance must be Hermitian"),
+    (lambda: gq.williamson(np.diag([1e12, 1e-12]).astype(complex)),
+     NumericalInstabilityError,
+     "covariance condition number 1.00e+24 cannot resolve symplectic eigenvalues to 1e-09"),
+    (lambda: SymplecticMatrix(2.0 * np.eye(1), np.zeros((1, 1))),
+     StructureError, "blocks violate the symplectic condition (residual 3.00e+00)"),
+    (lambda: SymplecticMatrix(np.array([[np.inf]]), np.zeros((1, 1))),
+     StructureError, "blocks must be finite, with squares that do not overflow"),
+    (lambda: gq.ProbeState.from_state(gq.GaussianState([0.0], [[0.5]], [[0.0]])),
+     InvalidInputError, "probe symplectic eigenvalues must be >= 1, smallest is 0.5"),
+], ids=["hermitian", "conditioning", "symplectic", "finite-blocks",
+        "eigenvalue-floor"])
+def test_probe_path_refusal_text(build, error, text):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == text
+
+
+def test_non_finite_qfi_text_names_the_terms():
+    probe, channel = _overflowing_probe()
+    terms = map(float, qfi_kernel(probe.williamson.s.matrix, probe.williamson.eigenvalues,
+                                  probe.d_tilde, channel.generator.ikw(),
+                                  channel.generator.gamma))
+    text = "QFI is not finite: r_term={}, q_term={}, disp_term={}".format(*terms)
+    with pytest.raises(NumericalInstabilityError) as info:
+        gq.qfi_unitary(probe, channel)
+    assert str(info.value) == text
 
 
 # --- temperature factors ---------------------------------------------------
@@ -434,9 +474,7 @@ def test_kernel_per_column_generators_match_single_calls(rng, source):
 
 
 def test_overflowing_total_raises():
-    # every term is finite, but their sum overflows
-    probe = gq.TwoModeProbeParams(lambda1=2.0, theta=0.4, r1=355.0).to_probe_state()
-    channel = gq.twomode_squeeze_channel()
+    probe, channel = _overflowing_probe()
     r_term, q_term, disp_term = qfi_kernel(
         probe.williamson.s.matrix, probe.williamson.eigenvalues, probe.d_tilde,
         channel.generator.ikw(), channel.generator.gamma)

@@ -266,7 +266,8 @@ def test_williamson_deterministic(rng):
 
 
 def test_williamson_rejects_non_pd():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError,
+                       match=r"^covariance must be positive-definite \(min eigenvalue -1\.000e\+00\)$"):
         gq.williamson(np.diag([1.0, -1.0]).astype(complex))
 
 
