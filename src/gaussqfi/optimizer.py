@@ -16,7 +16,6 @@ wrapped into [-pi, pi) together, into the columns that the family's
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass, field, fields
 
@@ -34,8 +33,6 @@ from .channels import (
 from .errors import DegenerateBudgetError, InvalidInputError, NumericalInstabilityError
 from .probes import OneModeProbeParams, TwoModeProbeParams, probe_arrays
 from .qfi import finite_terms, qfi_kernel, qfi_unitary
-
-log = logging.getLogger(__name__)
 
 ONE_MODE = "one-mode"
 TWO_MODE = "two-mode-restricted"
@@ -361,7 +358,7 @@ def optimize_probe(channel: ChannelSpec, family: str, budget: EnergyBudget,
     All restarts run in lockstep through one ``minimize`` call, whose
     objective evaluates each batch of points with one ``qfi_kernel``
     call.  A restart's result does not depend on the others; one whose
-    start value is not finite is reported as aborted.  ``minimize``'s stop
+    start value is not finite aborts the search.  ``minimize``'s stop
     test bounds the value reached, not the point: on ill-conditioned
     quadratics rows ended 1e-6 to 2.5e-4 from the minimizer.  Energy
     fractions at 0 or 1 are reached exactly, as ``sin^2`` is stationary
@@ -393,17 +390,18 @@ def optimize_probe(channel: ChannelSpec, family: str, budget: EnergyBudget,
     def objective(x):
         return _objective(x, family, budget.n_total, constraint, ikw, gamma)
 
-    # an overflowing start is reported once, as an aborted start, not as
-    # numpy warnings
+    # an overflowing start is reported once, in the error, not as numpy
+    # warnings
     with np.errstate(over="ignore", invalid="ignore"):
         res = minimize(objective, _start_points(family, constraint, config))
     values = -res.fun
-    aborted = ~np.isfinite(values)
-    if aborted.all():
-        raise NumericalInstabilityError("all optimizer starts aborted")
-    for idx in np.flatnonzero(aborted):
-        log.warning("optimizer start %d aborted (non-finite objective)", idx)
-    trace = [(int(idx), float(values[idx])) for idx in np.flatnonzero(~aborted)]
+    aborted = np.count_nonzero(~np.isfinite(values))
+    if aborted:
+        # a start whose QFI overflows sees the maximum past float64's range:
+        # the finite best of the other starts would understate it
+        raise NumericalInstabilityError(
+            f"{aborted} of {values.size} optimizer starts aborted (QFI not finite)")
+    trace = [(idx, float(value)) for idx, value in enumerate(values)]
 
     best = int(np.argmax(values))
     value = float(values[best])
@@ -416,7 +414,7 @@ def optimize_probe(channel: ChannelSpec, family: str, budget: EnergyBudget,
     best_params = {"family": family, "probe": params, "splits": bud.splits,
                    "mode_fractions": bud.mode_fractions}
     return OptimizationResult(best_params=best_params, best_qfi=value,
-                              trace=trace, restarts=int((~aborted).sum()),
+                              trace=trace, restarts=values.size,
                               converged=bool(res.converged[best]))
 
 

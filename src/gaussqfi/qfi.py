@@ -120,15 +120,23 @@ class QfiBreakdown:
 
 
 def _mode_factors(lams: np.ndarray):
-    """Pairwise eigenvalue factors with the pure-pure zero convention, from
-    ``lams`` (N, ...) to (N, N, ...); trailing axes are batch axes."""
+    """Pairwise eigenvalue factors ``(l_i - l_j)^2 / (l_i l_j - 1)``, zero
+    for a pure-pure pair, and ``(l_i + l_j)^2 / (l_i l_j + 1)``, from
+    ``lams`` (N, ...) to (N, N, ...); trailing axes are batch axes.  Each is
+    divided through by ``l_i l_j`` and has the value ``temperature_factors``
+    gives (up to the sign of a zero), so no finite eigenvalue overflows
+    them."""
     li = lams[:, None]
     lj = lams[None, :]
-    prod = li * lj
-    pure = prod - 1.0 < DEGENERACY_TOL
-    f_minus = np.where(pure, 0.0, (li - lj) ** 2 / np.where(pure, 1.0, prod - 1.0))
-    f_plus = (li + lj) ** 2 / (prod + 1.0)
-    return f_minus, f_plus
+    inv = 1.0 / li / lj
+    # 1 + l_j / l_i is the transpose of l_i / l_j + 1, and (l_j - l_i) / l_i
+    # that of (l_i - l_j) / l_j
+    half = li / lj + 1.0
+    f_plus = half.swapaxes(0, 1) * half / (1.0 + inv)
+    c = (li - lj) / lj
+    # -inf gives a pure-pure pair 0; an inf product is not pure, as it should be
+    den = np.where(li * lj - 1.0 < DEGENERACY_TOL, -np.inf, inv - 1.0)
+    return c.swapaxes(0, 1) * c / den, f_plus
 
 
 def p_matrix(probe: ProbeState, channel: ChannelSpec) -> PMatrix:
@@ -255,8 +263,8 @@ def finite_terms(s0: np.ndarray, lams: np.ndarray, d_tilde: np.ndarray,
                  channel: ChannelSpec) -> np.ndarray:
     """``kernel_terms`` of a batch of probes (or one) on ``channel``.
     Raises NumericalInstabilityError naming the terms of the first probe
-    whose QFI is not finite (for example at eigenvalues near 1e300, or
-    with finite terms whose sum overflows)."""
+    whose QFI is not finite (for example at squeezing whose squared
+    entries overflow, or with finite terms whose sum overflows)."""
     terms, finite = kernel_terms(s0, lams, d_tilde, channel.generator.ikw(),
                                  channel.generator.gamma)
     bad = np.flatnonzero(~finite)

@@ -387,9 +387,32 @@ def test_nan_custom_generator_exits_2(tmp_path, capsys):
 
 
 def test_non_finite_result_exits_3(tmp_path, capsys):
-    # the f_plus factor overflows to inf / inf; the output must stay JSON,
-    # and the error line is the only thing written to stderr
-    assert_exits_with_one_error_line(tmp_path, capsys, "qfi", fig2_config(lambda1=1e300))
+    # every QFI term is finite, but their sum overflows; the output must stay
+    # JSON, and the error line is the only thing written to stderr
+    config = {"schema": 1,
+              "probe": {"kind": "two-mode", "lambda1": 2.0, "theta": 0.4, "r1": 355.0},
+              "channel": {"kind": "two-mode-squeeze"}}
+    assert_exits_with_one_error_line(tmp_path, capsys, "qfi", config)
+
+
+def test_huge_thermal_state_has_zero_phase_qfi(tmp_path, capsys):
+    # a thermal state is phase-invariant; at an eigenvalue near the float
+    # maximum the scaled pairwise factors keep every term finite
+    config = {"schema": 1, "probe": {**_STATE, "sigma_X": [[1.7e308, 0]]}, "channel": _PHASE}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli(tmp_path, capsys, "qfi", config)
+    assert code == 0 and caught == []
+    assert json.loads(out)["total"] == 0.0
+
+
+@pytest.mark.parametrize("lambda1", [1e154, 1e200, 1e300])
+def test_qfi_at_huge_temperature_is_finite(tmp_path, capsys, lambda1):
+    # the pairwise factors are scaled, so no finite eigenvalue overflows them
+    code, out = run_cli(tmp_path, capsys, "qfi", fig2_config(lambda1=lambda1))
+    assert code == 0
+    _, want = run_cli(tmp_path, capsys, "qfi", fig2_config(lambda1=1e10))
+    assert json.loads(out) == json.loads(want)
 
 
 @pytest.mark.parametrize("command, config", [
@@ -398,7 +421,10 @@ def test_non_finite_result_exits_3(tmp_path, capsys):
     pytest.param("qfi", {"probe": _ONE_MODE,
                          "channel": {"kind": "combined-one-mode", "omega_s": 1.7e308}},
                  id="config0"),
-    pytest.param("qfi", {"probe": {**_STATE, "sigma_X": [[1.7e308, 0]]}, "channel": _PHASE},
+    # (the QFI of this state is finite; its displacement term, 4 |u|^2 / lambda
+    # with |u| near 1e200, is not)
+    pytest.param("qfi", {"probe": {**_STATE, "sigma_X": [[1.7e308, 0]], "d_tilde": [[1e200, 0]]},
+                         "channel": _PHASE},
                  id="config1"),
     # 8 n (n + 1) is inf; at 1e200 a Python float's (2n + 1) ** 2 raises
     pytest.param("limits", {"n": [5e153]}, id="limits-5e153"),
@@ -735,8 +761,8 @@ def test_optimize_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_optimize_overflowing_budget_leaves_one_error_line(tmp_path, capsys, caplog):
-    # every start overflows: one error, no numpy warnings and no log line
-    # per aborted start
+    # the squeezed starts overflow: one error, no numpy warnings and no log
+    # line per aborted start
     config = {"schema": 1, "channel": {"kind": "phase"}, "budget": {"n_total": 1e300}}
     with caplog.at_level("WARNING"):
         assert_exits_with_one_error_line(tmp_path, capsys, "optimize", config)

@@ -409,6 +409,14 @@ def test_squeezing_only_reaches_free_optimum(channel, family, target):
     assert result.converged
 
 
+@pytest.mark.parametrize("n_total", [1e154, 1e300])
+def test_overflowing_start_fails_the_search(n_total):
+    # squeezed starts overflow while thermal-heavy ones stay finite; their
+    # finite best (about 7e15) would understate a maximum past float64's range
+    with pytest.raises(NumericalInstabilityError, match=r"^\d+ of 6 optimizer starts aborted"):
+        optimize_probe(gq.phase_channel(), ONE_MODE, EnergyBudget(n_total), QUICK)
+
+
 def test_numerical_failures_raise_numerical_instability(monkeypatch):
     # every start aborted
     with monkeypatch.context() as m, np.errstate(invalid="ignore"):

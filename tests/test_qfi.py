@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import gaussqfi as gq
 from gaussqfi.errors import InvalidInputError, NumericalInstabilityError, StructureError
 from gaussqfi import formulas
-from gaussqfi.qfi import qfi_kernel
+from gaussqfi.qfi import _mode_factors, qfi_kernel
 from gaussqfi.symplectic import GeneratorW, SymplecticMatrix, WilliamsonForm
 from gaussqfi.validate import _oracle_families
 from conftest import random_state, random_symplectic, random_unitary
@@ -213,6 +213,32 @@ def test_probe_path_refusal_text(build, error, text):
     with pytest.raises(error) as info:
         build()
     assert str(info.value) == text
+
+
+def test_qfi_at_huge_eigenvalues_matches_moderate():
+    # (lambda_i + lambda_j)^2 overflows from about 1e154 and lambda_i lambda_j
+    # from about 1e154 squared; the scaled factors do neither
+    def h(lam):
+        probe = gq.OneModeProbeParams(lambda1=lam, r=-0.88).to_probe_state()
+        return gq.qfi_unitary(probe, gq.phase_channel()).total
+
+    want = h(1e10)
+    assert abs(want - 31.814027899017443) <= 1e-12 * want
+    for lam in (1e154, 1e200, 1e300):
+        assert abs(h(lam) - want) <= 1e-12 * want
+
+
+@given(st.lists(st.floats(min_value=1.0, max_value=1e300), min_size=1, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_mode_factors_match_temperature_factors(lams):
+    # the kernel's factors are temperature_factors', bit for bit; the
+    # eigenvalue product may overflow to inf, which is not pure
+    with np.errstate(over="ignore"):
+        f_minus, f_plus = _mode_factors(np.array(lams))
+    for i, lam_i in enumerate(lams):
+        for j, lam_j in enumerate(lams):
+            _, plus, minus, _ = gq.temperature_factors(lam_i, lam_j)
+            assert (f_minus[i, j], f_plus[i, j]) == (minus, plus)
 
 
 def test_non_finite_qfi_text_names_the_terms():
