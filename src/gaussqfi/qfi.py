@@ -199,8 +199,7 @@ def qfi_kernel(s0: np.ndarray, lams: np.ndarray, d_tilde: np.ndarray,
     """
     n = lams.shape[0]
     # top rows [A^dag, -B^T] of the symplectic inverse K S0^dag K, written in
-    # place: at a large batch, temporaries and a concatenated copy cost more
-    # than the arithmetic
+    # place, with no temporaries and no concatenated copy
     s0inv_top = np.empty((n, 2 * n) + s0.shape[2:], dtype=complex)
     np.conj(s0[:n, :n].swapaxes(0, 1), out=s0inv_top[:, :n])
     np.negative(s0[:n, n:].swapaxes(0, 1), out=s0inv_top[:, n:])

@@ -216,8 +216,8 @@ def test_probe_path_refusal_text(build, error, text):
 
 
 def test_qfi_at_huge_eigenvalues_matches_moderate():
-    # (lambda_i + lambda_j)^2 overflows from about 1e154 and lambda_i lambda_j
-    # from about 1e154 squared; the scaled factors do neither
+    # (lambda_i + lambda_j)^2 overflows from about 6.7e153 and lambda_i
+    # lambda_j from about 1.3e154; the scaled factors form neither
     def h(lam):
         probe = gq.OneModeProbeParams(lambda1=lam, r=-0.88).to_probe_state()
         return gq.qfi_unitary(probe, gq.phase_channel()).total
@@ -231,8 +231,8 @@ def test_qfi_at_huge_eigenvalues_matches_moderate():
 @given(st.lists(st.floats(min_value=1.0, max_value=1e300), min_size=1, max_size=3))
 @settings(max_examples=100, deadline=None)
 def test_mode_factors_match_temperature_factors(lams):
-    # the kernel's factors are temperature_factors', bit for bit; the
-    # eigenvalue product may overflow to inf, which is not pure
+    # the kernel's factors are temperature_factors' (== does not tell the
+    # sign of a zero); the eigenvalue product may overflow to inf, not pure
     with np.errstate(over="ignore"):
         f_minus, f_plus = _mode_factors(np.array(lams))
     for i, lam_i in enumerate(lams):
