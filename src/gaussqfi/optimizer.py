@@ -10,8 +10,8 @@ thermal fractions are ``sin^2`` of their coordinates (Box, Comput. J. 9,
 67 (1966)), which reaches 0 and 1 at finite, stationary points, and
 squeezing absorbs the rest.  A batch of search
 vectors is decoded as one transposed (dim, B) block, with its angles
-wrapped into [-pi, pi) together, into the columns that the family's
-``arrays`` turns into kernel inputs.
+wrapped into [-pi, pi) together, into the blocks of the family's layout
+that its ``arrays`` turns into kernel inputs.
 """
 from __future__ import annotations
 
@@ -156,35 +156,30 @@ def _energy_fractions(xt: np.ndarray, family: str, constraint: str):
 
 
 def _columns(x: np.ndarray, family: str, n_total: float, constraint: str):
-    """Search vectors ``x`` (B, dim) as the family's parameter fields, one
-    (B,) column per field in field order, and the ``_energy_fractions``
-    they came from.  The batch is decoded as one transposed (dim, B) block:
-    squeezing takes the rest of each mode's energy, and the angle rows are
-    wrapped into [-pi, pi) together."""
+    """Search vectors ``x`` (B, dim) as the blocks of the family's layout
+    that ``arrays`` takes, ``(angles, lams, r, d_mag)``, and the
+    ``_energy_fractions`` they came from.  The batch is decoded as one
+    transposed (dim, B) block: squeezing takes the rest of each mode's
+    energy, and the angle rows are wrapped into [-pi, pi) together."""
     xt = np.ascontiguousarray(x.T)
     f_d, f_th, g = _energy_fractions(xt, family, constraint)
     n_k = g * n_total
     n_d, n_th = f_d * n_k, f_th * n_k
     lams = 1.0 + 2.0 * n_th
     r = np.arcsinh(np.sqrt(np.maximum(n_k - n_d - n_th, 0.0) / lams))
-    d_mag = np.sqrt(n_d)
-    cls = _PARAMS[family]
     # np.mod(a + pi, 2 pi) - pi, bit for bit, without np.mod's slower loop
-    angles = np.fmod(xt[:len(cls.ANGLES)] + np.pi, 2 * np.pi)
+    angles = np.fmod(xt[:len(_PARAMS[family].ANGLES)] + np.pi, 2 * np.pi)
     angles += np.where(angles < 0, 2 * np.pi, 0.0)
     angles -= np.pi
-    named = dict(zip(cls.ANGLES, angles))
-    for k, names in enumerate(cls.ENERGY):
-        named.update(zip(names, (lams[k], r[k], d_mag[k])))
-    return tuple(named[name] for name in cls.__dataclass_fields__), (f_d, f_th, g)
+    return (angles, lams, r, np.sqrt(n_d)), (f_d, f_th, g)
 
 
 def _objective(x, family, n_total, constraint, ikw, gamma) -> np.ndarray:
     """Negative QFI of every decoded row of ``x`` (B, dim); ``+inf`` where
     it is not finite.  Every row is computed alone, so its value does not
     depend on the rest of the batch."""
-    columns, _ = _columns(x, family, n_total, constraint)
-    s0, lams, d_tilde = _PARAMS[family].arrays(*columns)
+    blocks, _ = _columns(x, family, n_total, constraint)
+    s0, lams, d_tilde = _PARAMS[family].arrays(*blocks)
     value = -sum(qfi_kernel(s0, lams, d_tilde, ikw, gamma))
     return np.where(np.isfinite(value), value, np.inf)
 
@@ -192,11 +187,14 @@ def _objective(x, family, n_total, constraint, ikw, gamma) -> np.ndarray:
 def _decode(x: np.ndarray, family: str, n_total: float, constraint: str):
     """Map one unconstrained search vector to feasible probe parameters
     and the energy budget they spend."""
-    columns, fractions = _columns(np.asarray(x, dtype=float)[None], family,
-                                  n_total, constraint)
+    (angles, *energy), fractions = _columns(np.asarray(x, dtype=float)[None], family,
+                                            n_total, constraint)
+    cls = _PARAMS[family]
+    fields = dict(zip(cls.ANGLES, angles[:, 0].tolist()))
+    for names, values in zip(cls.ENERGY, zip(*(b[:, 0].tolist() for b in energy))):
+        fields.update(zip(names, values))
     f_d, f_th, g = (a[:, 0] for a in fractions)
-    params = _PARAMS[family](*(float(c[0]) for c in columns))
-    return params, EnergyBudget(n_total, tuple(zip(f_d, f_th)), tuple(g))
+    return cls(**fields), EnergyBudget(n_total, tuple(zip(f_d, f_th)), tuple(g))
 
 
 def _halton(index: np.ndarray, bases: list) -> np.ndarray:

@@ -5,18 +5,20 @@ One-mode probes are squeezed rotated displaced thermal states built as
 restricted two-mode family applies local rotations, a beam splitter, an
 asymmetric rotation and local squeezers to a two-mode thermal core:
 ``S_0 = R_1(phi1) R_2(phi2) B(theta) R_as(psi) S_1(r1) S_2(r2)``.
-``arrays`` builds this data for a batch of field values, with the batch
-on the trailing axis of every array: each family's static ``factors``
+``arrays`` builds this data from the blocks of the family's layout, with
+the batch on the trailing axis of every array: each family's ``factors``
 gives its passive unitary ``U``, from one ``cos`` and one ``sin`` call on
-the stacked angle rows, and ``symplectic.bloch_messiah`` finishes
+the angle rows, and ``symplectic.bloch_messiah`` finishes
 ``S_0 = blkdiag(U, conj U) Z(r)``.  The optimizer's objective calls it on
-raw columns, and ``probe_arrays`` on a list of probes, for
+the blocks it decodes, and ``probe_arrays`` on a list of probes, for
 ``to_probe_state``, ``scaling_exponent`` and ``gaussqfi sweep``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
+from functools import cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -38,10 +40,19 @@ def _phases(angles: np.ndarray):
     return minus, np.conj(minus) + 0.0, s
 
 
+@cache
+def _layout_getter(cls):
+    """Getter of a family's fields in the row order of ``arrays``' blocks."""
+    return attrgetter(*cls.ANGLES, *sum(zip(*cls.ENERGY), ()))
+
+
 def probe_arrays(params: list):
     """``arrays`` of probes of one family: ``(s0, lams, d_tilde)``, the
     probe inputs of ``qfi.qfi_kernel``, one batch column per probe."""
-    return type(params[0]).arrays(*np.array([list(vars(p).values()) for p in params]).T)
+    cls = type(params[0])
+    get, a = _layout_getter(cls), len(cls.ANGLES)
+    rows = np.array([get(p) for p in params]).T
+    return cls.arrays(rows[:a], *rows[a:].reshape(3, len(cls.ENERGY), -1))
 
 
 def column_state(s0: np.ndarray, lams: np.ndarray, d_tilde: np.ndarray,
@@ -76,13 +87,13 @@ class _Family:
         return mean_photon_number(self.to_probe_state().to_state())
 
     @classmethod
-    def arrays(cls, *fields):
-        """Raw Williamson data of a batch of probes, one (B,) array per
-        field in field order: ``s0`` (2N, 2N, B), ``lams`` (N, B) and
-        ``d_tilde`` (N, B), the inputs of ``qfi.qfi_kernel``.  Nothing is
-        checked."""
+    def arrays(cls, angles, lams, r, d_mag):
+        """Raw Williamson data of B probes from the layout's blocks, the
+        angle rows (A, B) in ``ANGLES`` order and the mode rows (N, B) in
+        ``ENERGY`` order: ``s0`` (2N, 2N, B), ``lams`` and ``d_tilde``
+        (N, B), the inputs of ``qfi.qfi_kernel``.  Nothing is checked."""
         # factors' phase rows are freed before S_0 is allocated: fewer fresh pages
-        u, r, lams, d_tilde = cls.factors(*fields)
+        u, d_tilde = cls.factors(angles, d_mag)
         return bloch_messiah(u, r), lams, d_tilde
 
 
@@ -101,11 +112,10 @@ class OneModeProbeParams(_Family):
     phi_d: float = 0.0
 
     @staticmethod
-    def factors(lambda1, r, theta, d_mag, phi_d):
-        """``arrays``' ``u`` (1, 1, B), ``r``, ``lams`` and ``d_tilde``
-        (each (1, B)) from one (B,) array per field."""
-        minus, plus, _ = _phases(np.array([theta, phi_d]))
-        return minus[None, :1], r[None], lambda1[None], (d_mag * plus[1])[None]
+    def factors(angles, d_mag):
+        """``arrays``' ``u`` (1, 1, B) and ``d_tilde`` (1, B)."""
+        minus, plus, _ = _phases(angles)
+        return minus[None, :1], d_mag * plus[1:]
 
     def to_probe_state(self) -> ProbeState:
         return column_state(*probe_arrays([self]))
@@ -135,11 +145,9 @@ class TwoModeProbeParams(_Family):
     phi_d2: float = 0.0
 
     @staticmethod
-    def factors(lambda1, lambda2, r1, r2, theta, psi, phi1, phi2,
-                d1_mag, d2_mag, phi_d1, phi_d2):
-        """``arrays``' ``u`` (2, 2, B), ``r``, ``lams`` and ``d_tilde``
-        (each (2, B)) from one (B,) array per field."""
-        minus, plus, s = _phases(np.array([theta, psi, phi1, phi2, phi_d1, phi_d2]))
+    def factors(angles, d_mag):
+        """``arrays``' ``u`` (2, 2, B) and ``d_tilde`` (2, B)."""
+        minus, plus, s = _phases(angles)
         ct, st = minus[0].real, s[0]
         ep, em, e1, e2 = minus[1], plus[1], minus[2], minus[3]
         # the passive part R_1(phi1) R_2(phi2) B(theta) R_as(psi)
@@ -148,8 +156,7 @@ class TwoModeProbeParams(_Family):
         np.multiply(e1 * st, em, out=u[0, 1])
         np.multiply(-e2 * st, ep, out=u[1, 0])
         np.multiply(e2 * ct, em, out=u[1, 1])
-        return (u, np.array([r1, r2]), np.array([lambda1, lambda2]),
-                np.array([d1_mag, d2_mag]) * plus[4:])
+        return u, d_mag * plus[4:]
 
     def to_probe_state(self) -> ProbeState:
         return column_state(*probe_arrays([self]))

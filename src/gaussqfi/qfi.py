@@ -46,7 +46,7 @@ class ProbeState:
     def __post_init__(self):
         n = self.williamson.modes
         d = self.d_tilde
-        d = np.zeros(n, dtype=complex) if d is None else np.atleast_1d(np.asarray(d, dtype=complex))
+        d = np.zeros(n, dtype=complex) if d is None else np.atleast_1d(np.array(d, dtype=complex))
         if d.shape != (n,):
             raise InvalidInputError(f"d_tilde must have length {n}")
         lam_min = self.williamson.eigenvalues.min()
@@ -284,14 +284,8 @@ def temperature_factors(lam_i: float, lam_j: float):
         raise InvalidInputError(
             f"symplectic eigenvalues must be finite and >= 1, got {lam_i} and {lam_j}")
     lam_i, lam_j = float(lam_i), float(lam_j)
-    # the factors of _mode_factors divided through by lam_i lam_j, so that
-    # no square overflows (at lam_i = 1e200, (lam_i + lam_j)^2 would);
-    # 1 / (lam_i lam_j) may underflow to 0, and an inf product fails the
-    # pure-pure test as it should
-    inv = 1.0 / lam_i / lam_j
-    f_plus = (1.0 + lam_j / lam_i) * (lam_i / lam_j + 1.0) / (1.0 + inv)
-    if lam_i * lam_j - 1.0 < DEGENERACY_TOL:
-        f_minus = 0.0
-    else:
-        f_minus = (lam_i - lam_j) / lam_i * ((lam_i - lam_j) / lam_j) / (1.0 - inv)
-    return 1.0 / (1.0 + (1.0 / lam_i) ** 2), f_plus, f_minus, 1.0 / lam_i
+    # the eigenvalue product may overflow to inf (not pure); + 0.0 clears -0.0
+    with np.errstate(over="ignore"):
+        f_minus, f_plus = _mode_factors(np.array([lam_i, lam_j]))
+    return (1.0 / (1.0 + (1.0 / lam_i) ** 2), float(f_plus[0, 1]),
+            float(f_minus[0, 1]) + 0.0, 1.0 / lam_i)

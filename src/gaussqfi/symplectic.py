@@ -130,7 +130,7 @@ class GeneratorW:
         x = np.atleast_2d(np.array(self.x_block, dtype=complex))
         n = x.shape[0]
         g = self.gamma_tilde
-        g = np.zeros(n, dtype=complex) if g is None else np.atleast_1d(np.asarray(g, dtype=complex))
+        g = np.zeros(n, dtype=complex) if g is None else np.atleast_1d(np.array(g, dtype=complex))
         if g.shape != (n,):
             raise InvalidDimensionError(f"gamma_tilde must have length {n}")
         _block_pair(self, n, ("x_block", x, "X"), ("y_block", self.y_block, "Y"), "generator", g)
@@ -203,7 +203,7 @@ class WilliamsonForm:
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        lams = np.atleast_1d(np.asarray(self.eigenvalues, dtype=float))
+        lams = np.atleast_1d(np.array(self.eigenvalues, dtype=float))
         if lams.shape != (self.s.modes,):
             raise InvalidDimensionError("eigenvalue count must match modes")
         object.__setattr__(self, "eigenvalues", _freeze(lams))

@@ -27,6 +27,14 @@ def random_state(rng, n, r_max=1.2, lam_max=3.0):
     return GaussianState(d, sigma[:n, :n], sigma[:n, n:])
 
 
+def layout_blocks(cls, f):
+    """The blocks a family's ``arrays`` takes, gathered by name from field
+    columns ``f`` (name -> (B,)): the ``ANGLES`` rows, then each ``ENERGY``
+    column."""
+    return (np.array([f[name] for name in cls.ANGLES]),
+            *(np.array([f[name] for name in names]) for names in zip(*cls.ENERGY)))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

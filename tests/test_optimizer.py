@@ -25,6 +25,7 @@ from gaussqfi.optimizer import (
     scaling_exponent,
 )
 from gaussqfi.qfi import qfi_kernel
+from conftest import layout_blocks
 
 QUICK = OptimizerConfig(restarts=6, seed=11)
 
@@ -52,20 +53,24 @@ def test_budget_rejects_non_finite(kwargs):
 
 
 def test_batched_objective_matches_engine(rng):
-    # the optimizer's batched objective must agree with the public engine,
-    # row by row
+    # the optimizer's batched objective is the public engine's value of the
+    # probe _decode reports, bit for bit, row by row: at angles of +-pi, -0,
+    # 3 pi and 1e3, and at energy coordinates 0 and +-pi/2 (fractions 0 and 1)
     for fam, channel in ((ONE_MODE, gq.combined_channel(0.7, 1.2, 0.4)),
                          (TWO_MODE, gq.mix_channel(0.3)),
                          (TWO_MODE, gq.twomode_squeeze_channel(0.9))):
         dim = 4 if fam == ONE_MODE else 11
+        na = len(optimizer._PARAMS[fam].ANGLES)
         n_total = float(rng.uniform(0.2, 4.0))
         xs = rng.normal(size=(40, dim)) * 2.0
-        fast = -_objective(xs, fam, n_total, None, channel.generator.ikw(),
-                           channel.generator.gamma)
+        xs[:16, :na] = rng.choice(_SPECIAL_ANGLES, size=(16, na))
+        xs[8:24, na:] = rng.choice(_ENERGY_ENDS, size=(16, dim - na))
+        fast = _objective(xs, fam, n_total, None, channel.generator.ikw(),
+                          channel.generator.gamma)
         for x, value in zip(xs, fast):
             params, _ = _decode(x, fam, n_total, None)
             slow = gq.qfi_unitary(params.to_probe_state(), channel).total
-            assert abs(value - slow) < 1e-10 * max(1.0, abs(slow))
+            assert value.hex() == (-slow).hex()
             # every candidate the search can visit is exactly on budget,
             # counted on the state it builds
             got = gq.mean_photon_number(params.to_probe_state().to_state())
@@ -177,9 +182,10 @@ def test_arrays_match_np_exp_bit_for_bit(rng, family):
         else:
             fields[name] = rng.uniform(1.0 if name.startswith("lambda") else -1.5, 2.0, 48)
     want = _reference_arrays(family, fields)
-    _assert_same_bits(cls.arrays(*fields.values()), want)
+    blocks = layout_blocks(cls, fields)
+    _assert_same_bits(cls.arrays(*blocks), want)
     for b in range(0, 48, 5):
-        one = cls.arrays(*(v[b:b + 1] for v in fields.values()))
+        one = cls.arrays(*(block[:, b:b + 1] for block in blocks))
         _assert_same_bits(one, (w[..., b:b + 1] for w in want))
 
 
@@ -346,6 +352,29 @@ def test_criterion_2_free_solves_reach_targets_to_rounding(monkeypatch):
             assert runs[-1].success, (kind, n)
             if kind == "phase" and n == 2.0:
                 assert result.best_params["splits"][0][0] == 0.0
+
+
+@pytest.mark.parametrize("kind,n,constraint,nfev,calls", [
+    ("two-mode-squeeze", 1.0, None, 17588, 44),
+    ("phase", 2.0, None, 4680, 24),
+    ("beamsplit", 1.0, "coherent-only", 1120, 2),
+    ("squeeze1-mode1", 2.0, "coherent-only", 800, 2)])
+def test_criterion_2_solves_keep_their_work(monkeypatch, kind, n, constraint, nfev, calls):
+    # points evaluated and objective calls of criterion 2's solves: a decode
+    # change that moves the search path fails a count, not only the clock
+    runs, batches = [], []
+
+    def recorded(fun, x0):
+        def counted(x):
+            batches.append(len(x))
+            return fun(x)
+
+        runs.append(minimize(counted, x0))
+        return runs[-1]
+
+    monkeypatch.setattr(optimizer, "minimize", recorded)
+    _solve(kind, n, OptimizerConfig(restarts=32, seed=20260810), constraint)
+    assert (runs[0].nfev, sum(batches), len(batches)) == (nfev, nfev, calls)
 
 
 @pytest.mark.slow

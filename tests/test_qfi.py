@@ -11,7 +11,7 @@ from gaussqfi import formulas
 from gaussqfi.qfi import _mode_factors, qfi_kernel
 from gaussqfi.symplectic import GeneratorW, SymplecticMatrix, WilliamsonForm
 from gaussqfi.validate import _oracle_families
-from conftest import random_state, random_symplectic, random_unitary
+from conftest import layout_blocks, random_state, random_symplectic, random_unitary
 
 
 def random_probe(rng, n, pure=False):
@@ -187,6 +187,19 @@ def test_probe_rejects_unphysical_eigenvalues():
         gq.ProbeState(WilliamsonForm(SymplecticMatrix.identity(1), np.array([0.5])))
 
 
+def test_containers_copy_the_callers_arrays():
+    # the caller's arrays stay writable, the containers' copies read-only
+    lams, d, gamma = np.array([1.5, 2.0]), np.array([0.3, 0.1j]), np.array([0.2j, 0.0j])
+    probe = gq.ProbeState(WilliamsonForm(SymplecticMatrix.identity(2), lams), d)
+    generator = GeneratorW(np.eye(2), np.zeros((2, 2)), gamma)
+    lams[0], d[0], gamma[0] = 2.0, 1.0, 1.0
+    kept = (probe.williamson.eigenvalues, probe.d_tilde, generator.gamma_tilde)
+    assert [a[0] for a in kept] == [1.5, 0.3, 0.2j]
+    for a in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
 def _overflowing_probe():
     # every term is finite, but their sum overflows
     return (gq.TwoModeProbeParams(lambda1=2.0, theta=0.4, r1=355.0).to_probe_state(),
@@ -231,8 +244,10 @@ def test_qfi_at_huge_eigenvalues_matches_moderate():
 @given(st.lists(st.floats(min_value=1.0, max_value=1e300), min_size=1, max_size=3))
 @settings(max_examples=100, deadline=None)
 def test_mode_factors_match_temperature_factors(lams):
-    # the kernel's factors are temperature_factors' (== does not tell the
-    # sign of a zero); the eigenvalue product may overflow to inf, not pure
+    # temperature_factors reads a pair's factors off _mode_factors of that
+    # pair alone: they do not depend on the other eigenvalues in the batch
+    # (== does not tell the sign of a zero); the eigenvalue product may
+    # overflow to inf, not pure
     with np.errstate(over="ignore"):
         f_minus, f_plus = _mode_factors(np.array(lams))
     for i, lam_i in enumerate(lams):
@@ -432,8 +447,8 @@ def _batch_of_seven(rng, source):
                 np.stack([p.williamson.eigenvalues for p in probes], axis=-1),
                 np.stack([p.d_tilde for p in probes], axis=-1))
     cls = gq.OneModeProbeParams if source == "one-mode" else gq.TwoModeProbeParams
-    return cls.arrays(*(rng.uniform(*_field_range(name), 7)
-                        for name in cls.__dataclass_fields__))
+    return cls.arrays(*layout_blocks(cls, {name: rng.uniform(*_field_range(name), 7)
+                                           for name in cls.__dataclass_fields__}))
 
 
 def _field_range(name):
