@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Every command reads a single JSON config document (``--config``, with a
-``"schema": 1`` field), writes to stdout or ``--output``, and is
-deterministic given the config and seed.  Numbers are printed with 15
+Every command but ``validate`` reads a single JSON config document
+(``--config``, with a ``"schema": 1`` field), writes to stdout or
+``--output``, and is deterministic given the config and seed; only
+``optimize`` and ``validate`` take ``--seed``.  Numbers are printed with 15
 significant digits; CSV uses ``,`` delimiters, ``.`` decimals and always
 carries a header.
 
@@ -414,11 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "Gaussian unitary channels.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, helptext, needs_config=True):
+    def add(name, helptext, config="required", seed=False):
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", help="path to the JSON config document",
-                       required=needs_config)
-        p.add_argument("--seed", type=int, default=None)
+        if config:
+            p.add_argument("--config", help="path to the JSON config document",
+                           required=config == "required")
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--output", default=None,
                        help="output path (default: stdout)")
         return p
@@ -426,12 +429,12 @@ def build_parser() -> argparse.ArgumentParser:
     add("qfi", "QFI breakdown for a probe/channel configuration")
     add("closed-form", "evaluate a named closed-form expression")
     add("sweep", "QFI along a parameter grid (CSV)")
-    add("optimize", "maximize QFI over a probe family at fixed energy")
+    add("optimize", "maximize QFI over a probe family at fixed energy", seed=True)
     add("scaling", "fit the QFI scaling exponent over an energy grid")
     add("ellipse", "real-form covariance data before/after the channel (CSV)")
-    add("limits", "Heisenberg/shot-noise limit table (CSV)", needs_config=False)
-    v = add("validate", "run the cross-validation panels", needs_config=False)
-    v.add_argument("--panel", choices=("all", "oracle", "fock"), default="all")
+    add("limits", "Heisenberg/shot-noise limit table (CSV)", config="optional")
+    v = add("validate", "run the cross-validation panels", config=None, seed=True)
+    v.add_argument("--panel", choices=validate.PANELS, default="all")
     v.add_argument("--draws", type=int, default=200)
     return parser
 

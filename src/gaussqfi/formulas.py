@@ -385,19 +385,6 @@ def optimal_temperature_residual(channel: str, lambda1: float, r: float,
     return residual
 
 
-def _bisect(func, lo: float, hi: float, f_lo: float, tol: float) -> float:
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = func(mid)
-        if abs(f_mid) < tol or hi - lo < tol:
-            return mid
-        if f_lo * f_mid <= 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
-
-
 def optimal_temperature(channel: str, r: float, d_mag: float,
                         lam_max: float = 1e3, tol: float = 1e-12) -> list:
     """All zero crossings of the optimal-temperature residual on [1, lam_max].
@@ -408,6 +395,10 @@ def optimal_temperature(channel: str, r: float, d_mag: float,
     sign, signalling that the optimum sits at a boundary (lambda1 = 1 or
     the high-temperature end).
     """
+    # imported here: scipy.optimize would add a quarter second to every
+    # import of gaussqfi
+    from scipy.optimize import brentq
+
     if not 1.0 <= lam_max < np.inf:
         raise InvalidInputError(f"lam_max must be finite and >= 1, got {lam_max}")
 
@@ -421,7 +412,7 @@ def optimal_temperature(channel: str, r: float, d_mag: float,
         if f_lo == 0.0:
             roots.append(float(lo))
         elif f_lo * f_hi < 0.0:
-            roots.append(float(_bisect(func, lo, hi, f_lo, tol)))
+            roots.append(float(brentq(func, lo, hi, xtol=tol)))
     if values[-1] == 0.0:
         roots.append(float(grid[-1]))
     return roots

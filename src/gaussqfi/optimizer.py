@@ -492,31 +492,3 @@ def scaling_exponent(channel: ChannelSpec, family: str, n_grid) -> ScalingFit:
     slope, intercept = np.polyfit(logn, logh, 1)
     return ScalingFit(float(slope), float(np.exp(intercept)),
                       tuple(grid), tuple(float(v) for v in values))
-
-
-def conjecture_probe(channel: ChannelSpec, n_grid, restarts: int = 32,
-                     seed: int = 0) -> list:
-    """Numeric evidence on where optimal probes put their energy.
-
-    For each budget the unconstrained optimum is located and its
-    displacement/thermal fractions recorded; entries are flagged when a
-    fraction exceeds 1e-3, which would be evidence against squeezing
-    exclusivity.  This gathers evidence only; it proves nothing.
-    """
-    family = ONE_MODE if channel.modes == 1 else TWO_MODE
-    config = OptimizerConfig(restarts=restarts, seed=seed)
-    report = []
-    for n in n_grid:
-        budget = EnergyBudget(float(n), ((0.0, 0.0),) * channel.modes)
-        result = optimize_probe(channel, family, budget, config)
-        splits = result.best_params["splits"]
-        fractions = result.best_params["mode_fractions"]
-        # fractions of the *total* budget; a mode whose energy share is zero
-        # carries no information in its per-mode split
-        f_d = sum(g * fd for g, (fd, _) in zip(fractions, splits))
-        f_th = sum(g * ft for g, (_, ft) in zip(fractions, splits))
-        flagged = f_d > 1e-3 or f_th > 1e-3
-        report.append({"n": float(n), "best_qfi": result.best_qfi,
-                       "splits": splits, "mode_fractions": fractions,
-                       "f_d": f_d, "f_th": f_th, "flagged": flagged})
-    return report

@@ -20,6 +20,9 @@ from .symplectic import SymplecticMatrix, symplectic_check
 
 ORACLE_TOL = 1e-9
 FOCK_TOL = 1e-3
+PANELS = ("all", "oracle", "fock")
+# an oracle row holds all its draws at once, about 5 KB each
+MAX_DRAWS = 20_000
 
 
 @dataclass
@@ -110,10 +113,11 @@ def _oracle_families(rng):
 
 
 def oracle_panel(seed: int = 20240, draws: int = 200) -> list:
-    """Closed-form vs engine agreement over random parameter draws (at least
-    one), each row one batch; a QFI that is not finite fails its row."""
-    if draws < 1:
-        raise InvalidInputError(f"draws must be >= 1, got {draws}")
+    """Closed-form vs engine agreement over random parameter draws (1 to
+    ``MAX_DRAWS``), each row one batch; a QFI that is not finite fails its
+    row."""
+    if not 1 <= draws <= MAX_DRAWS:
+        raise InvalidInputError(f"draws must be in [1, {MAX_DRAWS}], got {draws}")
     rng = np.random.default_rng(seed)
     results = []
     for name, family in _oracle_families(rng):
@@ -178,8 +182,8 @@ def fock_panel() -> list:
 
 
 def run_panels(panel: str = "all", seed: int = 20240, draws: int = 200) -> list:
-    if panel not in ("all", "oracle", "fock"):
-        raise ValueError(f"unknown panel {panel!r}")
+    if panel not in PANELS:
+        raise InvalidInputError(f"unknown panel {panel!r}; known: {list(PANELS)}")
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
     results = []

@@ -923,15 +923,38 @@ def test_validate_refuses_negative_seed(capsys, panel):
         validate.run_panels(panel, seed=-3)
 
 
-@pytest.mark.parametrize("draws", ["0", "-3"])
+@pytest.mark.parametrize("draws", ["0", "-3", str(validate.MAX_DRAWS + 1)])
 def test_validate_refuses_empty_oracle_panel(capsys, draws):
-    # a panel that draws nothing checks nothing and must not report PASS
+    # a panel that draws nothing checks nothing and must not report PASS;
+    # one past the cap is refused before any draw, not left to run out of
+    # memory
     assert cli.main(["validate", "--panel", "oracle", "--draws", draws]) == cli.EXIT_PARSE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("error:") == 1 and "draws" in captured.err
     with pytest.raises(InvalidInputError, match="draws"):
         validate.oracle_panel(draws=int(draws))
+
+
+def test_run_panels_refuses_unknown_panel():
+    # refused like every other bad argument, so a GaussQfiError handler sees it
+    with pytest.raises(InvalidInputError, match="unknown panel 'bogus'") as info:
+        validate.run_panels("bogus")
+    assert all(repr(panel) in str(info.value) for panel in ("all", "oracle", "fock"))
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, "--config", "c.json", "--seed", "7"]
+      for command in ("qfi", "closed-form", "sweep", "scaling", "ellipse")),
+    ["limits", "--seed", "7"],
+    ["validate", "--config", "c.json"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_options_a_command_does_not_read_exit_2(capsys, argv):
+    # only optimize and validate read a seed, and validate reads no config
+    code, out, err = _in_process(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == \
+        f"gaussqfi: error: unrecognized arguments: {' '.join(argv[-2:])}"
 
 
 def test_validate_detects_engine_fault(tmp_path, capsys, monkeypatch):
@@ -1028,26 +1051,29 @@ def test_parser_reuse_matches_fresh_process(tmp_path, capsys, monkeypatch):
     # earlier request may leak into a later one
     monkeypatch.setenv("COLUMNS", "80")
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(fig2_config()))
+    config.write_text(json.dumps({"schema": 1, "channel": _PHASE, "budget": {"n_total": 1.0},
+                                  "optimizer": {"restarts": 2, "seed": 5}}))
     seen = []
 
     def spy(cfg, args):
         seen.append((args.seed, args.output))
-        return cli.cmd_qfi(cfg, args)
+        return cli.cmd_optimize(cfg, args)
 
-    monkeypatch.setitem(cli._HANDLERS, "qfi", spy)
+    monkeypatch.setitem(cli._HANDLERS, "optimize", spy)
     first = tmp_path / "first.json"
-    code, _, _ = _in_process(["qfi", "--seed", "5", "--output", str(first),
+    code, _, _ = _in_process(["optimize", "--seed", "5", "--output", str(first),
                               "--config", str(config)], capsys)
     assert code == 0 and seen == [(5, str(first))]
-    later = [["qfi", "--seed", "x", "--config", str(config)],
-             ["--help"], ["qfi", "--help"], ["limits"], ["qfi", "--config", str(config)]]
+    later = [["optimize", "--seed", "x", "--config", str(config)],
+             ["qfi", "--seed", "5", "--config", str(config)],
+             ["--help"], ["optimize", "--help"], ["limits"],
+             ["optimize", "--config", str(config)]]
     codes = []
     for argv in later:
         got = _in_process(argv, capsys)
         assert got == _fresh_process(argv, tmp_path), argv
         codes.append(got[0])
-    assert codes == [2, 0, 0, 0, 0]
+    assert codes == [2, 2, 0, 0, 0, 0]
     assert seen[-1] == (None, None)
     assert json.loads(first.read_text()) == json.loads(_in_process(later[-1], capsys)[1])
 
@@ -1059,3 +1085,12 @@ def test_parser_is_built_on_first_request_not_at_import(tmp_path):
     proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=subprocess_env(),
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[-1] == "0 1 1 1"
+
+
+def test_import_loads_no_scipy_optimize_or_stats(tmp_path):
+    # either would add about a quarter second to every process's start
+    probe = ("import sys, gaussqfi, gaussqfi.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'stats'])))")
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=subprocess_env(),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"

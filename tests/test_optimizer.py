@@ -19,7 +19,6 @@ from gaussqfi.optimizer import (
     _decode,
     _objective,
     _start_points,
-    conjecture_probe,
     minimize,
     optimize_probe,
     scaling_exponent,
@@ -550,23 +549,25 @@ def test_scaling_grid_validation():
         scaling_exponent(gq.phase_channel(), FAMILY_OPTIMAL, [1, 2, 4, 8])
 
 
-def test_conjecture_probe_quick():
-    report = conjecture_probe(gq.phase_channel(), [0.5, 1.0], restarts=4, seed=5)
-    assert len(report) == 2
-    for entry in report:
-        assert not entry["flagged"]
-        assert entry["f_d"] < 1e-3 and entry["f_th"] < 1e-3
-        want = 8 * entry["n"] * (entry["n"] + 1)
-        assert entry["best_qfi"] >= want - 1e-6
-
-
-def test_conjecture_probe_mix_channel():
-    # the optimum keeps all energy in squeezing for the mixer as well
-    report = conjecture_probe(gq.mix_channel(), [2.0], restarts=32, seed=9)
-    entry = report[0]
-    assert not entry["flagged"]
-    assert entry["f_d"] < 1e-3 and entry["f_th"] < 1e-3
-    assert entry["best_qfi"] >= 32.0 - 1e-6
+@pytest.mark.parametrize("channel, n, restarts, seed, want", [
+    (gq.phase_channel(), 0.5, 4, 5, 6.0),
+    (gq.phase_channel(), 1.0, 4, 5, 16.0),
+    (gq.mix_channel(), 2.0, 32, 9, 32.0),
+], ids=["phase-n0.5", "phase-n1", "mix-n2"])
+def test_unconstrained_optimum_puts_all_energy_in_squeezing(channel, n, restarts, seed,
+                                                            want):
+    # phase reaches 8 n (n + 1) and the mixer at least the equal-split
+    # 4 n (n + 2), each with no displacement or thermal energy: the
+    # fractions are of the whole budget, since a mode with no energy share
+    # carries none, whatever its own split
+    family = ONE_MODE if channel.modes == 1 else TWO_MODE
+    result = optimize_probe(channel, family, EnergyBudget(n, ((0.0, 0.0),) * channel.modes),
+                            OptimizerConfig(restarts=restarts, seed=seed))
+    fractions = result.best_params["mode_fractions"]
+    splits = result.best_params["splits"]
+    assert sum(g * fd for g, (fd, _) in zip(fractions, splits)) < 1e-3
+    assert sum(g * ft for g, (_, ft) in zip(fractions, splits)) < 1e-3
+    assert result.best_qfi >= want - 1e-6
 
 
 def test_scaling_matches_per_probe_engine():

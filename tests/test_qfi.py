@@ -61,18 +61,18 @@ def test_p_matrix_mode_mismatch():
 
 # --- qfi_unitary ----------------------------------------------------------
 
-def test_fig2_values():
+@pytest.mark.parametrize("lam", [1.0, 1.5, 2.0, 3.0, 5.0, 10.0])
+def test_fig2_values(lam):
+    # one-mode phase estimation: a squeezed probe's QFI rises with the
+    # thermal eigenvalue (15.907 -> 31.499 over this grid), while a
+    # displaced probe's falls as 4 / lambda
     phase = gq.phase_channel()
-    h1 = gq.qfi_unitary(gq.OneModeProbeParams(r=-0.88).to_probe_state(), phase).total
-    h2 = gq.qfi_unitary(gq.OneModeProbeParams(lambda1=2.0, r=-0.88).to_probe_state(),
-                        phase).total
-    h3 = gq.qfi_unitary(gq.OneModeProbeParams(d_mag=1.0).to_probe_state(), phase).total
-    h4 = gq.qfi_unitary(gq.OneModeProbeParams(lambda1=2.0, d_mag=1.0).to_probe_state(),
-                        phase).total
-    assert abs(h1 - 2 * np.sinh(1.76) ** 2) < 1e-12
-    assert abs(h2 - 3.2 * np.sinh(1.76) ** 2) < 1e-12
-    assert abs(h3 - 4.0) < 1e-12
-    assert abs(h4 - 2.0) < 1e-12
+    squeezed = gq.qfi_unitary(gq.OneModeProbeParams(lambda1=lam, r=-0.88).to_probe_state(),
+                              phase).total
+    displaced = gq.qfi_unitary(gq.OneModeProbeParams(lambda1=lam, d_mag=1.0).to_probe_state(),
+                               phase).total
+    assert abs(squeezed - 4 * lam**2 / (1 + lam**2) * np.sinh(1.76) ** 2) < 1e-12
+    assert abs(displaced - 4.0 / lam) < 1e-12
 
 
 def test_breakdown_structure(rng):
