@@ -1,14 +1,17 @@
 """Energy-constrained probe optimization and scaling-exponent fits.
 
 The search runs a quasi-Newton (BFGS) descent with an Armijo line search
-from many starts in lockstep: each iteration evaluates the trial steps of
+from many starts in lockstep: each iteration evaluates 13 trial steps of
 every active start in one batched ``qfi.qfi_kernel`` call and the
-central-difference gradients at the accepted points in a second, and a
+finite-difference gradients at the accepted points in a second, and a
 start stops once a step gains almost nothing.  Every iterate is exactly on
 the energy budget: the mode share and the per-mode displacement and
 thermal fractions are ``sin^2`` of their coordinates (Box, Comput. J. 9,
 67 (1966)), which reaches 0 and 1 at finite, stationary points, and
-squeezing absorbs the rest.  A batch of search
+squeezing absorbs the rest.  Those coordinates take central differences,
+which are exactly 0 at a coordinate of 0, so a fraction that starts at 0
+stays exactly 0; the periodic angles have no such point and take one-sided
+differences from the value already known at the point.  A batch of search
 vectors is decoded as one transposed (dim, B) block, with its angles
 wrapped into [-pi, pi) together, into the blocks of the family's layout
 that its ``arrays`` turns into kernel inputs.
@@ -39,8 +42,9 @@ TWO_MODE = "two-mode-restricted"
 
 _PARAMS = {ONE_MODE: OneModeProbeParams, TWO_MODE: TwoModeProbeParams}
 
-# a two-mode objective call at this many restarts (22,528 points, the
-# gradient batch) peaks at about 88 MB of RSS, 25 MB above the idle process
+# a two-mode search at this many restarts peaks at about 86 MB of RSS, 27 MB
+# above the idle process; its largest objective call is the start call's
+# 17,408 points (17 per restart: the start and 16 difference points)
 MAX_RESTARTS = 1024
 
 
@@ -238,13 +242,17 @@ def _start_points(family: str, constraint: str, config: OptimizerConfig):
     return np.ascontiguousarray(np.concatenate(rows).T)
 
 
-# minimize: iteration cap, stop tolerance on a step's relative gain, difference
-# step, Armijo constant, trial steps (above 1 to stretch a step made too short)
+# minimize: iteration cap, stop tolerance on a step's relative gain, central
+# and forward difference steps (the forward one about sqrt(eps)), Armijo
+# constant, trial steps (above 1 to stretch a step made too short; down to
+# 2^-9 only: a restart that needs a shorter step stops there, and criterion
+# 2's solves still reach every target, tests/test_optimizer.py)
 MAX_ITER = 2000
 TOL = 1e-10
 _DIFF_STEP = 1e-6
+_FORWARD_STEP = 1e-8
 _ARMIJO = 1e-4
-_TRIAL_STEPS = 2.0 ** np.arange(3, -17, -1)
+_TRIAL_STEPS = 2.0 ** np.arange(3, -10, -1)
 
 
 @dataclass
@@ -261,37 +269,50 @@ class LockstepResult:
         return bool(self.converged.all())
 
 
-def _gradient(f: np.ndarray, n: int) -> np.ndarray:
-    """Central-difference gradients (B, n) from the values ``f`` at the
-    ``_offset_points``."""
-    f = f.reshape(-1, 2 * n)
-    return (f[:, :n] - f[:, n:]) / (2 * _DIFF_STEP)
+def _gradient(ff: np.ndarray, f: np.ndarray, forward: int) -> np.ndarray:
+    """Gradients (B, dim) from the values ``ff`` at the ``_offset_points``
+    and ``f`` (B,) at the points themselves: forward differences on the
+    first ``forward`` coordinates, central differences on the rest."""
+    ff = ff.reshape(f.size, -1)
+    n = (ff.shape[1] + forward) // 2
+    return np.concatenate([(ff[:, :forward] - f[:, None]) / _FORWARD_STEP,
+                           (ff[:, forward:n] - ff[:, n:]) / (2 * _DIFF_STEP)], axis=1)
 
 
-def _offset_points(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """The ``2 dim`` central-difference points of every row of ``x`` (B, dim)."""
+def _offset_points(x: np.ndarray, forward: int) -> np.ndarray:
+    """The ``2 dim - forward`` difference points of every row of ``x``
+    (B, dim) in the order ``_gradient`` reads them: a forward step on each
+    of the first ``forward`` coordinates, then a step up on each of the
+    rest, then a step down on each of the rest."""
+    eye = np.eye(x.shape[1])
+    central = _DIFF_STEP * eye[forward:]
+    offsets = np.concatenate([_FORWARD_STEP * eye[:forward], central, -central])
     return (x[:, None, :] + offsets).reshape(-1, x.shape[1])
 
 
-def minimize(fun, x0: np.ndarray) -> LockstepResult:
+def minimize(fun, x0: np.ndarray, forward: int = 0) -> LockstepResult:
     """BFGS descent (Nocedal & Wright, ch. 6) from every row of ``x0``
     (B, dim) in lockstep; ``fun`` maps points (M, dim) to values (M,),
     each row computed alone, so a restart's path does not depend on the
     batch.  Each iteration makes two calls: the ``_TRIAL_STEPS`` along
     each active restart's quasi-Newton direction (steepest descent where
     that does not descend), of which the lowest passing the Armijo test
-    is taken, then the central-difference gradients there (the value there
-    is the accepted trial's, each row being computed alone).  The start
-    values and gradients come from one call.  A restart converges when its
-    step gains at most ``TOL * max(1, |f|)`` or no step passes; it stops
-    unconverged on a non-finite gradient or at ``MAX_ITER``.
+    is taken, then the gradients there.  A gradient takes forward
+    differences (step ``_FORWARD_STEP``) on the first ``forward``
+    coordinates from the value at the point, which is the accepted
+    trial's, each row being computed alone (N&W sec. 8.1), and central
+    differences (step ``_DIFF_STEP``) on the rest: ``2 dim - forward``
+    points.  The start values and gradients come from one call.  A
+    restart converges when its step gains at most ``TOL * max(1, |f|)`` or
+    no step passes; it stops unconverged on a non-finite gradient or at
+    ``MAX_ITER``.
     """
     x = np.array(x0, dtype=float)
     b, n = x.shape
     eye = np.eye(n)
-    offsets = _DIFF_STEP * np.concatenate([eye, -eye])
-    fg = fun(np.concatenate([x, _offset_points(x, offsets)]))
-    f, g = fg[:b], _gradient(fg[b:], n)
+    fg = fun(np.concatenate([x, _offset_points(x, forward)]))
+    f = fg[:b]
+    g = _gradient(fg[b:], f, forward)
     nfev = fg.size
     hess = np.repeat(eye[None], b, axis=0)  # inverse Hessian estimates
     # which estimates are the identity, still to be scaled (N&W eq. 6.20)
@@ -328,9 +349,9 @@ def minimize(fun, x0: np.ndarray) -> LockstepResult:
         if not rows.size:
             break
         # the value at the accepted point is the trial value already taken
-        ff = fun(_offset_points(x[rows], offsets))
+        ff = fun(_offset_points(x[rows], forward))
         nfev += ff.size
-        g_new = _gradient(ff, n)
+        g_new = _gradient(ff, f[rows], forward)
         y, g[rows] = g_new - g[rows], g_new
         active[rows] = np.isfinite(g_new).all(axis=1)
         sy = np.sum(s * y, axis=1)
@@ -355,13 +376,17 @@ def optimize_probe(channel: ChannelSpec, family: str, budget: EnergyBudget,
 
     All restarts run in lockstep through one ``minimize`` call, whose
     objective evaluates each batch of points with one ``qfi_kernel``
-    call.  A restart's result does not depend on the others; one whose
-    start value is not finite aborts the search.  ``minimize``'s stop
-    test bounds the value reached, not the point: on ill-conditioned
-    quadratics rows ended 1e-6 to 2.5e-4 from the minimizer.  Energy
-    fractions at 0 or 1 are reached exactly, as ``sin^2`` is stationary
-    there; the reported angles, and fractions inside (0, 1), carry the
-    point error; ``best_qfi`` does not.
+    call; the family's angles take forward differences, the share and
+    energy coordinates central ones.  A restart's result does not depend
+    on the others; one whose start value is not finite aborts the search.
+    ``minimize``'s stop test bounds the value reached, not the point: on
+    ill-conditioned quadratics rows ended 1e-6 to 2.5e-4 from the
+    minimizer.  A fraction whose coordinate starts at 0 stays exactly 0,
+    as ``sin^2`` is stationary there and its central difference exactly 0,
+    so BFGS never moves it; one that starts inside (0, 1) stops where the
+    gain test stops it, up to 7e-7 from 0 in a scan of 120 free solves.
+    The reported angles, and fractions inside (0, 1), carry the point
+    error; ``best_qfi`` does not.
 
     Args:
         channel: one-parameter channel to estimate.
@@ -391,7 +416,8 @@ def optimize_probe(channel: ChannelSpec, family: str, budget: EnergyBudget,
     # an overflowing start is reported once, in the error, not as numpy
     # warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        res = minimize(objective, _start_points(family, constraint, config))
+        res = minimize(objective, _start_points(family, constraint, config),
+                       forward=len(_PARAMS[family].ANGLES))
     values = -res.fun
     aborted = np.count_nonzero(~np.isfinite(values))
     if aborted:

@@ -186,6 +186,9 @@ def run_panels(panel: str = "all", seed: int = 20240, draws: int = 200) -> list:
         raise InvalidInputError(f"unknown panel {panel!r}; known: {list(PANELS)}")
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    # checked for every panel, as the seed is, though only the oracle draws
+    if not 1 <= draws <= MAX_DRAWS:
+        raise InvalidInputError(f"draws must be in [1, {MAX_DRAWS}], got {draws}")
     results = []
     if panel in ("all", "oracle"):
         results.extend(oracle_panel(seed=seed, draws=draws))

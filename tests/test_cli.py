@@ -719,6 +719,20 @@ def test_optimize_phase(tmp_path, capsys):
     assert data["best_params"]["probe"]["kind"] == "one-mode"
 
 
+def test_optimize_prints_exact_endpoints(tmp_path, capsys):
+    # criterion 2's phase solve at n = 2: the search reaches displacement
+    # fraction 0 exactly and the optimum 8 n (n + 1) = 48 to rounding, and
+    # the JSON carries both unchanged
+    config = {"schema": 1, "channel": _PHASE, "family": "one-mode",
+              "budget": {"n_total": 2.0},
+              "optimizer": {"restarts": 32, "seed": 20260810}}
+    code, out = run_cli(tmp_path, capsys, "optimize", config)
+    assert code == 0
+    data = json.loads(out)
+    assert data["best_params"]["splits"][0][0] == 0.0
+    assert abs(data["best_qfi"] - 48.0) <= 1e-13
+
+
 @pytest.mark.parametrize("channel,family", [
     ({"kind": "combined-one-mode", "omega_p": 0.7, "omega_s": 1.2, "chi": 0.4}, "one-mode"),
     ({"kind": "beamsplit", "chi": 0.3}, "two-mode-restricted"),
@@ -927,11 +941,14 @@ def test_validate_refuses_negative_seed(capsys, panel):
 def test_validate_refuses_empty_oracle_panel(capsys, draws):
     # a panel that draws nothing checks nothing and must not report PASS;
     # one past the cap is refused before any draw, not left to run out of
-    # memory
-    assert cli.main(["validate", "--panel", "oracle", "--draws", draws]) == cli.EXIT_PARSE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("error:") == 1 and "draws" in captured.err
+    # memory; refused for every panel, also the fock panel that draws none
+    for panel in ("oracle", "fock", "all"):
+        assert cli.main(["validate", "--panel", panel, "--draws", draws]) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1 and "draws" in captured.err
+        with pytest.raises(InvalidInputError, match="draws"):
+            validate.run_panels(panel, draws=int(draws))
     with pytest.raises(InvalidInputError, match="draws"):
         validate.oracle_panel(draws=int(draws))
 

@@ -17,7 +17,9 @@ from gaussqfi.optimizer import (
     EnergyBudget,
     OptimizerConfig,
     _decode,
+    _gradient,
     _objective,
+    _offset_points,
     _start_points,
     minimize,
     optimize_probe,
@@ -281,12 +283,63 @@ def test_restart_independent_of_batch(channel, family, n_total, constraint):
     # a start's result does not depend on the batch it runs in
     fun = _search_objective(channel, family, n_total, constraint)
     starts = _start_points(family, constraint, OptimizerConfig(restarts=4, seed=3))
-    together = minimize(fun, starts)
-    for b, x0 in enumerate(starts):
-        alone = minimize(fun, x0[None])
-        assert alone.fun[0] == together.fun[b]
-        assert np.array_equal(alone.x[0], together.x[b])
-        assert alone.converged[0] == together.converged[b]
+    # with central differences throughout and with optimize_probe's
+    # forward differences on the angles
+    for forward in (0, len(optimizer._PARAMS[family].ANGLES)):
+        together = minimize(fun, starts, forward)
+        for b, x0 in enumerate(starts):
+            alone = minimize(fun, x0[None], forward)
+            assert alone.fun[0] == together.fun[b]
+            assert np.array_equal(alone.x[0], together.x[b])
+            assert alone.converged[0] == together.converged[b]
+
+
+def _gradients(fun, x, forward):
+    """The gradients ``minimize`` takes at the rows of ``x``."""
+    return _gradient(fun(_offset_points(x, forward)), fun(x), forward)
+
+
+_GRADIENT_CASES = [
+    pytest.param(gq.combined_channel(0.7, 1.2, 0.4), ONE_MODE, id="one-mode-combined"),
+    pytest.param(gq.twomode_squeeze_channel(0.9), TWO_MODE, id="two-mode-squeeze"),
+    pytest.param(gq.mix_channel(0.3), TWO_MODE, id="two-mode-mix")]
+
+
+@pytest.mark.parametrize("channel,family", _GRADIENT_CASES)
+def test_forward_differences_match_central_ones(rng, channel, family):
+    # at random batched points the angles' forward differences (step h)
+    # match central ones to h/2 |f''| + 2 delta/h + delta/_DIFF_STEP:
+    # truncation, with f'' from a second difference at step 1e-3, plus the
+    # rounding of both schemes, delta = 16 eps |f| bounding the objective's
+    # own error; every other coordinate keeps its central difference bit
+    # for bit
+    na = len(optimizer._PARAMS[family].ANGLES)
+    fun = _search_objective(channel, family, 2.0, None)
+    dim = _start_points(family, None, QUICK).shape[1]
+    x = rng.uniform(-np.pi, np.pi, (32, dim))
+    mixed, central = _gradients(fun, x, na), _gradients(fun, x, 0)
+    assert np.array_equal(mixed[:, na:], central[:, na:])
+    step, f = 1e-3, fun(x)[:, None]
+    up, down = (fun((x[:, None, :] + sign * step * np.eye(dim)[:na]).reshape(-1, dim))
+                .reshape(len(x), na) for sign in (1, -1))
+    curvature = np.abs(up - 2 * f + down) / step ** 2
+    h, delta = optimizer._FORWARD_STEP, 16 * np.finfo(float).eps * np.abs(f)
+    bound = h / 2 * curvature + 2 * delta / h + delta / optimizer._DIFF_STEP
+    assert np.all(np.abs(mixed[:, :na] - central[:, :na]) <= bound)
+
+
+@pytest.mark.parametrize("channel,family", _GRADIENT_CASES)
+def test_central_differences_vanish_where_sin2_is_stationary(rng, channel, family):
+    # share and energy coordinates at exactly 0 (fractions 0 and 1) get a
+    # gradient of exactly 0.0, so the descent never moves them off their
+    # exact endpoints
+    na = len(optimizer._PARAMS[family].ANGLES)
+    fun = _search_objective(channel, family, 2.0, None)
+    x = np.zeros((32, _start_points(family, None, QUICK).shape[1]))
+    x[:, :na] = rng.uniform(-np.pi, np.pi, (32, na))
+    g = _gradients(fun, x, na)
+    assert np.all(np.isfinite(g[:, :na])) and np.any(g[:, :na] != 0.0)
+    assert np.all(g[:, na:] == 0.0)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -337,8 +390,8 @@ def test_criterion_2_free_solves_reach_targets_to_rounding(monkeypatch):
     # value is the target to rounding
     runs = []
 
-    def recorded(fun, x0):
-        runs.append(minimize(fun, x0))
+    def recorded(fun, x0, forward=0):
+        runs.append(minimize(fun, x0, forward))
         return runs[-1]
 
     monkeypatch.setattr(optimizer, "minimize", recorded)
@@ -354,21 +407,21 @@ def test_criterion_2_free_solves_reach_targets_to_rounding(monkeypatch):
 
 
 @pytest.mark.parametrize("kind,n,constraint,nfev,calls", [
-    ("two-mode-squeeze", 1.0, None, 17588, 44),
-    ("phase", 2.0, None, 4680, 24),
-    ("beamsplit", 1.0, "coherent-only", 1120, 2),
-    ("squeeze1-mode1", 2.0, "coherent-only", 800, 2)])
+    ("two-mode-squeeze", 1.0, None, 12096, 40),
+    ("phase", 2.0, None, 3129, 24),
+    ("beamsplit", 1.0, "coherent-only", 704, 2),
+    ("squeeze1-mode1", 2.0, "coherent-only", 512, 2)])
 def test_criterion_2_solves_keep_their_work(monkeypatch, kind, n, constraint, nfev, calls):
     # points evaluated and objective calls of criterion 2's solves: a decode
     # change that moves the search path fails a count, not only the clock
     runs, batches = [], []
 
-    def recorded(fun, x0):
+    def recorded(fun, x0, forward=0):
         def counted(x):
             batches.append(len(x))
             return fun(x)
 
-        runs.append(minimize(counted, x0))
+        runs.append(minimize(counted, x0, forward))
         return runs[-1]
 
     monkeypatch.setattr(optimizer, "minimize", recorded)
