@@ -4,14 +4,11 @@ from .core import (
     GaussianState,
     complex_to_real,
     complex_to_real_matrix,
-    k_matrix,
     mean_photon_number,
     real_to_complex,
     real_to_complex_matrix,
     state_from_dict,
-    state_from_json,
     state_to_dict,
-    state_to_json,
     symplectic_eigenvalues,
     validate_moments,
     validate_state,
@@ -47,11 +44,7 @@ from .qfi import (
     qfi_unitary,
     temperature_factors,
 )
-from .probes import (
-    OneModeProbeParams,
-    TwoModeProbeParams,
-    one_mode_probe_on_two,
-)
+from .probes import OneModeProbeParams, TwoModeProbeParams
 from . import formulas
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -11,8 +11,8 @@ carries a header.
 of them with one batched ``qfi_kernel`` call, one column per point (one
 call per ``SWEEP_CHUNK`` points on a longer grid).
 
-Exit codes: 0 ok, 1 validation-panel failure, 2 config parse error
-(malformed or missing fields and unknown names included), 3 physics
+Exit codes: 0 ok, 1 validation-panel failure, 2 config parse error (a
+malformed, missing or unread field or an unknown name), 3 physics
 validation error or a non-finite result, 4 degenerate optimizer input.
 """
 from __future__ import annotations
@@ -90,7 +90,7 @@ def _dump_json(obj) -> str:
         raise NumericalInstabilityError(f"result is not finite: {exc}") from exc
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, command: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -102,6 +102,13 @@ def _load_config(path: str) -> dict:
         raise ConfigError("config must be a JSON object")
     if data.get("schema") != 1:
         raise ConfigError("config must declare \"schema\": 1")
+    # a misspelled key would fall back to its default and change the answer
+    for where, obj, known in (("config", data, _KEYS[command] | {"schema"}),
+                              *((k, data.get(k), v) for k, v in _OBJECT_KEYS.items())):
+        unread = sorted(set(obj) - known) if isinstance(obj, dict) else []
+        if unread:
+            raise ConfigError(f"{command} reads only {sorted(known)} in {where}, "
+                              f"got {unread}")
     return data
 
 
@@ -451,6 +458,17 @@ _HANDLERS = {
     "ellipse": cmd_ellipse,
     "limits": cmd_limits,
 }
+# the top-level config keys each command reads, and the keys of its objects
+_KEYS = {
+    "qfi": {"probe", "channel"},
+    "closed-form": {"label", "probe", "r", "d1_mag", "d2_mag", "chi", "omega_p", "omega_s"},
+    "sweep": {"probe", "channel", "sweep"},
+    "optimize": {"channel", "family", "budget", "optimizer", "constraint"},
+    "scaling": {"channel", "family", "n_grid"},
+    "ellipse": {"probe", "channel", "epsilon"},
+    "limits": {"n"},
+}
+_OBJECT_KEYS = {"sweep": {"parameter", "grid"}, "budget": {"n_total"}}
 
 
 def main(argv=None) -> int:
@@ -459,7 +477,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             text, code = cmd_validate(args)
         else:
-            config = _load_config(args.config) if args.config else None
+            config = _load_config(args.config, args.command) if args.config else None
             text = _HANDLERS[args.command](config, args)
             code = EXIT_OK
     except ConfigError as exc:

@@ -18,7 +18,6 @@ typed constructors.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cache
 
@@ -63,11 +62,6 @@ def _block_pair(obj, n: int, x_field: tuple, y_field: tuple, what: str, *others)
         if exceeds_structure_tol(abs(b - bt).max(), x, y):
             raise StructureError(f"{label} block must be {kind}")
         object.__setattr__(obj, name, _freeze(b / 2 + bt / 2))
-
-
-def k_matrix(modes: int) -> np.ndarray:
-    """Commutation matrix ``K = diag(+1 x N, -1 x N)`` for N modes."""
-    return np.diag(k_signs(modes))
 
 
 @cache
@@ -135,14 +129,6 @@ class GaussianState:
         return cls(np.zeros(modes, dtype=complex),
                    np.eye(modes, dtype=complex),
                    np.zeros((modes, modes), dtype=complex))
-
-    @classmethod
-    def thermal(cls, lams, d_tilde=None) -> "GaussianState":
-        """Product thermal state with symplectic eigenvalues ``lams``."""
-        lams = np.atleast_1d(np.asarray(lams, dtype=float))
-        n = lams.shape[0]
-        d = np.zeros(n, dtype=complex) if d_tilde is None else np.asarray(d_tilde, dtype=complex)
-        return cls(d, np.diag(lams).astype(complex), np.zeros((n, n), dtype=complex))
 
     @classmethod
     def from_moments(cls, displacement, covariance) -> "GaussianState":
@@ -349,11 +335,3 @@ def state_from_dict(data: dict) -> GaussianState:
     d = _unpairs(data.get("d_tilde", [[0.0, 0.0]] * n), (n,), "d_tilde")
     y = _unpairs(data.get("sigma_Y", [[0.0, 0.0]] * (n * n)), (n, n), "sigma_Y")
     return GaussianState(d, x, y)
-
-
-def state_to_json(state: GaussianState) -> str:
-    return json.dumps(state_to_dict(state))
-
-
-def state_from_json(text: str) -> GaussianState:
-    return state_from_dict(json.loads(text))

@@ -20,8 +20,6 @@ from .errors import InvalidInputError, NumericalInstabilityError
 from .probes import OneModeProbeParams, TwoModeProbeParams
 from .qfi import DEGENERACY_TOL
 
-TWO_PI = 2.0 * np.pi
-
 
 def _f_plus(l1: float, l2: float) -> float:
     return (l1 + l2) ** 2 / (l1 * l2 + 1.0)

@@ -165,13 +165,6 @@ class TwoModeProbeParams(_Family):
 FAMILIES = {cls.kind: cls for cls in (OneModeProbeParams, TwoModeProbeParams)}
 
 
-def one_mode_probe_on_two(lambda1: float, r1: float, phi1: float = 0.0,
-                          d1_mag: float = 0.0, phi_d1: float = 0.0) -> TwoModeProbeParams:
-    """General one-mode probe in mode 1, vacuum in mode 2."""
-    return TwoModeProbeParams(lambda1=lambda1, r1=r1, phi1=phi1,
-                              d1_mag=d1_mag, phi_d1=phi_d1)
-
-
 # ---------------------------------------------------------------------------
 # JSON interchange for probe configurations
 

@@ -25,7 +25,7 @@ from .core import PHYSICALITY_TOL, GaussianState, validate_state
 from .errors import InvalidInputError, NumericalInstabilityError
 from .symplectic import WilliamsonForm
 from .channels import ChannelSpec
-from ._util import _complex_form, _freeze
+from ._util import _freeze
 
 # Eigenvalue products within this distance of 1 trigger the degenerate
 # (pure-pure) conventions of the QFI formula.
@@ -59,10 +59,6 @@ class ProbeState:
     def modes(self) -> int:
         return self.williamson.modes
 
-    @property
-    def displacement(self) -> np.ndarray:
-        return np.concatenate([self.d_tilde, self.d_tilde.conj()])
-
     def to_state(self) -> GaussianState:
         sigma = self.williamson.covariance
         n = self.modes
@@ -85,10 +81,6 @@ class PMatrix:
 
     r_block: np.ndarray
     q_block: np.ndarray
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return _complex_form(self.r_block, self.q_block)
 
     def algebra_residual(self) -> float:
         """Max-norm residual of the Lie-algebra condition."""

@@ -71,10 +71,6 @@ class SymplecticMatrix:
         return SymplecticMatrix(a, b)
 
     @classmethod
-    def identity(cls, modes: int) -> "SymplecticMatrix":
-        return cls(np.eye(modes, dtype=complex), np.zeros((modes, modes), dtype=complex))
-
-    @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "SymplecticMatrix":
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:

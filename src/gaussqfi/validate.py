@@ -13,8 +13,7 @@ from .channels import BEAMSPLIT, CATALOG, COMBINED, PHASE, SQUEEZE1_MODE1, \
     twomode_squeeze_channel
 from .errors import InvalidInputError
 from .fock import ladder_state, state_qfi
-from .probes import OneModeProbeParams, TwoModeProbeParams, one_mode_probe_on_two, \
-    probe_arrays
+from .probes import OneModeProbeParams, TwoModeProbeParams, probe_arrays
 from .qfi import kernel_terms, qfi_unitary
 from .symplectic import SymplecticMatrix, symplectic_check
 
@@ -162,7 +161,7 @@ def fock_panel_cases():
          TwoModeProbeParams(r1=0.3, r2=0.3, phi1=np.pi / 4, phi2=np.pi / 4,
                             d1_mag=0.4, phi_d1=np.pi / 4), twomode_squeeze_channel()),
         ("one-mode-probe+two-mode-squeeze",
-         one_mode_probe_on_two(1.3, 0.3, d1_mag=0.6), twomode_squeeze_channel(0.4)),
+         TwoModeProbeParams(lambda1=1.3, r1=0.3, d1_mag=0.6), twomode_squeeze_channel(0.4)),
     ]
 
 

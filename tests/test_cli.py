@@ -272,6 +272,15 @@ _SWEEP = {"probe": _ONE_MODE, "channel": _PHASE}
     # a mean photon number or a displacement magnitude below 0
     ("limits", {"n": [1.0, -1]}),
     ("closed-form", {"label": "universal-mix", "r": 0.3, "d1_mag": -1}),
+    # a key the command does not read: read at its default omega_s = 0, eq19
+    # printed the value of another channel, and optimize ran the free search
+    ("closed-form", {"label": "eq19", "probe": _ONE_MODE, "omegas": 1.0}),
+    ("optimize", {"channel": _PHASE, "budget": {"n_total": 1.0},
+                  "constrant": "coherent-only"}),
+    ("optimize", {"channel": _PHASE, "budget": {"n_total": 1, "ntotal": 3}}),
+    ("sweep", {"sweep": {"parameter": "probe.r", "grid": [0.1], "grids": [0.2]}, **_SWEEP}),
+    ("qfi", {"epsilon": 0.5, **_SWEEP}),
+    ("limits", {"n": [1.0], "n_grid": [2.0]}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     assert_exits_with_one_error_line(tmp_path, capsys, command, {"schema": 1, **config}, 2)

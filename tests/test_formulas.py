@@ -215,8 +215,8 @@ def test_one_mode_probe_on_two_mode_channels(rng):
         lam = rng.uniform(1, 3)
         r1 = rng.uniform(-1.2, 1.2)
         d1 = rng.uniform(0, 1.5)
-        p = gq.one_mode_probe_on_two(lam, r1, phi1=rng.uniform(-np.pi, np.pi),
-                                     d1_mag=d1, phi_d1=rng.uniform(-np.pi, np.pi))
+        p = gq.TwoModeProbeParams(lambda1=lam, r1=r1, phi1=rng.uniform(-np.pi, np.pi),
+                                  d1_mag=d1, phi_d1=rng.uniform(-np.pi, np.pi))
         n = p.mean_photon()
         h_st = formulas.qfi_onemode_probe_on_twomode("two-mode-squeeze", lam, r1, d1)
         h_mix = formulas.qfi_onemode_probe_on_twomode("beamsplit", lam, r1, d1)

@@ -87,7 +87,7 @@ def test_williamson_factor_matches_operator_chain(rng, cls):
 
 
 def test_one_mode_probe_on_two_structure():
-    p = gq.one_mode_probe_on_two(1.5, 0.3, d1_mag=0.8)
+    p = gq.TwoModeProbeParams(lambda1=1.5, r1=0.3, d1_mag=0.8)
     assert p.lambda2 == 1.0 and p.r2 == 0.0 and p.d2_mag == 0.0
     state = p.to_probe_state().to_state()
     # second mode stays vacuum

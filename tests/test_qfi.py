@@ -29,17 +29,21 @@ def random_channel(rng, n):
             gq.twomode_squeeze_channel(rng.uniform(-np.pi, np.pi))][int(rng.integers(0, 2))]
 
 
+def _identity(n):
+    return SymplecticMatrix(np.eye(n), np.zeros((n, n)))
+
+
 # --- p_matrix -------------------------------------------------------------
 
 def test_p_matrix_identity_probe_phase():
-    probe = gq.ProbeState(WilliamsonForm(SymplecticMatrix.identity(1), np.ones(1)))
+    probe = gq.ProbeState(WilliamsonForm(_identity(1), np.ones(1)))
     pm = gq.p_matrix(probe, gq.phase_channel())
     assert np.allclose(pm.r_block, [[-1j]], atol=1e-15)
     assert np.allclose(pm.q_block, 0.0, atol=1e-15)
 
 
 def test_p_matrix_identity_probe_squeeze():
-    probe = gq.ProbeState(WilliamsonForm(SymplecticMatrix.identity(1), np.ones(1)))
+    probe = gq.ProbeState(WilliamsonForm(_identity(1), np.ones(1)))
     pm = gq.p_matrix(probe, gq.squeeze_channel(0.0))
     assert np.allclose(pm.r_block, 0.0, atol=1e-15)
     assert abs(abs(pm.q_block[0, 0]) - 1.0) < 1e-15
@@ -54,7 +58,7 @@ def test_p_matrix_lie_algebra_residual(rng):
 
 
 def test_p_matrix_mode_mismatch():
-    probe = gq.ProbeState(WilliamsonForm(SymplecticMatrix.identity(1), np.ones(1)))
+    probe = gq.ProbeState(WilliamsonForm(_identity(1), np.ones(1)))
     with pytest.raises(InvalidInputError):
         gq.p_matrix(probe, gq.mix_channel())
 
@@ -96,7 +100,7 @@ def test_epsilon_independence(rng):
         s_eps = gq.channel_symplectic(channel, eps0)
         evolved = gq.ProbeState(
             WilliamsonForm(s_eps @ probe.williamson.s, probe.williamson.eigenvalues),
-            (s_eps.matrix @ probe.displacement)[:n])
+            (s_eps.matrix @ probe.to_state().displacement)[:n])
         h1 = gq.qfi_unitary(evolved, channel).total
         assert abs(h1 - h0) < 1e-9 * max(1.0, abs(h0))
 
@@ -114,7 +118,7 @@ def test_epsilon_independence_with_linear_part(rng):
         h0 = gq.qfi_unitary(probe, channel).total
         eps0 = rng.uniform(-1.0, 1.0)
         s_eps = gq.channel_symplectic(channel, eps0)
-        d_new = s_eps.matrix @ probe.displacement + gq.channel_shift(channel, eps0)
+        d_new = s_eps.matrix @ probe.to_state().displacement + gq.channel_shift(channel, eps0)
         evolved = gq.ProbeState(
             WilliamsonForm(s_eps @ probe.williamson.s, probe.williamson.eigenvalues),
             d_new[:1])
@@ -157,7 +161,7 @@ def test_from_state_eigenvalue_floor(lam, accepted):
     # williamson plus the ProbeState floor are the physicality test of raw
     # moments: a thermal state just below 1 is refused, one within
     # PHYSICALITY_TOL of it is not
-    state = gq.GaussianState.thermal([lam])
+    state = gq.GaussianState([0.0], [[lam]], [[0.0]])
     if accepted:
         assert gq.ProbeState.from_state(state).williamson.eigenvalues[0] == pytest.approx(lam)
     else:
@@ -184,13 +188,13 @@ def test_from_state_matches_parametric_probe_on_oracle_families(rng):
 def test_probe_rejects_unphysical_eigenvalues():
     with pytest.raises(InvalidInputError,
                        match=r"^probe symplectic eigenvalues must be >= 1, smallest is 0\.5$"):
-        gq.ProbeState(WilliamsonForm(SymplecticMatrix.identity(1), np.array([0.5])))
+        gq.ProbeState(WilliamsonForm(_identity(1), np.array([0.5])))
 
 
 def test_containers_copy_the_callers_arrays():
     # the caller's arrays stay writable, the containers' copies read-only
     lams, d, gamma = np.array([1.5, 2.0]), np.array([0.3, 0.1j]), np.array([0.2j, 0.0j])
-    probe = gq.ProbeState(WilliamsonForm(SymplecticMatrix.identity(2), lams), d)
+    probe = gq.ProbeState(WilliamsonForm(_identity(2), lams), d)
     generator = GeneratorW(np.eye(2), np.zeros((2, 2)), gamma)
     lams[0], d[0], gamma[0] = 2.0, 1.0, 1.0
     kept = (probe.williamson.eigenvalues, probe.d_tilde, generator.gamma_tilde)
@@ -401,7 +405,7 @@ def test_half_p_kernel_matches_full_p_route(n, seed, core):
     lams = probe.williamson.eigenvalues
     pm = gq.p_matrix(probe, channel)
     factors = np.array([[gq.temperature_factors(li, lj) for lj in lams] for li in lams])
-    v = ikw @ probe.displacement + gamma
+    v = ikw @ probe.to_state().displacement + gamma
     expected = (np.sum(factors[..., 2] * np.abs(pm.r_block) ** 2),
                 np.sum(factors[..., 1] * np.abs(pm.q_block) ** 2),
                 2.0 * np.real(v.conj() @ np.linalg.solve(probe.williamson.covariance, v)))
