@@ -1,10 +1,11 @@
-"""Small shared helpers for array normalization in typed containers."""
+"""Small shared helpers: array normalization in typed containers, number
+tests and the unread-key check of config readers."""
 import math
 import numbers
 
 import numpy as np
 
-from .errors import InvalidDimensionError
+from .errors import InvalidDimensionError, StructureError
 
 
 def _as_complex(a, shape, name: str) -> np.ndarray:
@@ -32,6 +33,18 @@ def _finite_number(value):
     except OverflowError:
         return None
     return x if math.isfinite(x) else None
+
+
+def _only_keys(data, known, what: str, error=StructureError) -> dict:
+    """``data`` if it is an object holding only keys in ``known``, the keys
+    its reader reads: a misspelled key would be read as absent and change
+    the answer."""
+    if not isinstance(data, dict):
+        raise error(f"{what} must be an object, got {type(data).__name__}")
+    unread = sorted(set(data) - set(known))
+    if unread:
+        raise error(f"{what} reads only {sorted(known)}, got {unread}")
+    return data
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _finite_number
+from ._util import _finite_number, _only_keys
 from .core import _pairs, _unpairs
 from .errors import InvalidInputError, StructureError
 from .symplectic import GeneratorW, SymplecticMatrix, displacement_shift, exp_generator
@@ -133,9 +133,7 @@ def channel_from_dict(data: dict) -> ChannelSpec:
         constructor, names = CATALOG[kind]
     else:
         raise StructureError(f"unknown channel kind {kind!r}")
-    unread = [key for key in data if key != "kind" and key not in names]
-    if unread:
-        raise StructureError(f"channel kind {kind!r} reads only {list(names)}, got {unread}")
+    _only_keys(data, ("kind", *names), f"channel kind {kind!r}")
     if kind != CUSTOM:
         given = [data.get(name, 0.0) for name in names]
         values = [_finite_number(v) for v in given]
@@ -145,6 +143,7 @@ def channel_from_dict(data: dict) -> ChannelSpec:
     raw = data.get("custom_W")
     if not isinstance(raw, dict) or not {"X", "Y"} <= raw.keys():
         raise StructureError("custom channel needs a 'custom_W' object with 'X' and 'Y'")
+    _only_keys(raw, ("X", "Y", "gamma"), "custom_W")
     n = math.isqrt(len(raw["X"]))
     if n * n != len(raw["X"]):
         raise StructureError("custom_W blocks must be square row-major arrays")

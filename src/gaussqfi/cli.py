@@ -26,11 +26,9 @@ import sys
 
 import numpy as np
 
-from ._util import _finite_number
-from .channels import CATALOG, channel_from_dict, channel_shift, \
-    channel_symplectic, channel_to_dict
-from .core import GaussianState, complex_to_real, complex_to_real_matrix, \
-    l_matrix, state_from_dict, state_to_dict
+from ._util import _finite_number, _only_keys
+from .channels import CATALOG, channel_from_dict, channel_shift, channel_symplectic
+from .core import complex_to_real, complex_to_real_matrix, l_matrix, state_from_dict
 from .errors import DegenerateBudgetError, GaussQfiError, InvalidInputError, \
     NumericalInstabilityError
 from .optimizer import ONE_MODE, TWO_MODE, EnergyBudget, OptimizerConfig, \
@@ -100,16 +98,10 @@ def _load_config(path: str, command: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    if data.get("schema") != 1:
+    # true == 1 in Python, but no boolean is a number here
+    if _finite_number(data.get("schema")) != 1:
         raise ConfigError("config must declare \"schema\": 1")
-    # a misspelled key would fall back to its default and change the answer
-    for where, obj, known in (("config", data, _KEYS[command] | {"schema"}),
-                              *((k, data.get(k), v) for k, v in _OBJECT_KEYS.items())):
-        unread = sorted(set(obj) - known) if isinstance(obj, dict) else []
-        if unread:
-            raise ConfigError(f"{command} reads only {sorted(known)} in {where}, "
-                              f"got {unread}")
-    return data
+    return _only_keys(data, _KEYS[command] | {"schema"}, f"{command} config", ConfigError)
 
 
 def _number(value, what: str) -> float:
@@ -150,7 +142,7 @@ def _parse_probe(config: dict):
         return params.to_probe_state(), params
     if raw["kind"] == "state":
         try:
-            state = state_from_dict(raw)
+            state = state_from_dict({k: v for k, v in raw.items() if k != "kind"})
         except GaussQfiError as exc:
             raise ConfigError(f"bad probe state: {exc}") from exc
         return ProbeState.from_state(state), None
@@ -176,6 +168,7 @@ def _param(config: dict, key: str) -> float:
 def cmd_closed_form(config: dict, args) -> str:
     label = _require(config, "label")
     if label == "universal-mix":
+        _only_keys(config, _MIX_KEYS, f"closed-form {label!r}", ConfigError)
         # a negative magnitude is a bad field, as in a parametric probe
         try:
             value = formulas.universal_mix_probe_qfi(
@@ -187,6 +180,8 @@ def cmd_closed_form(config: dict, args) -> str:
     if row is None:
         raise ConfigError(f"unknown closed-form label {label!r}; "
                           f"known: {sorted(validate.CLOSED_FORMS)} and 'universal-mix'")
+    # every label takes the three channel parameters, read or not
+    _only_keys(config, _LABEL_KEYS, f"closed-form {label!r}", ConfigError)
     _, params = _parse_probe(config)
     if params is None:
         raise ConfigError("closed-form evaluation needs a parametric probe")
@@ -201,10 +196,6 @@ SWEEP_HEADER = "value,r_term,q_term,eigen_term,disp_term,total"
 # grid points per batched kernel call: a point holds about 4 KB while its
 # batch is built, so a chunk keeps a long grid's memory near a short one's
 SWEEP_CHUNK = 1024
-
-
-def _number_keys(data: dict) -> list:
-    return [k for k, v in data.items() if isinstance(v, (int, float))]
 
 
 def _or_none(parse, *args):
@@ -260,9 +251,7 @@ def _sweep_rows(config: dict, root: str, key: str, grid: list) -> list:
 
 
 def cmd_sweep(config: dict, args) -> str:
-    spec = _require(config, "sweep")
-    if not isinstance(spec, dict):
-        raise ConfigError("sweep must be an object")
+    spec = _only_keys(_require(config, "sweep"), ("parameter", "grid"), "sweep", ConfigError)
     path = _require(spec, "parameter")
     grid = _require(spec, "grid")
     if not isinstance(grid, list) or not grid:
@@ -270,20 +259,21 @@ def cmd_sweep(config: dict, args) -> str:
     grid = [_number(v, "sweep grid value") for v in grid]
     if not (isinstance(path, str) and path.startswith(("probe.", "channel."))):
         raise ConfigError("sweep parameter must start with 'probe.' or 'channel.'")
-    probe = _require(config, "probe")
-    _require(config, "channel")
-    kind = probe.get("kind") if isinstance(probe, dict) else None
-    family = FAMILIES.get(kind) if isinstance(kind, str) else None
     root, _, key = path.partition(".")
+    probe, channel = _require(config, "probe"), _require(config, "channel")
+    swept = channel if root == "channel" else probe
+    kind = swept.get("kind") if isinstance(swept, dict) else None
+    kind = kind if isinstance(kind, str) else None
     # only a number field can be swept: a typo, or a field that holds a
     # string, list or object, would otherwise fail every row like a physics
-    # error; a channel's number fields are the parameters its kind reads
+    # error.  The number fields are the parameters a channel kind reads, a
+    # family's fields and a state's mode count.
     if root == "channel":
-        names = _number_keys(channel_to_dict(_parse_channel(config)))
-    elif family is not None:
-        names = list(family.__dataclass_fields__)
+        names = list(CATALOG.get(kind, (None, ()))[1])
+    elif kind in FAMILIES:
+        names = list(FAMILIES[kind].__dataclass_fields__)
     elif kind == "state":
-        names = _number_keys(state_to_dict(GaussianState.vacuum(1)))
+        names = ["modes"]
     else:
         raise ConfigError(f"sweep parameter {path!r} needs a probe of kind "
                           f"'state' or {sorted(FAMILIES)}, got {kind!r}")
@@ -298,16 +288,13 @@ def cmd_sweep(config: dict, args) -> str:
 def cmd_optimize(config: dict, args) -> str:
     channel = _parse_channel(config)
     family = config.get("family", ONE_MODE if channel.modes == 1 else TWO_MODE)
-    budget_raw = _require(config, "budget")
-    if not isinstance(budget_raw, dict) or "n_total" not in budget_raw:
-        raise ConfigError("budget must be an object with 'n_total'")
-    n_total = _number(budget_raw["n_total"], "budget n_total")
+    budget_raw = _only_keys(_require(config, "budget"), ("n_total",), "budget", ConfigError)
+    n_total = _number(budget_raw.get("n_total"), "budget n_total")
     try:
         opt_config = OptimizerConfig.from_dict(config.get("optimizer", {}))
         if args.seed is not None:
             opt_config = dataclasses.replace(opt_config, seed=args.seed)
-    except (AttributeError, TypeError, ValueError, GaussQfiError) as exc:
-        # AttributeError: "optimizer" is not an object
+    except GaussQfiError as exc:
         raise ConfigError(f"bad optimizer settings: {exc}") from exc
     # both reject only their inputs: the budget, the family, the constraint
     # and the family's mode count on this channel
@@ -458,17 +445,18 @@ _HANDLERS = {
     "ellipse": cmd_ellipse,
     "limits": cmd_limits,
 }
-# the top-level config keys each command reads, and the keys of its objects
+# the config keys each command reads; closed-form reads those of its label
+_MIX_KEYS = {"schema", "label", "r", "d1_mag", "d2_mag"}
+_LABEL_KEYS = {"schema", "label", "probe", "chi", "omega_p", "omega_s"}
 _KEYS = {
     "qfi": {"probe", "channel"},
-    "closed-form": {"label", "probe", "r", "d1_mag", "d2_mag", "chi", "omega_p", "omega_s"},
+    "closed-form": _MIX_KEYS | _LABEL_KEYS,
     "sweep": {"probe", "channel", "sweep"},
     "optimize": {"channel", "family", "budget", "optimizer", "constraint"},
     "scaling": {"channel", "family", "n_grid"},
     "ellipse": {"probe", "channel", "epsilon"},
     "limits": {"n"},
 }
-_OBJECT_KEYS = {"sweep": {"parameter", "grid"}, "budget": {"n_total"}}
 
 
 def main(argv=None) -> int:

@@ -23,7 +23,7 @@ from functools import cache
 
 import numpy as np
 
-from ._util import _as_complex, _complex_form, _freeze, _is_integral
+from ._util import _as_complex, _complex_form, _freeze, _is_integral, _only_keys
 from .errors import InvalidDimensionError, InvalidInputError, \
     NumericalInstabilityError, StructureError
 
@@ -321,6 +321,7 @@ def state_to_dict(state: GaussianState) -> dict:
 
 
 def state_from_dict(data: dict) -> GaussianState:
+    _only_keys(data, ("modes", "d_tilde", "sigma_X", "sigma_Y"), "state JSON")
     # messages print modes as given: 1e300, not the 601 digits of its square
     modes = data.get("modes")
     if not _is_integral(modes):

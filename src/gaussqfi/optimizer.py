@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._util import _is_integral
+from ._util import _is_integral, _only_keys
 from .channels import (
     BEAMSPLIT,
     COMBINED,
@@ -50,15 +50,15 @@ MAX_RESTARTS = 1024
 
 @dataclass(frozen=True)
 class EnergyBudget:
-    """Mean-energy budget with per-mode displacement/thermal fractions.
+    """Mean-energy budget ``n_total`` of a probe search.
 
-    ``splits[k] = (f_d, f_th)`` are fractions of mode k's energy share;
-    squeezing receives the remainder through the mean-energy relation.
+    ``splits[k] = (f_d, f_th)``, fractions of mode k's energy share, are
+    checked but not read: the search places every split itself.  The field
+    stays because callers pass it positionally, ``EnergyBudget(n, splits)``.
     """
 
     n_total: float
     splits: tuple = ((0.0, 0.0),)
-    mode_fractions: tuple = None
 
     def __post_init__(self):
         # NaN passes every range check below, since nan < 0 is false
@@ -72,17 +72,7 @@ class EnergyBudget:
         for fd, ft in splits:
             if fd < 0 or ft < 0 or fd + ft > 1.0 + 1e-12:
                 raise InvalidInputError(f"infeasible split (f_d={fd}, f_th={ft})")
-        fractions = self.mode_fractions
-        if fractions is None:
-            fractions = tuple(1.0 / len(splits) for _ in splits)
-        fractions = tuple(float(g) for g in fractions)
-        if not all(map(math.isfinite, fractions)):
-            raise InvalidInputError(f"mode_fractions must be finite, got {fractions}")
-        if len(fractions) != len(splits) or abs(sum(fractions) - 1.0) > 1e-9 \
-                or min(fractions) < 0:
-            raise InvalidInputError("mode_fractions must be a distribution over modes")
         object.__setattr__(self, "splits", splits)
-        object.__setattr__(self, "mode_fractions", fractions)
 
 
 @dataclass(frozen=True)
@@ -111,12 +101,7 @@ class OptimizerConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "OptimizerConfig":
-        accepted = [f.name for f in fields(cls)]
-        unknown = sorted(set(data) - set(accepted))
-        if unknown:
-            raise InvalidInputError(f"unknown optimizer settings {unknown}; "
-                                    f"accepted: {accepted}")
-        return cls(**data)
+        return cls(**_only_keys(data, [f.name for f in fields(cls)], "optimizer"))
 
 
 @dataclass
@@ -189,16 +174,16 @@ def _objective(x, family, n_total, constraint, ikw, gamma) -> np.ndarray:
 
 
 def _decode(x: np.ndarray, family: str, n_total: float, constraint: str):
-    """Map one unconstrained search vector to feasible probe parameters
-    and the energy budget they spend."""
+    """Map one unconstrained search vector to feasible probe parameters,
+    each mode's ``(f_d, f_th)`` split and each mode's share of the budget."""
     (angles, *energy), fractions = _columns(np.asarray(x, dtype=float)[None], family,
                                             n_total, constraint)
     cls = _PARAMS[family]
     fields = dict(zip(cls.ANGLES, angles[:, 0].tolist()))
     for names, values in zip(cls.ENERGY, zip(*(b[:, 0].tolist() for b in energy))):
         fields.update(zip(names, values))
-    f_d, f_th, g = (a[:, 0] for a in fractions)
-    return cls(**fields), EnergyBudget(n_total, tuple(zip(f_d, f_th)), tuple(g))
+    f_d, f_th, g = (a[:, 0].tolist() for a in fractions)
+    return cls(**fields), tuple(zip(f_d, f_th)), tuple(g)
 
 
 def _halton(index: np.ndarray, bases: list) -> np.ndarray:
@@ -391,8 +376,9 @@ def optimize_probe(channel: ChannelSpec, family: str, budget: EnergyBudget,
     Args:
         channel: one-parameter channel to estimate.
         family: "one-mode" or "two-mode-restricted".
-        budget: energy budget; only ``n_total`` is binding, the split is
-            part of the search space (unless constrained).
+        budget: energy budget; only ``n_total`` is read.  The search
+            places the split itself (unless constrained), so ``splits``,
+            kept for callers that pass it positionally, is not read.
         config: restart count and the seed of the start points.
         constraint: None, "coherent-only" (all energy displaced) or
             "squeezing-only".
@@ -429,14 +415,14 @@ def optimize_probe(channel: ChannelSpec, family: str, budget: EnergyBudget,
 
     best = int(np.argmax(values))
     value = float(values[best])
-    params, bud = _decode(res.x[best], family, budget.n_total, constraint)
+    params, splits, shares = _decode(res.x[best], family, budget.n_total, constraint)
     engine_value = qfi_unitary(params.to_probe_state(), channel).total
     if abs(engine_value - value) > 1e-9 * max(1.0, abs(value)):
         raise NumericalInstabilityError(
             f"search objective ({value:.12g}) and engine ({engine_value:.12g}) "
             "disagree on the optimum")
-    best_params = {"family": family, "probe": params, "splits": bud.splits,
-                   "mode_fractions": bud.mode_fractions}
+    best_params = {"family": family, "probe": params, "splits": splits,
+                   "mode_fractions": shares}
     return OptimizationResult(best_params=best_params, best_qfi=value,
                               trace=trace, restarts=values.size,
                               converged=bool(res.converged[best]))

@@ -22,6 +22,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from ._util import _only_keys
 from .core import mean_photon_number
 from .errors import InvalidInputError, StructureError
 from .qfi import ProbeState
@@ -176,11 +177,8 @@ def probe_params_to_dict(params) -> dict:
 
 def probe_params_from_dict(data: dict):
     kind = data.get("kind")
-    fields = {k: float(v) for k, v in data.items() if k != "kind"}
     family = FAMILIES.get(kind) if isinstance(kind, str) else None
     if family is None:
         raise StructureError(f"unknown probe kind {kind!r}")
-    try:
-        return family(**fields)
-    except TypeError as exc:
-        raise StructureError(f"bad probe parameters: {exc}") from exc
+    _only_keys(data, ("kind", *family.__dataclass_fields__), f"probe kind {kind!r}")
+    return family(**{k: float(v) for k, v in data.items() if k != "kind"})

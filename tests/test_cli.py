@@ -9,9 +9,9 @@ import pytest
 
 import gaussqfi as gq
 from gaussqfi import cli, optimizer, qfi, validate
-from gaussqfi.errors import InvalidInputError
+from gaussqfi.errors import InvalidInputError, StructureError
 from gaussqfi.optimizer import MAX_RESTARTS, OptimizerConfig, scaling_exponent
-from gaussqfi.probes import probe_params_to_dict
+from gaussqfi.probes import probe_params_from_dict, probe_params_to_dict
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -110,6 +110,10 @@ def test_qfi_state_probe_matches_parametric(tmp_path, capsys):
 def test_bad_schema_exits_2(tmp_path, capsys):
     code, _ = run_cli(tmp_path, capsys, "qfi", {"schema": 2})
     assert code == 2
+    # true == 1 in Python, but a boolean is no number in a config
+    assert run_cli(tmp_path, capsys, "limits", {"schema": True, "n": [1.0]}) == (2, "")
+    for schema in (1, 1.0):
+        assert run_cli(tmp_path, capsys, "limits", {"schema": schema, "n": [1.0]})[0] == 0
 
 
 def test_unknown_channel_exits_2(tmp_path, capsys):
@@ -297,6 +301,78 @@ def test_unknown_optimizer_setting_names_accepted_keys(tmp_path, capsys):
     assert captured.out == ""
     assert "'tol'" in captured.err
     assert "'restarts'" in captured.err and "'seed'" in captured.err
+
+
+def assert_refused(tmp_path, capsys, command, config, says):
+    """``command`` exits 2 on ``config`` with one ``error:`` line holding ``says``."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and says in line, line
+
+
+_OPTIMIZE = {"channel": _PHASE, "budget": {"n_total": 1.0}, "optimizer": {"restarts": 1}}
+
+
+# command, a config it reads, the path to one of its objects, and a key that
+# object's reader does not read, with a value
+@pytest.mark.parametrize("command,config,path,key,value", [
+    ("qfi", _SWEEP, (), "chanel", _PHASE),
+    ("qfi", {"probe": _ONE_MODE, "channel": {"kind": "squeeze1-mode1"}},
+     ("channel",), "chii", 0.2),
+    # read as no drive, the parent printed 4.0 where "gamma" gives 8.0
+    ("qfi", {"probe": {"kind": "one-mode", "d_mag": 1.0},
+             "channel": {"kind": "custom", "custom_W": {"X": [[1.0, 0.0]], "Y": [[0.0, 0.0]]}}},
+     ("channel", "custom_W"), "gama", [[1.0, 0.0]]),
+    ("qfi", _SWEEP, ("probe",), "rr", 0.3),
+    # read as sigma_Y = 0, the parent printed "total": 0.0
+    ("qfi", {"probe": {"kind": "state", "modes": 1, "sigma_X": [[1.0, 0.0]]},
+             "channel": _PHASE}, ("probe",), "sigma_y", [[0.5, 0.0]]),
+    ("sweep", {"sweep": {"parameter": "probe.r", "grid": [0.1]}, **_SWEEP},
+     ("sweep",), "grids", [0.2]),
+    ("optimize", _OPTIMIZE, ("budget",), "ntotal", 3.0),
+    ("optimize", _OPTIMIZE, ("optimizer",), "restart", 4),
+    # the parent printed eq20 at the probe's own r = 0.5
+    ("closed-form", {"label": "eq20", "probe": _ONE_MODE}, (), "r", 1.0),
+    ("closed-form", {"label": "eq19", "probe": _ONE_MODE, "omega_s": 1.0}, (), "omegas", 2.0),
+    # the parent ignored the probe
+    ("closed-form", {"label": "universal-mix", "r": 0.5}, (), "probe", _ONE_MODE),
+])
+def test_every_config_object_refuses_an_unread_key(tmp_path, capsys, command, config,
+                                                  path, key, value):
+    config = json.loads(json.dumps({"schema": 1, **config}))
+    assert run_cli(tmp_path, capsys, command, config)[0] == 0
+    obj = config
+    for name in path:
+        obj = obj[name]
+    obj[key] = value
+    assert_refused(tmp_path, capsys, command, config, f"'{key}'")
+
+
+@pytest.mark.parametrize("read,data,key", [
+    (probe_params_from_dict, {"kind": "two-mode", "r1": 0.3, "psi2": 0.1}, "psi2"),
+    (gq.state_from_dict, {"modes": 1, "sigma_X": [[1.0, 0.0]], "sigma_y": [[0.5, 0.0]]},
+     "sigma_y"),
+    (gq.channel_from_dict, {"kind": "beamsplit", "chi": 0.1, "omega_s": 1.0}, "omega_s"),
+    (gq.channel_from_dict, {"kind": "custom", "custom_W": {
+        "X": [[1.0, 0.0]], "Y": [[0.0, 0.0]], "gama": [[1.0, 0.0]]}}, "gama"),
+    (OptimizerConfig.from_dict, {"restarts": 4, "max_iter": 100}, "max_iter"),
+])
+def test_library_readers_refuse_an_unread_key(read, data, key):
+    with pytest.raises(StructureError, match=f"reads only .*got \\['{key}'\\]"):
+        read(data)
+
+
+@pytest.mark.parametrize("command,config", [
+    ("optimize", {**_OPTIMIZE, "optimizer": "abc"}),
+    ("optimize", {**_OPTIMIZE, "budget": [1.0]}),
+    ("sweep", {"sweep": "probe.r", **_SWEEP}),
+])
+def test_config_object_that_is_not_an_object_exits_2(tmp_path, capsys, command, config):
+    assert_refused(tmp_path, capsys, command, {"schema": 1, **config}, "must be an object")
 
 
 def test_optimizer_settings_take_integral_numbers():

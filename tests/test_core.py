@@ -11,6 +11,9 @@ from gaussqfi._util import _complex_form
 from gaussqfi.core import STRUCTURE_ATOL, exceeds_structure_tol, k_signs
 from gaussqfi.errors import GaussQfiError, InvalidDimensionError, InvalidInputError, \
     NumericalInstabilityError, StructureError
+from gaussqfi.fock import build_fock_state, state_qfi
+from gaussqfi.optimizer import scaling_exponent
+from gaussqfi.probes import probe_params_to_dict
 from conftest import random_covariance, random_state, random_symplectic
 
 
@@ -329,3 +332,46 @@ def test_block_conjugation_residual_text_unchanged(n, seed):
     lines = [line for line in report if "block-conjugation" in line]
     tol = STRUCTURE_ATOL * max(1.0, np.max(np.abs(sigma)))
     assert lines == ([text] if res > tol else [])
+
+
+_ONE = gq.OneModeProbeParams(r=0.3)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: gq.GaussianState(np.zeros((1, 1)), np.eye(1), np.zeros((1, 1))),
+     InvalidDimensionError),
+    (lambda: gq.GaussianState.vacuum(0), InvalidDimensionError),
+    (lambda: gq.GaussianState.from_moments(np.zeros(2), np.eye(4)), InvalidDimensionError),
+    (lambda: gq.real_to_complex(np.zeros(2), np.eye(3)), InvalidDimensionError),
+    (lambda: gq.symplectic_eigenvalues(np.eye(3)), InvalidDimensionError),
+    (lambda: gq.complex_to_real_matrix(np.diag([1.0, 2.0])), StructureError),
+    (lambda: gq.SymplecticMatrix(np.ones((1, 2)), np.zeros((1, 1))), InvalidDimensionError),
+    (lambda: gq.SymplecticMatrix.from_matrix(np.eye(3)), InvalidDimensionError),
+    (lambda: gq.GeneratorW(np.eye(1), np.zeros((1, 1)), np.zeros(2)), InvalidDimensionError),
+    (lambda: gq.WilliamsonForm(gq.SymplecticMatrix(np.eye(1), np.zeros((1, 1))), [1.0, 1.0]),
+     InvalidDimensionError),
+    (lambda: gq.ProbeState(_ONE.to_probe_state().williamson, np.zeros(2)), InvalidInputError),
+    (lambda: gq.qfi_unitary(_ONE.to_probe_state(), gq.mix_channel()), InvalidInputError),
+    (lambda: state_qfi(build_fock_state(_ONE, 16), gq.mix_channel()),
+     InvalidInputError),
+    (lambda: build_fock_state(gq.phase_channel(), 16), InvalidInputError),
+    (lambda: probe_params_to_dict(gq.phase_channel()), InvalidInputError),
+    (lambda: gq.channel_from_dict({"kind": "custom", "custom_W": {
+        "X": [[1.0, 0.0], [0.0, 0.0]], "Y": [[0.0, 0.0]]}}), StructureError),
+    (lambda: scaling_exponent(gq.custom_channel(gq.GeneratorW(np.eye(1), np.zeros((1, 1)))),
+                                 "optimal-squeezing", [1, 2, 5, 10]), InvalidInputError),
+], ids=["state-2d-d_tilde", "vacuum-0", "from_moments", "real_to_complex",
+        "symplectic_eigenvalues", "complex_to_real_matrix", "symplectic-non-square",
+        "from_matrix-3x3", "generator-gamma", "williamson-count", "probe-d_tilde",
+        "qfi_unitary-modes", "state_qfi-modes", "build_fock_state-non-probe",
+        "probe_params_to_dict-non-probe", "custom_W-non-square", "scaling-custom"])
+def test_public_refusals(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_validate_moments_reports_non_hermitian_covariance():
+    sigma = np.eye(2, dtype=complex)
+    sigma[0, 1] = 0.5
+    assert any(line.startswith("covariance is not Hermitian")
+               for line in gq.validate_moments(np.zeros(2), sigma))
